@@ -13,7 +13,9 @@ from .closed_forms import (
 )
 from .fib_lucas import fib, fib_minus_one_factors, gcd, lcm, lucas
 from .moment_sums import (
+    BruteEngine,
     BruteForceGuardError,
+    Moment,
     MomentKey,
     MomentTable,
     a_brute,

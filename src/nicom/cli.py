@@ -16,6 +16,8 @@ from time import perf_counter
 
 from . import closed_forms as cf
 from . import verify_suite
+from .decimal_text import decimal_str
+from .fib_lucas import fib
 from .moment_sums import (
     BruteForceGuardError,
     MomentKey,
@@ -41,40 +43,22 @@ def canonical_json(obj) -> str:
 
 
 def _compute_value(sum_kind: str, k: int, s: int, j: int, engine: str) -> int:
-    if sum_kind == "A":
-        if engine == "brute":
-            return a_brute(MomentKey(k, s, j))
-        if engine == "rec":
-            return MomentTable().a(k, s, j)
-        if j != 0:
-            raise UsageError("closed engine supports --j 0 only")
-        if s == 0:
-            return _fk_minus_one(k)
-        if s == 1:
-            return cf.lemma2_a(k)
-        if s == 3:
-            return cf.lemma3_a3(k)
-        raise UsageError("closed engine supports --s in {0, 1, 3} for A")
-    # Aprime
-    if j != 0:
+    prime = sum_kind == "Aprime"
+    if prime and j != 0:
         raise UsageError("--j applies to --sum A only")
     if engine == "brute":
-        return a_prime_brute(k, s)
+        return a_prime_brute(k, s) if prime else a_brute(MomentKey(k, s, j))
     if engine == "rec":
-        return a_prime(k, s, MomentTable())
+        return a_prime(k, s, MomentTable()) if prime else MomentTable().a(k, s, j)
+    if j != 0:
+        raise UsageError("closed engine supports --j 0 only")
     if s == 0:
-        return _fk_minus_one(k)
+        return fib(k) - 1
     if s == 1:
-        return cf.lemma2_a_prime(k)
+        return cf.lemma2_a_prime(k) if prime else cf.lemma2_a(k)
     if s == 3:
-        return cf.lemma4_a_prime3(k)
-    raise UsageError("closed engine supports --s in {0, 1, 3} for Aprime")
-
-
-def _fk_minus_one(k: int) -> int:
-    from .fib_lucas import fib
-
-    return fib(k) - 1
+        return cf.lemma4_a_prime3(k) if prime else cf.lemma3_a3(k)
+    raise UsageError(f"closed engine supports --s in {{0, 1, 3}} for {sum_kind}")
 
 
 def _cmd_compute(args) -> int:
@@ -82,12 +66,12 @@ def _cmd_compute(args) -> int:
     if args.format == "json":
         print(canonical_json({"sum": args.sum, "k": args.k, "s": args.s,
                               "j": args.j, "engine": args.engine,
-                              "value": str(value)}))
+                              "value": decimal_str(value)}))
     elif args.format == "csv":
         _print_csv([["sum", "k", "s", "j", "engine", "value"],
-                    [args.sum, args.k, args.s, args.j, args.engine, str(value)]])
+                    [args.sum, args.k, args.s, args.j, args.engine, decimal_str(value)]])
     else:
-        print(value)
+        print(decimal_str(value))
     return EXIT_OK
 
 
@@ -134,7 +118,7 @@ def _cmd_prove(args) -> int:
 
 
 def _digest(value: int) -> dict:
-    digits = str(abs(value))
+    digits = decimal_str(abs(value))
     return {
         "digits": len(digits),
         "head": digits[:8],
@@ -145,8 +129,7 @@ def _digest(value: int) -> dict:
 
 def _cmd_bench(args) -> int:
     start = perf_counter()
-    value = _compute_value("A", args.k, args.s, 0,
-                           "brute" if args.engine == "brute" else args.engine)
+    value = _compute_value("A", args.k, args.s, 0, args.engine)
     elapsed = perf_counter() - start
     out = {"k": args.k, "s": args.s, "engine": args.engine,
            "seconds": round(elapsed, 6), **_digest(value)}

@@ -6,7 +6,8 @@ instances, so they are always reduced with a positive denominator.
 
 For m of the form F_K - 1 the sums route through the recursive moment
 engine (or closed forms on request), which keeps Q evaluable at K in the
-hundreds; any other m falls back to guarded brute force.
+hundreds; any other m falls back to the guarded brute engine, which a
+sweep in m passes in so that it makes one summation pass.
 """
 
 from __future__ import annotations
@@ -16,11 +17,13 @@ from fractions import Fraction
 from . import closed_forms
 from .beatty_floor import isqrt
 from .fib_lucas import fib
-from .moment_sums import BruteForceGuardError, MomentTable, a_prime, brute_guard
+from .moment_sums import BruteEngine, Moment, MomentTable, a_prime
 
 PHI = "phi"
 PHI2 = "phi2"
 _ALPHAS = (PHI, PHI2)
+# the (cube sum, plain sum) moments of each alpha for the brute engine
+_BRUTE_MOMENTS = {a: (Moment(3, prime=a == PHI2), Moment(1, prime=a == PHI2)) for a in _ALPHAS}
 
 _table = MomentTable()
 
@@ -28,17 +31,13 @@ _table = MomentTable()
 def _fib_index_of(m: int) -> int | None:
     """Return K >= 3 with F_K - 1 == m, or None."""
     k = 3
-    while True:
-        f = fib(k)
-        if f - 1 == m:
-            return k
-        if f - 1 > m:
-            return None
+    while fib(k) - 1 < m:
         k += 1
+    return k if fib(k) - 1 == m else None
 
 
 def _sums_at_fib_index(alpha: str, K: int, engine: str) -> tuple[int, int]:
-    """(cube sum, plain sum) over n = 1..F_K-1 for the given alpha."""
+    """(cube sum, plain sum) over n = 1..F_K-1: closed forms or the recursive engine."""
     if engine == "closed":
         if alpha == PHI:
             return closed_forms.lemma3_a3(K), closed_forms.lemma2_a(K)
@@ -48,7 +47,7 @@ def _sums_at_fib_index(alpha: str, K: int, engine: str) -> tuple[int, int]:
     return a_prime(K, 3, _table), a_prime(K, 1, _table)
 
 
-def q_value(alpha: str, m: int, engine: str = "auto") -> Fraction:
+def q_value(alpha: str, m: int, engine: str = "auto", brute: BruteEngine | None = None) -> Fraction:
     """Exact Q(alpha, m); alpha is "phi" or "phi2"."""
     if alpha not in _ALPHAS:
         raise ValueError(f"alpha must be one of {_ALPHAS}, got {alpha!r}")
@@ -56,55 +55,26 @@ def q_value(alpha: str, m: int, engine: str = "auto") -> Fraction:
         raise ValueError(f"Q undefined at m = {m}")
     if engine not in ("auto", "brute", "recursive", "closed"):
         raise ValueError(f"unknown engine {engine!r}")
-    if engine != "brute":
-        K = _fib_index_of(m)
-        if K is not None:
-            cubes, plain = _sums_at_fib_index(
-                alpha, K, "closed" if engine == "closed" else "recursive"
-            )
-            return Fraction(cubes, plain * plain)
-        if engine in ("recursive", "closed"):
-            raise ValueError(
-                f"engine {engine!r} needs m of the form F_K - 1, got m = {m}"
-            )
-    if m > brute_guard():
-        raise BruteForceGuardError(
-            f"Q({alpha}, {m}): m is not of the form F_K - 1 and exceeds the "
-            f"brute-force guard {brute_guard()}"
-        )
-    if alpha == PHI:
-        cubes = a_brute_range(m, 3)
-        plain = a_brute_range(m, 1)
+    K = None if engine == "brute" else _fib_index_of(m)
+    if K is None and engine in ("recursive", "closed"):
+        raise ValueError(f"engine {engine!r} needs m of the form F_K - 1, got m = {m}")
+    if K is None:
+        cubes, plain = (brute or BruteEngine()).sums(m, _BRUTE_MOMENTS[alpha])
     else:
-        cubes = a_prime_brute_range(m, 3)
-        plain = a_prime_brute_range(m, 1)
+        cubes, plain = _sums_at_fib_index(alpha, K, engine)
     return Fraction(cubes, plain * plain)
 
 
-def a_brute_range(m: int, s: int) -> int:
-    """sum_{n=1}^{m} floor(phi*n)^s by literal summation."""
-    from .beatty_floor import floor_phi
-
-    return sum(floor_phi(n) ** s for n in range(1, m + 1))
-
-
-def a_prime_brute_range(m: int, s: int) -> int:
-    """sum_{n=1}^{m} floor(phi^2*n)^s by literal summation."""
-    from .beatty_floor import floor_phi2
-
-    return sum(floor_phi2(n) ** s for n in range(1, m + 1))
-
-
-def q_diff(K: int, engine: str = "auto") -> Fraction:
+def q_diff(K: int, engine: str = "auto", brute: BruteEngine | None = None) -> Fraction:
     """Q(phi^2, F_K - 1) - Q(phi, F_K - 1), exact, for K >= 3."""
     if K < 3:
         raise ValueError(f"q_diff needs K >= 3 (so m = F_K - 1 >= 1), got {K}")
-    m = fib(K) - 1
     if engine == "brute":
-        return q_value(PHI2, m, engine="brute") - q_value(PHI, m, engine="brute")
-    eng = "closed" if engine == "closed" else "recursive"
-    c2, p2 = _sums_at_fib_index(PHI2, K, eng)
-    c1, p1 = _sums_at_fib_index(PHI, K, eng)
+        moments = _BRUTE_MOMENTS[PHI2] + _BRUTE_MOMENTS[PHI]
+        c2, p2, c1, p1 = (brute or BruteEngine()).sums(fib(K) - 1, moments)
+    else:
+        c2, p2 = _sums_at_fib_index(PHI2, K, engine)
+        c1, p1 = _sums_at_fib_index(PHI, K, engine)
     return Fraction(c2, p2 * p2) - Fraction(c1, p1 * p1)
 
 

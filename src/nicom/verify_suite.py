@@ -13,15 +13,9 @@ from typing import Callable, Iterable
 
 from . import closed_forms as cf
 from . import qratio
+from .decimal_text import exact_str
 from .fib_lucas import fib, fib_minus_one_factors, gcd, lcm, lucas
-from .moment_sums import (
-    BruteForceGuardError,
-    MomentKey,
-    MomentTable,
-    a_brute,
-    a_prime,
-    a_prime_brute,
-)
+from .moment_sums import BruteEngine, BruteForceGuardError, Moment, MomentTable, a_prime
 from .recurrence_prover import (
     QUARTIC_PHI_POWERS,
     SIGNED_PHI_POWERS,
@@ -104,55 +98,55 @@ class ClaimReport:
         }
 
 
-def _pairs_lemma2(k: int, engines: Iterable[str], table: MomentTable):
+_FIRST_MOMENTS = (Moment(1), Moment(1, prime=True))
+
+
+def _pairs_lemma2(k: int, engines: Iterable[str], table: MomentTable, brute: BruteEngine):
     closed = cf.lemma2_a(k), cf.lemma2_a_prime(k)
     for eng in engines:
-        if eng == "closed":
-            continue
         if eng == "brute":
-            yield a_brute(MomentKey(k, 1, 0)), closed[0]
-            yield a_prime_brute(k, 1), closed[1]
+            yield from zip(brute.sums(fib(k) - 1, _FIRST_MOMENTS), closed)
         elif eng == "recursive":
             yield table.a(k, 1, 0), closed[0]
             yield a_prime(k, 1, table), closed[1]
 
 
-def _pairs_lemma3(k: int, engines: Iterable[str], table: MomentTable):
+def _pairs_lemma3(k: int, engines: Iterable[str], table: MomentTable, brute: BruteEngine):
     closed = cf.lemma3_a3(k)
     for eng in engines:
         if eng == "brute":
-            yield a_brute(MomentKey(k, 3, 0)), closed
+            yield brute.a(fib(k) - 1, 3), closed
         elif eng == "recursive":
             yield table.a(k, 3, 0), closed
 
 
-def _pairs_lemma4(k: int, engines: Iterable[str], table: MomentTable):
+def _pairs_lemma4(k: int, engines: Iterable[str], table: MomentTable, brute: BruteEngine):
     closed = cf.lemma4_a_prime3(k)
     for eng in engines:
         if eng == "brute":
-            yield a_prime_brute(k, 3), closed
+            yield brute.a_prime(fib(k) - 1, 3), closed
         elif eng == "recursive":
             yield a_prime(k, 3, table), closed
 
 
-def _pairs_theorem1(K: int, engines: Iterable[str], table: MomentTable):
+def _pairs_theorem1(K: int, engines: Iterable[str], table: MomentTable, brute: BruteEngine):
     rhs = cf.theorem1_rhs(K)
     for eng in engines:
         if eng == "closed":
             continue
-        yield qratio.q_diff(K, engine=eng), rhs
+        yield qratio.q_diff(K, engine=eng, brute=brute), rhs
     if tuple(engines) == ("closed",):
         yield qratio.q_diff(K, engine="closed"), rhs
 
 
-def _pairs_theorem6(k: int, engines: Iterable[str], table: MomentTable):
+def _pairs_theorem6(k: int, engines: Iterable[str], table: MomentTable, brute: BruteEngine):
     rhs = cf.theorem6_rhs(k)
     yield lcm(cf.lemma2_a(2 * k), cf.lemma2_a_prime(2 * k)), rhs
     if "brute" in engines:
-        yield lcm(a_brute(MomentKey(2 * k, 1, 0)), a_prime_brute(2 * k, 1)), rhs
+        yield lcm(*brute.sums(fib(2 * k) - 1, _FIRST_MOMENTS)), rhs
 
 
-def _pairs_case4l(l: int, engines: Iterable[str], table: MomentTable):
+def _pairs_case4l(l: int, engines: Iterable[str], table: MomentTable, brute: BruteEngine):
     lhs, rhs = cf.case4l_sides(l)
     yield lhs, rhs
     if "recursive" in engines:
@@ -163,11 +157,11 @@ def _pairs_case4l(l: int, engines: Iterable[str], table: MomentTable):
         yield den * (a3p * a1 * a1 - a3 * a1p * a1p), a1 * a1 * a1p * a1p * (den - num)
 
 
-def _pairs_nicomachus(m: int, engines: Iterable[str], table: MomentTable):
+def _pairs_nicomachus(m: int, engines: Iterable[str], table: MomentTable, brute: BruteEngine):
     yield qratio.nicomachus_check(m), True
 
 
-def _pairs_fact(l: int, engines: Iterable[str], table: MomentTable):
+def _pairs_fact(l: int, engines: Iterable[str], table: MomentTable, brute: BruteEngine):
     for n in range(4 * l, 4 * l + 4):
         f, lu = fib_minus_one_factors(n)
         yield f * lu, fib(n) - 1
@@ -203,19 +197,22 @@ def verify_claim(
     for eng in engines:
         if eng not in ("brute", "recursive", "closed"):
             raise ValueError(f"unknown engine {eng!r}")
+    if k_max < lo:
+        raise ValueError(f"{claim}: empty index range {lo}..{k_max}; nothing to check")
 
     table = MomentTable()
+    brute = BruteEngine()
     rows: list[IndexResult] = []
     failures: list[dict] = []
     skipped: list[int] = []
     for idx in range(lo, k_max + 1):
         try:
-            for lhs, rhs in checker(idx, engines, table):
+            for lhs, rhs in checker(idx, engines, table, brute):
                 equal = lhs == rhs
-                row = IndexResult(idx, str(lhs), str(rhs), equal)
+                row = IndexResult(idx, exact_str(lhs), exact_str(rhs), equal)
                 rows.append(row)
                 if not equal:
-                    failures.append({"index": idx, "lhs": str(lhs), "rhs": str(rhs)})
+                    failures.append({"index": idx, "lhs": row.lhs, "rhs": row.rhs})
         except BruteForceGuardError:
             skipped.append(idx)
             rows.append(IndexResult(idx, "", "", True, skipped=True))

@@ -1,0 +1,126 @@
+from fractions import Fraction
+
+import pytest
+
+from nicom import verify_suite
+from nicom.beatty_floor import floor_phi, floor_phi2
+from nicom.fib_lucas import fib
+from nicom.moment_sums import (
+    BruteEngine,
+    BruteForceGuardError,
+    Moment,
+    MomentTable,
+    a_prime,
+)
+from nicom.qratio import q_diff, q_value
+
+
+def literal(m, s, j=0, prime=False):
+    """Independent oracle: the defining sum over n = 1..m, written out."""
+    floor = floor_phi2 if prime else floor_phi
+    return sum(n**j * floor(n) ** s for n in range(1, m + 1))
+
+
+def test_sweep_matches_moment_table():
+    table = MomentTable()
+    engine = BruteEngine()
+    plain = [Moment(s, total - s) for total in range(5) for s in range(total + 1)]
+    primed = [Moment(s, prime=True) for s in range(5)]
+    for k in range(1, 21):
+        values = engine.sums(fib(k) - 1, plain + primed)
+        want = [table.a(k, mo.s, mo.j) for mo in plain] + [a_prime(k, mo.s, table) for mo in primed]
+        assert values == want, k
+    assert engine.terms == fib(20) - 1
+
+
+def test_q_value_off_fibonacci_indices():
+    engine = BruteEngine()
+    for m in (4, 5, 6, 10, 11, 100, 999, 1000):
+        for alpha, prime in (("phi", False), ("phi2", True)):
+            want = Fraction(literal(m, 3, prime=prime), literal(m, 1, prime=prime) ** 2)
+            assert q_value(alpha, m) == want, (alpha, m)
+            assert q_value(alpha, m, brute=engine) == want, (alpha, m)
+    with pytest.raises(ValueError, match="F_K - 1"):
+        q_value("phi", 5, engine="recursive")
+
+
+def test_q_diff_shares_one_pass():
+    engine = BruteEngine()
+    for K in range(3, 16):
+        assert q_diff(K, engine="brute", brute=engine) == q_diff(K, engine="closed"), K
+    assert engine.terms == fib(15) - 1
+
+
+def test_resume_then_add_a_moment_mid_stream():
+    engine = BruteEngine()
+    assert engine.a(10, 1) == literal(10, 1)
+    assert engine.terms == 10
+    assert engine.a(100, 1) == literal(100, 1)
+    assert engine.terms == 100  # resumed from n = 11, not restarted
+    # a new moment restarts the pass, which then carries every moment
+    assert engine.a(100, 3, 2) == literal(100, 3, 2)
+    assert engine.terms == 200
+    assert engine.a(150, 1) == literal(150, 1)
+    assert engine.terms == 250
+    assert engine.sums(150, [Moment(1), Moment(3, 2), Moment(2, prime=True)]) == [
+        literal(150, 1), literal(150, 3, 2), literal(150, 2, prime=True)]
+    assert engine.terms == 400
+    assert engine.sums(160, [Moment(3, 2), Moment(1)]) == [literal(160, 3, 2), literal(160, 1)]
+    assert engine.terms == 410
+    # so does a request behind the pass
+    assert engine.a_prime(40, 2) == literal(40, 2, prime=True)
+    assert engine.terms == 450
+    assert engine.a(0, 3) == 0
+
+
+def test_guard_raises_before_any_term_is_summed():
+    engine = BruteEngine(guard=10)
+    assert engine.a(10, 1) == literal(10, 1)
+    with pytest.raises(BruteForceGuardError, match="guard 10"):
+        engine.a(11, 3)
+    assert engine.terms == 10
+    with pytest.raises(BruteForceGuardError):
+        BruteEngine(guard=0).a(1, 1)
+    with pytest.raises(ValueError):
+        BruteEngine(guard=-1)
+    with pytest.raises(ValueError):
+        engine.a(-1, 1)
+
+
+def test_verify_lists_guarded_indices_as_skipped(monkeypatch):
+    monkeypatch.setenv("NICOM_BRUTE_GUARD", str(fib(7) - 1))
+    report = verify_suite.verify_claim("lemma3", k_max=9, engines=("brute",))
+    assert report.passed
+    assert report.skipped == [8, 9]
+    report = verify_suite.verify_claim("theorem1", k_max=9, engines=("brute",))
+    assert report.skipped == [8, 9]
+
+
+def _count_terms(monkeypatch, claim, k_max, engines):
+    engines_built = []
+
+    class Counted(BruteEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines_built.append(self)
+
+    monkeypatch.setattr(verify_suite, "BruteEngine", Counted)
+    assert verify_suite.verify_claim(claim, k_max=k_max, engines=engines).passed
+    assert len(engines_built) == 1
+    return engines_built[0].terms
+
+
+@pytest.mark.parametrize("claim", ["lemma2", "lemma3", "lemma4", "theorem1"])
+def test_brute_sweep_sums_each_term_once(monkeypatch, claim):
+    K = 18
+    assert _count_terms(monkeypatch, claim, K, ("brute",)) == fib(K) - 1
+
+
+def test_theorem6_brute_sweep_sums_each_term_once(monkeypatch):
+    assert _count_terms(monkeypatch, "theorem6", 9, ("brute", "closed")) == fib(18) - 1
+
+
+def test_guard_message_for_a_sum_past_the_digit_limit():
+    # F_30000 - 1 has over 6000 digits; the guard error must not render it
+    with pytest.raises(BruteForceGuardError, match="over 10\\^30 terms"):
+        BruteEngine().a(fib(30000) - 1, 1)

@@ -1,8 +1,16 @@
+import contextlib
 import csv
 import io
 import json
+import random
+import sys
+from fractions import Fraction
 
+import pytest
+
+from nicom import closed_forms as cf
 from nicom.cli import EXIT_GUARD, EXIT_OK, EXIT_USAGE, canonical_json, main
+from nicom.decimal_text import decimal_str, exact_str
 
 
 def run(capsys, *argv):
@@ -136,3 +144,78 @@ def test_bench_brute_beyond_guard(capsys):
 
 def test_unknown_subcommand(capsys):
     assert run(capsys, "frobnicate")[0] == EXIT_USAGE
+
+
+@contextlib.contextmanager
+def int_digit_limit(digits):
+    """Set the interpreter's int/str digit limit (0 lifts it), restoring it afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # interpreters without the limit
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_decimal_str_matches_str():
+    rng = random.Random(5)
+    values = [0, 7, -7, True, 10**511, 10**512, 10**512 - 1, 10**1024 + 1]
+    values += [rng.randrange(10**d) * rng.choice((1, -1)) for d in (600, 4301, 9000, 40000)]
+    with int_digit_limit(0):
+        for v in values:
+            assert decimal_str(v) == str(v)
+            assert exact_str(Fraction(v, 3)) == str(Fraction(v, 3))
+    assert exact_str(True) == "True"
+
+
+def test_compute_beyond_the_digit_limit(capsys):
+    with int_digit_limit(4300):
+        code, out, err = run(capsys, "compute", "--sum", "A", "--k", "20000", "--s", "3",
+                             "--engine", "closed")
+        assert code == EXIT_OK, err
+        _, json_out, _ = run(capsys, "compute", "--sum", "A", "--k", "20000", "--s", "3",
+                             "--engine", "closed", "--format", "json")
+        code, bench_out, _ = run(capsys, "bench", "--k", "20000", "--s", "3")
+        assert code == EXIT_OK
+    with int_digit_limit(0):
+        value = cf.lemma3_a3(20000)
+        assert len(str(value)) > 4300
+        assert int(out) == value
+        assert int(json.loads(json_out)["value"]) == value
+        text = str(value)
+    digest = json.loads(bench_out)
+    assert (digest["digits"], digest["head"], digest["tail"]) == (len(text), text[:8], text[-8:])
+
+
+def test_verify_beyond_the_digit_limit(capsys):
+    with int_digit_limit(4300):
+        code, out, err = run(capsys, "verify", "--claim", "case4l", "--kmax", "520",
+                             "--format", "csv")
+    assert code == EXIT_OK, err
+    rows = list(csv.reader(io.StringIO(out)))
+    assert max(len(r[2]) for r in rows[1:]) > 4300
+    assert all(r[2] == r[3] and r[4] == "true" for r in rows[1:])
+
+
+@pytest.mark.parametrize("claim, kmax", [("lemma2", "0"), ("theorem1", "2"), ("case4l", "-3")])
+def test_verify_empty_range_is_a_usage_error(capsys, claim, kmax):
+    code, out, err = run(capsys, "verify", "--claim", claim, "--kmax", kmax)
+    assert code == EXIT_USAGE
+    assert "empty index range" in err
+    assert out == ""
+
+
+def test_negative_guard_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("NICOM_BRUTE_GUARD", "-5")
+    code, _, err = run(capsys, "compute", "--sum", "A", "--k", "2", "--s", "1",
+                       "--engine", "brute")
+    assert code == EXIT_USAGE
+    assert "NICOM_BRUTE_GUARD" in err
+    code, _, _ = run(capsys, "verify", "--claim", "lemma2", "--engines", "brute")
+    assert code == EXIT_USAGE
+    # engines that never sum literally do not read the guard
+    code, _, _ = run(capsys, "compute", "--sum", "A", "--k", "2", "--s", "1", "--engine", "rec")
+    assert code == EXIT_OK
