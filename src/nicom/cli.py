@@ -1,8 +1,9 @@
 """Command-line front end: compute, verify, prove, bench.
 
 Exit codes: 0 success/pass, 1 verification failure or refutation,
-2 usage error, 3 resource guard exceeded.  JSON output renders big
-integers as decimal strings and rationals as "num/den" strings.
+2 usage error, 3 resource guard exceeded, or a verify the guard left
+inconclusive.  JSON output renders big integers as decimal strings and
+rationals as "num/den" strings.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .moment_sums import (
     MomentKey,
     MomentTable,
     a_brute,
-    a_prime,
     a_prime_brute,
 )
 
@@ -49,7 +49,7 @@ def _compute_value(sum_kind: str, k: int, s: int, j: int, engine: str) -> int:
     if engine == "brute":
         return a_prime_brute(k, s) if prime else a_brute(MomentKey(k, s, j))
     if engine == "rec":
-        return a_prime(k, s, MomentTable()) if prime else MomentTable().a(k, s, j)
+        return MomentTable().a(k, s, j, prime)
     if j != 0:
         raise UsageError("closed engine supports --j 0 only")
     if s == 0:
@@ -98,6 +98,8 @@ def _cmd_verify(args) -> int:
             print(f"  FAIL at {f['index']}: {f['lhs']} != {f['rhs']}")
         if report.skipped:
             print(f"  skipped (guard): {report.skipped}")
+    if report.verdict == "inconclusive":
+        return EXIT_GUARD
     return EXIT_OK if report.passed else EXIT_FAIL
 
 

@@ -5,12 +5,12 @@ Two engines are provided:
 * ``BruteEngine`` evaluates the defining sums term by term in one
   resumable pass (guarded, since the range F_k - 1 grows exponentially in
   k); ``a_brute`` and ``a_prime_brute`` are its one-shot forms;
-* ``a_recursive`` uses the reduction of A(k+1, s, j) to values at k and
-  k-1, which makes indices like k = 1000 (where the sum has ~10^208
-  terms) computable in well under a second.
+* ``MomentTable`` (with ``a_recursive``) reduces A(k, s, j) to values at
+  k-1 and k-2, one step per k, which makes indices like k = 1000 (where
+  the sum has ~10^208 terms) computable in milliseconds.
 
-``a_prime`` gives A'(k, s) = sum floor(phi^2*n)^s through the binomial
-expansion of (n + floor(phi*n))^s over the A(k, *, *) grid.
+``a_prime`` gives A'(k, s) = sum floor(phi^2*n)^s from the table's primed
+columns, which follow the same reduction with F_{k+1} in place of F_k.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import os
 from itertools import repeat
 from math import comb, isqrt
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, NamedTuple
 
 from .beatty_floor import epsilon
@@ -55,72 +55,86 @@ def _validate(k: int, s: int, j: int) -> None:
 
 
 class MomentTable:
-    """Memoized recursive engine for A(k, s, j).
+    """Memoized recursive engine for A(k, s, j) and A'(k, s, j).
 
-    The table fills iteratively in k; a target (K, S, J) materializes every
-    cell with k <= K and s + j <= S + J, so the cache stays polynomial in
-    the target indices.  Not internally synchronized: confine an instance
-    to one thread.
+    Splitting 1 <= n < F_k at n = F_{k-1} gives, with step = F_k:
+
+        A(k, s, j) = A(k-1, s, j) + F_{k-1}^j * (step - eps_{k-1})^s
+            + sum_{l,i} C(j,l) C(s,i) F_{k-1}^l step^i A(k-2, s-i, j-l),
+
+    because floor(phi*F_{k-1}) = F_k - eps_{k-1} and
+    floor(phi*(F_{k-1} + n')) = F_k + floor(phi*n') for 1 <= n' < F_{k-2}.
+    The primed sums A'(k, s, j) = sum n^j * floor(phi^2*n)^s follow the same
+    step with A' in place of A and step = F_{k+1}, since floor(phi^2*n) =
+    n + floor(phi*n).  Each moment (s, j, prime) is one column, a list
+    indexed by k; a miss extends only the columns of its downset
+    {(s', j', prime): s' <= s, j' <= j}, each from where it stopped, so
+    every cell is computed once.  Not internally synchronized: confine an
+    instance to one thread.
     """
 
     def __init__(self) -> None:
-        self._cache: dict[tuple[int, int, int], int] = {}
+        self._cols: dict[tuple[int, int, bool], list[int]] = {}
 
     def __len__(self) -> int:
-        return len(self._cache)
+        # every column starts with the empty sums at k = 0, 1, 2
+        return sum(len(col) - 3 for col in self._cols.values())
 
-    def a(self, k: int, s: int, j: int) -> int:
+    def a(self, k: int, s: int, j: int = 0, prime: bool = False) -> int:
+        """sum_{n=1}^{F_k - 1} n^j * floor(alpha*n)^s, alpha = phi^2 if ``prime`` else phi."""
         _validate(k, s, j)
         if k <= 2:
             return 0  # empty sums: F_1 - 1 = F_2 - 1 = 0
-        key = (k, s, j)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        self._fill(k, s + j)
-        return self._cache[key]
+        col = self._cols.get((s, j, prime))
+        if col is None or len(col) <= k:
+            self._fill(k, s, j, prime)
+            col = self._cols[(s, j, prime)]
+        return col[k]
 
-    def _fill(self, k_max: int, total_max: int) -> None:
-        cache = self._cache
-        pairs = [
-            (s, j)
-            for total in range(total_max + 1)
-            for s in range(total + 1)
-            for j in (total - s,)
-        ]
-        f_prev, f_cur = 1, 2  # F_2, F_3
-        for k in range(3, k_max + 1):
-            # step from k-1: A(k,s,j) uses F_{k-1}, F_k and eps_{k-1}
-            fm1, fk = f_prev, f_cur
-            eps = epsilon(k - 1)
-            fm1_pow = [1]
-            fk_pow = [1]
-            for _ in range(total_max):
-                fm1_pow.append(fm1_pow[-1] * fm1)
-                fk_pow.append(fk_pow[-1] * fk)
-            for s, j in pairs:
-                if (k, s, j) in cache:
+    def _fill(self, k_max: int, s_max: int, j_max: int, prime: bool) -> None:
+        """Extend every column (s, j, prime), s <= s_max and j <= j_max, to k_max.
+
+        A column only ever grows together with its downset, so no column is
+        longer than one below it: the last column of the fill is the
+        shortest, and so is the last column of each row.
+        """
+        cols = [[self._cols.setdefault((s, j, prime), [0, 0, 0]) for j in range(j_max + 1)]
+                for s in range(s_max + 1)]
+        # below[s][j]: the columns (s - i, j), i = 0..s, that row s reads at k - 2
+        below = [[[cols[s - i][j] for i in range(s + 1)] for j in range(j_max + 1)]
+                 for s in range(s_max + 1)]
+        binom = [[comb(n, i) for i in range(n + 1)] for n in range(max(s_max, j_max) + 1)]
+        k0 = len(cols[-1][-1])
+        f_prev, f_cur = fib(k0 - 1), fib(k0)  # F_{k-1}, F_k
+        for k in range(k0, k_max + 1):
+            # a step reads only cells at k - 1 and k - 2, so the columns
+            # may be extended in any order
+            step = f_prev + f_cur if prime else f_cur
+            step_pow = _powers(step, s_max)
+            bound_pow = _powers(step - epsilon(k - 1), s_max)
+            fm1_pow = _powers(f_prev, j_max)
+            at = itemgetter(k - 2)
+            for s, row in enumerate(cols):
+                if len(row[-1]) > k:
                     continue
-                prev = cache.get((k - 1, s, j), 0)
-                boundary = 0
-                for i in range(s + 1):
-                    # (-eps)^(s-i), with 0^0 = 1 when i = s
-                    if eps == 0:
-                        coef = 1 if i == s else 0
-                    else:
-                        coef = -1 if (s - i) & 1 else 1
-                    if coef:
-                        boundary += coef * comb(s, i) * fm1_pow[j] * fk_pow[i]
-                tail = 0
-                if k >= 4:
-                    for l in range(j + 1):
-                        cjl = comb(j, l) * fm1_pow[l]
-                        for i in range(s + 1):
-                            sub = cache.get((k - 2, s - i, j - l), 0)
-                            if sub:
-                                tail += cjl * comb(s, i) * fk_pow[i] * sub
-                cache[(k, s, j)] = prev + boundary + tail
+                # inner[j] = sum_i C(s,i) step^i A(k-2, s-i, j), shared by every column j' >= j
+                inner = [sum(map(mul, binom[s], map(mul, step_pow, map(at, sub))))
+                         for sub in below[s]]
+                for j, col in enumerate(row):
+                    if len(col) == k:
+                        tail = inner[j]
+                        for l in range(1, j + 1):
+                            tail += binom[j][l] * fm1_pow[l] * inner[j - l]
+                        col.append(col[k - 1] + fm1_pow[j] * bound_pow[s] + tail)
             f_prev, f_cur = f_cur, f_prev + f_cur
+
+
+def _powers(x: int, n: int) -> list[int]:
+    """[x^0, x^1, ..., x^n]."""
+    out = [1]
+    for _ in range(n):
+        out.append(out[-1] * x)
+    return out
 
 
 class Moment(NamedTuple):
@@ -209,9 +223,8 @@ def a_recursive(key: MomentKey, table: MomentTable) -> int:
 
 
 def a_prime(k: int, s: int, table: MomentTable) -> int:
-    """A'(k, s) = sum_i binom(s, i) * A(k, s - i, i)."""
-    _validate(k, s, 0)
-    return sum(comb(s, i) * table.a(k, s - i, i) for i in range(s + 1))
+    """A'(k, s) = sum_{n=1}^{F_k - 1} floor(phi^2*n)^s, from the primed columns of ``table``."""
+    return table.a(k, s, 0, True)
 
 
 def order_bound(s: int, j: int) -> int:

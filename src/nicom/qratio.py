@@ -24,6 +24,7 @@ PHI2 = "phi2"
 _ALPHAS = (PHI, PHI2)
 # the (cube sum, plain sum) moments of each alpha for the brute engine
 _BRUTE_MOMENTS = {a: (Moment(3, prime=a == PHI2), Moment(1, prime=a == PHI2)) for a in _ALPHAS}
+_NICOMACHUS_MOMENTS = (Moment(0, 3), Moment(0, 1))  # sum n^3, sum n
 
 _table = MomentTable()
 
@@ -78,12 +79,15 @@ def q_diff(K: int, engine: str = "auto", brute: BruteEngine | None = None) -> Fr
     return Fraction(c2, p2 * p2) - Fraction(c1, p1 * p1)
 
 
-def nicomachus_check(m: int) -> bool:
-    """True iff the cube sum up to m equals the squared plain sum."""
+def nicomachus_check(m: int, brute: BruteEngine | None = None) -> bool:
+    """True iff the cube sum up to m equals the squared plain sum.
+
+    The sums come from the guarded brute engine; a sweep in m passes one in,
+    so that it makes one summation pass.
+    """
     if m < 1:
         raise ValueError(f"index must be >= 1, got {m}")
-    cubes = sum(n**3 for n in range(1, m + 1))
-    plain = sum(range(1, m + 1))
+    cubes, plain = (brute or BruteEngine()).sums(m, _NICOMACHUS_MOMENTS)
     return cubes == plain * plain
 
 

@@ -158,7 +158,7 @@ def _pairs_case4l(l: int, engines: Iterable[str], table: MomentTable, brute: Bru
 
 
 def _pairs_nicomachus(m: int, engines: Iterable[str], table: MomentTable, brute: BruteEngine):
-    yield qratio.nicomachus_check(m), True
+    yield qratio.nicomachus_check(m, brute), True
 
 
 def _pairs_fact(l: int, engines: Iterable[str], table: MomentTable, brute: BruteEngine):
@@ -187,7 +187,12 @@ def verify_claim(
     engines: Iterable[str] | None = None,
     deep: bool = False,
 ) -> ClaimReport:
-    """Check one claim index by index; exact equality at every index."""
+    """Check one claim index by index; exact equality at every index.
+
+    The verdict is "fail" on any unequal row, "inconclusive" when the
+    brute-force guard skipped some index and every row it left compares
+    zero with zero, and "pass" otherwise.
+    """
     if claim not in CLAIM_IDS:
         raise ValueError(f"unknown claim {claim!r}; known: {', '.join(CLAIM_IDS)}")
     checker, lo = _CHECKERS[claim]
@@ -205,9 +210,11 @@ def verify_claim(
     rows: list[IndexResult] = []
     failures: list[dict] = []
     skipped: list[int] = []
+    nonzero = False  # some checked row has a nonzero side
     for idx in range(lo, k_max + 1):
         try:
             for lhs, rhs in checker(idx, engines, table, brute):
+                nonzero = nonzero or lhs != 0 or rhs != 0
                 equal = lhs == rhs
                 row = IndexResult(idx, exact_str(lhs), exact_str(rhs), equal)
                 rows.append(row)
@@ -216,7 +223,12 @@ def verify_claim(
         except BruteForceGuardError:
             skipped.append(idx)
             rows.append(IndexResult(idx, "", "", True, skipped=True))
-    verdict = "pass" if not failures else "fail"
+    if failures:
+        verdict = "fail"
+    elif skipped and not nonzero:
+        verdict = "inconclusive"  # the guard left only empty sums to compare
+    else:
+        verdict = "pass"
     return ClaimReport(
         claim=claim,
         range=(lo, k_max),

@@ -116,6 +116,22 @@ def test_brute_sweep_sums_each_term_once(monkeypatch, claim):
     assert _count_terms(monkeypatch, claim, K, ("brute",)) == fib(K) - 1
 
 
+def test_nicomachus_sweep_sums_each_term_once(monkeypatch):
+    assert _count_terms(monkeypatch, "nicomachus", 1000, ("brute",)) == 1000
+
+
+def test_guard_that_leaves_only_empty_sums_is_inconclusive(monkeypatch):
+    monkeypatch.setenv("NICOM_BRUTE_GUARD", "0")
+    report = verify_suite.verify_claim("lemma3", engines=("brute",))
+    assert report.verdict == "inconclusive"
+    assert not report.passed
+    assert report.skipped == list(range(3, 19))
+    assert report.to_dict()["verdict"] == "inconclusive"
+    # with nothing skipped, comparing the empty sums is a pass
+    report = verify_suite.verify_claim("lemma3", k_max=2, engines=("brute",))
+    assert (report.verdict, report.skipped) == ("pass", [])
+
+
 def test_theorem6_brute_sweep_sums_each_term_once(monkeypatch):
     assert _count_terms(monkeypatch, "theorem6", 9, ("brute", "closed")) == fib(18) - 1
 

@@ -9,8 +9,10 @@ from fractions import Fraction
 import pytest
 
 from nicom import closed_forms as cf
+from nicom import verify_suite
 from nicom.cli import EXIT_GUARD, EXIT_OK, EXIT_USAGE, canonical_json, main
 from nicom.decimal_text import decimal_str, exact_str
+from nicom.moment_sums import BruteEngine
 
 
 def run(capsys, *argv):
@@ -219,3 +221,29 @@ def test_negative_guard_is_a_usage_error(capsys, monkeypatch):
     # engines that never sum literally do not read the guard
     code, _, _ = run(capsys, "compute", "--sum", "A", "--k", "2", "--s", "1", "--engine", "rec")
     assert code == EXIT_OK
+
+
+def test_verify_nicomachus_sums_each_term_once(capsys, monkeypatch):
+    engines = []
+
+    class Counted(BruteEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    monkeypatch.setattr(verify_suite, "BruteEngine", Counted)
+    code, out, _ = run(capsys, "verify", "--claim", "nicomachus", "--kmax", "1000")
+    assert code == EXIT_OK
+    assert out.startswith("nicomachus: pass")
+    assert [e.terms for e in engines] == [1000]
+
+
+def test_verify_left_inconclusive_by_the_guard(capsys, monkeypatch):
+    monkeypatch.setenv("NICOM_BRUTE_GUARD", "0")
+    code, out, _ = run(capsys, "verify", "--claim", "lemma3", "--engines", "brute")
+    assert code == EXIT_GUARD
+    assert out.startswith("lemma3: inconclusive")
+    code, out, _ = run(capsys, "verify", "--claim", "lemma3", "--engines", "brute",
+                       "--format", "json")
+    assert code == EXIT_GUARD
+    assert json.loads(out)["verdict"] == "inconclusive"

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from nicom import closed_forms as cf
 from nicom.beatty_floor import floor_phi, floor_phi2
 from nicom.fib_lucas import fib
 from nicom.moment_sums import (
@@ -134,3 +137,59 @@ def test_sequences_live_in_claimed_span():
             p = char_poly(RootSetSpec(SIGNED_PHI_POWERS, s + j + 1))
             terms = [table.a(k, s, j) for k in range(1, 3 * p.degree + 1)]
             assert annihilates(p, terms), (s, j)
+
+
+def test_columns_match_literal_sums():
+    table = MomentTable()
+    for k in range(1, 19):
+        ns = range(1, fib(k))
+        for prime, floor in ((False, floor_phi), (True, floor_phi2)):
+            floors = [floor(n) for n in ns]
+            for s in range(5):
+                for j in range(5 - s):
+                    want = sum(n**j * f**s for n, f in zip(ns, floors))
+                    assert table.a(k, s, j, prime) == want, (k, s, j, prime)
+
+
+def test_cold_fill_creates_only_the_downset():
+    K = 40
+    table = MomentTable()
+    table.a(K, 3, 0)
+    assert set(table._cols) == {(s, 0, False) for s in range(4)}
+    assert len(table) == 4 * (K - 2)
+    table = MomentTable()
+    a_prime(K, 3, table)
+    assert set(table._cols) == {(s, 0, True) for s in range(4)}
+    table.a(K, 1, 2, True)
+    assert set(table._cols) == {(s, 0, True) for s in range(4)} | {(s, j, True)
+                                                                   for s in range(2)
+                                                                   for j in (1, 2)}
+
+
+def test_sweep_fills_each_cell_once():
+    K = 120
+    cold = MomentTable()
+    cold.a(K, 3, 0)
+    for prime in (False, True):
+        swept = MomentTable()
+        for k in range(1, K + 1):
+            swept.a(k, 3, 0, prime)
+        assert len(swept) == len(cold)
+
+
+def test_fill_order_does_not_matter():
+    # a miss extends columns of different lengths, each from where it stopped
+    rng = random.Random(7)
+    shared = MomentTable()
+    for _ in range(60):
+        k, s, j, prime = rng.randrange(1, 90), rng.randrange(4), rng.randrange(3), rng.random() < 0.5
+        assert shared.a(k, s, j, prime) == MomentTable().a(k, s, j, prime), (k, s, j, prime)
+
+
+def test_recursive_matches_closed_forms_at_k_2000():
+    table = MomentTable()
+    k = 2000
+    assert table.a(k, 1) == cf.lemma2_a(k)
+    assert table.a(k, 3) == cf.lemma3_a3(k)
+    assert a_prime(k, 1, table) == cf.lemma2_a_prime(k)
+    assert a_prime(k, 3, table) == cf.lemma4_a_prime3(k)
