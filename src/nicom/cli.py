@@ -17,7 +17,7 @@ from time import perf_counter
 
 from . import closed_forms as cf
 from . import verify_suite
-from .decimal_text import decimal_str
+from .decimal_text import decimal_str, exact_str
 from .fib_lucas import fib
 from .moment_sums import (
     BruteForceGuardError,
@@ -85,7 +85,7 @@ def _cmd_verify(args) -> int:
     elif args.format == "csv":
         rows = [["claim", "k", "lhs", "rhs", "equal"]]
         rows += [
-            [report.claim, r.index, r.lhs, r.rhs, str(r.equal).lower()]
+            [report.claim, r.index, exact_str(r.lhs), exact_str(r.rhs), str(r.equal).lower()]
             for r in report.rows
             if not r.skipped
         ]

@@ -2,7 +2,10 @@
 
 Each evaluator expresses a moment sum (or a ratio built from moment sums)
 as a product of Fibonacci and Lucas numbers, so it is usable at indices
-far beyond brute-force range.  All divisions are exact and asserted; a
+far beyond brute-force range.  Each evaluator costs one fast doubling: it
+reads every F it needs from one ``fib_run`` of consecutive Fibonacci
+numbers, and every L from L_n = F_{n-1} + F_{n+1} or, for the doubled
+indices, L_{2n} = L_n^2 - 2(-1)^n.  All divisions are exact and asserted; a
 remainder would mean a transcription bug, not a rounding issue.
 """
 
@@ -10,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fib_lucas import fib, lucas
+from .fib_lucas import fib_run
 
 
 class DegenerateIndexError(ValueError):
@@ -24,18 +27,52 @@ def _exact_div(n: int, d: int) -> int:
     return q
 
 
-def lemma2_a(k: int) -> int:
-    """First moment A(k, 1) = (F_{k+1} - 1)(F_k - 1) / 2."""
+# Below, fN names F_{k+N}, fmN names F_{k-N} and lN names L_{k+N}.
+
+
+def _moment_run(k: int) -> list[int]:
+    """[F_{k-1}, ..., F_{k+4}]: every Fibonacci number a moment at k reads."""
     if k < 1:
         raise ValueError(f"index must be >= 1, got {k}")
-    return _exact_div((fib(k + 1) - 1) * (fib(k) - 1), 2)
+    return fib_run(k - 1, 6)
+
+
+def _a1(f: list[int]) -> int:
+    _, f0, f1, _, _, _ = f
+    return _exact_div((f1 - 1) * (f0 - 1), 2)
+
+
+def _a1_prime(f: list[int]) -> int:
+    _, f0, _, f2, _, _ = f
+    return _exact_div((f2 - 1) * (f0 - 1), 2)
+
+
+def _a3(k: int, f: list[int]) -> int:
+    fm1, f0, f1, f2, f3, _ = f
+    if k % 2 == 0:
+        return _exact_div((fm1 - 1) * (f1 - 1) ** 2 * (f2 - 1), 4)
+    l1 = f0 + f2  # L_{k+1}
+    # L_{2k+2} = L_{k+1}^2 - 2 for odd k; L_{k+2} = F_{k+1} + F_{k+3}
+    num = (f0 - 1) * (f1 - 1) * (l1 * l1 - 2 - 3 * (f1 + f3) - l1 + 3)
+    return _exact_div(num, 20)
+
+
+def _a3_prime(k: int, f: list[int]) -> int:
+    _, f0, f1, f2, f3, f4 = f
+    l2 = f1 + f3  # L_{k+2}
+    # L_{2k+4} = L_{k+2}^2 - 2(-1)^k; L_{k+3} = F_{k+2} + F_{k+4}
+    tail = l2 * l2 - 5 * (f2 + f4) + (11 if k % 2 == 0 else 9)
+    return _exact_div((f0 - 1) * (f2 - 1) * tail, 20)
+
+
+def lemma2_a(k: int) -> int:
+    """First moment A(k, 1) = (F_{k+1} - 1)(F_k - 1) / 2."""
+    return _a1(_moment_run(k))
 
 
 def lemma2_a_prime(k: int) -> int:
     """First moment A'(k, 1) = (F_{k+2} - 1)(F_k - 1) / 2."""
-    if k < 1:
-        raise ValueError(f"index must be >= 1, got {k}")
-    return _exact_div((fib(k + 2) - 1) * (fib(k) - 1), 2)
+    return _a1_prime(_moment_run(k))
 
 
 def lemma3_a3(k: int) -> int:
@@ -44,14 +81,7 @@ def lemma3_a3(k: int) -> int:
     Even k:  (F_{k-1} - 1)(F_{k+1} - 1)^2 (F_{k+2} - 1) / 4
     Odd k:   (F_k - 1)(F_{k+1} - 1)(L_{2k+2} - 3 L_{k+2} - L_{k+1} + 3) / 20
     """
-    if k < 1:
-        raise ValueError(f"index must be >= 1, got {k}")
-    if k % 2 == 0:
-        num = (fib(k - 1) - 1) * (fib(k + 1) - 1) ** 2 * (fib(k + 2) - 1)
-        return _exact_div(num, 4)
-    num = (fib(k) - 1) * (fib(k + 1) - 1)
-    num *= lucas(2 * k + 2) - 3 * lucas(k + 2) - lucas(k + 1) + 3
-    return _exact_div(num, 20)
+    return _a3(k, _moment_run(k))
 
 
 def lemma4_a_prime3(k: int) -> int:
@@ -61,11 +91,7 @@ def lemma4_a_prime3(k: int) -> int:
     (F_k - 1)(F_{k+2} - 1)(L_{2k+4} - 5 L_{k+3} + c) / 20
     with c = 13 for even k and c = 7 for odd k.
     """
-    if k < 1:
-        raise ValueError(f"index must be >= 1, got {k}")
-    c = 13 if k % 2 == 0 else 7
-    num = (fib(k) - 1) * (fib(k + 2) - 1) * (lucas(2 * k + 4) - 5 * lucas(k + 3) + c)
-    return _exact_div(num, 20)
+    return _a3_prime(k, _moment_run(k))
 
 
 def theorem1_num_den(K: int) -> tuple[int, int]:
@@ -86,15 +112,22 @@ def theorem1_num_den(K: int) -> tuple[int, int]:
     if K % 2 == 0:
         k = K // 2
         if k % 2 == 0:
-            num, den = 1, fib(k + 1) ** 2 * lucas(k + 2) * lucas(k - 1)
+            fm2, _, f0, f1, _, f3 = fib_run(k - 2, 6)
+            num, den = 1, f1 * f1 * (f1 + f3) * (fm2 + f0)
         else:
-            num, den = 1, lucas(k + 1) ** 2 * fib(k + 2) * fib(k - 1)
+            fm1, f0, _, f2 = fib_run(k - 1, 4)
+            l1 = f0 + f2
+            num, den = 1, l1 * l1 * f2 * fm1
     else:
         k = (K + 1) // 2
         if k % 2 == 0:
-            num, den = fib(k - 2), fib(k + 1) * fib(k) ** 2 * lucas(k - 1) ** 2
+            fm2, _, f0, f1 = fib_run(k - 2, 4)
+            lm1 = fm2 + f0
+            num, den = fm2, f1 * f0 * f0 * lm1 * lm1
         else:
-            num, den = lucas(k - 2), lucas(k + 1) * lucas(k) ** 2 * fib(k - 1) ** 2
+            fm3, fm2, fm1, f0, f1, f2 = fib_run(k - 3, 6)
+            l0 = fm1 + f1
+            num, den = fm3 + fm1, (f0 + f2) * l0 * l0 * fm1 * fm1  # num = L_{k-2}
     if den == 0:
         raise DegenerateIndexError(f"degenerate index K = {K}: zero denominator")
     return num, den
@@ -115,9 +148,11 @@ def theorem6_rhs(k: int) -> int:
     if k < 1:
         raise ValueError(f"index must be >= 1, got {k}")
     if k % 2 == 0:
-        num = fib(k + 1) * fib(k) * lucas(k + 2) * lucas(k + 1) * lucas(k - 1)
+        fm2, _, f0, f1, f2, f3 = fib_run(k - 2, 6)
+        num = f1 * f0 * (f1 + f3) * (f0 + f2) * (fm2 + f0)
     else:
-        num = fib(k + 2) * fib(k + 1) * fib(k - 1) * lucas(k + 1) * lucas(k)
+        fm1, f0, f1, f2 = fib_run(k - 1, 4)
+        num = f2 * f1 * fm1 * (f0 + f2) * (fm1 + f1)
     return _exact_div(num, 2)
 
 
@@ -131,13 +166,12 @@ def theorem1_identity_sides(K: int) -> tuple[int, int]:
         den * (A'3 * A1^2 - A3 * A'1^2) = A1^2 * A'1^2 * (den - num).
 
     Returns (left side, right side) as exact integers; they are equal iff
-    the closed-form Q-difference is correct at K.
+    the closed-form Q-difference is correct at K.  The four moments share
+    one Fibonacci run at K, and num/den takes one near K/2.
     """
     num, den = theorem1_num_den(K)
-    a1 = lemma2_a(K)
-    a1p = lemma2_a_prime(K)
-    a3 = lemma3_a3(K)
-    a3p = lemma4_a_prime3(K)
+    f = _moment_run(K)
+    a1, a1p, a3, a3p = _a1(f), _a1_prime(f), _a3(K, f), _a3_prime(K, f)
     lhs = den * (a3p * a1 * a1 - a3 * a1p * a1p)
     rhs = a1 * a1 * a1p * a1p * (den - num)
     return lhs, rhs

@@ -1,8 +1,11 @@
 """Arbitrary-precision Fibonacci and Lucas numbers.
 
 Everything here is exact integer arithmetic on Python ints.  ``fib`` and
-``lucas`` use fast doubling, so closed-form evaluation stays cheap even at
-indices in the tens of thousands.  The ``F_n - 1`` factorizations split a
+``lucas`` cost one fast doubling, a loop over the bits of the index, so
+closed-form evaluation stays cheap even at indices in the tens of
+thousands.  ``fib_run`` returns a run of consecutive Fibonacci numbers for
+the same one doubling plus an addition per extra term; a closed form reads
+every F and L it needs from one run.  The ``F_n - 1`` factorizations split a
 Fibonacci number minus one into a Fibonacci times a Lucas factor according
 to the index class modulo 4.
 """
@@ -13,15 +16,13 @@ import math
 
 
 def _fib_pair(n: int) -> tuple[int, int]:
-    """Return (F_n, F_{n+1}) by fast doubling."""
-    if n == 0:
-        return 0, 1
-    a, b = _fib_pair(n >> 1)
-    c = a * (2 * b - a)
-    d = a * a + b * b
-    if n & 1:
-        return d, c + d
-    return c, d
+    """Return (F_n, F_{n+1}) by fast doubling, from the top bit of n down."""
+    a, b = 0, 1
+    for bit in bin(n)[2:]:
+        c = a * (2 * b - a)
+        d = a * a + b * b
+        a, b = (d, c + d) if bit == "1" else (c, d)
+    return a, b
 
 
 def fib(n: int) -> int:
@@ -29,6 +30,18 @@ def fib(n: int) -> int:
     if n < 0:
         raise ValueError(f"fib: index must be nonnegative, got {n}")
     return _fib_pair(n)[0]
+
+
+def fib_run(n: int, count: int) -> list[int]:
+    """[F_n, F_{n+1}, ..., F_{n+count-1}] from one fast doubling."""
+    if n < 0:
+        raise ValueError(f"fib_run: index must be nonnegative, got {n}")
+    a, b = _fib_pair(n)
+    run = []
+    for _ in range(count):
+        run.append(a)
+        a, b = b, a + b
+    return run
 
 
 def lucas(n: int) -> int:

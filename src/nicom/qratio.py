@@ -30,11 +30,11 @@ _table = MomentTable()
 
 
 def _fib_index_of(m: int) -> int | None:
-    """Return K >= 3 with F_K - 1 == m, or None."""
-    k = 3
-    while fib(k) - 1 < m:
-        k += 1
-    return k if fib(k) - 1 == m else None
+    """Return K >= 3 with F_K - 1 == m, or None; walks F_K by addition."""
+    k, f, g = 3, 2, 3  # K, F_K, F_{K+1}
+    while f - 1 < m:
+        k, f, g = k + 1, g, f + g
+    return k if f - 1 == m else None
 
 
 def _sums_at_fib_index(alpha: str, K: int, engine: str) -> tuple[int, int]:

@@ -64,9 +64,16 @@ DEFAULT_ENGINES = {
 
 @dataclass
 class IndexResult:
+    """One compared pair at one index.
+
+    ``lhs`` and ``rhs`` hold the exact values compared (int, Fraction or
+    bool), or None on a row the guard skipped; they turn into decimal text
+    only where they are printed.
+    """
+
     index: int
-    lhs: str
-    rhs: str
+    lhs: object
+    rhs: object
     equal: bool
     skipped: bool = False
 
@@ -216,13 +223,12 @@ def verify_claim(
             for lhs, rhs in checker(idx, engines, table, brute):
                 nonzero = nonzero or lhs != 0 or rhs != 0
                 equal = lhs == rhs
-                row = IndexResult(idx, exact_str(lhs), exact_str(rhs), equal)
-                rows.append(row)
+                rows.append(IndexResult(idx, lhs, rhs, equal))
                 if not equal:
-                    failures.append({"index": idx, "lhs": row.lhs, "rhs": row.rhs})
+                    failures.append({"index": idx, "lhs": exact_str(lhs), "rhs": exact_str(rhs)})
         except BruteForceGuardError:
             skipped.append(idx)
-            rows.append(IndexResult(idx, "", "", True, skipped=True))
+            rows.append(IndexResult(idx, None, None, True, skipped=True))
     if failures:
         verdict = "fail"
     elif skipped and not nonzero:
@@ -245,9 +251,17 @@ def verify_claim(
 # Certification registry
 # ---------------------------------------------------------------------------
 
-def _theorem1_side_gen(residue: int, side: int) -> Callable[[int], int]:
+def _theorem1_side_gen(residue: int, side: int, memo: dict) -> Callable[[int], int]:
+    """One side of the theorem1 identity at K = 4l + residue.
+
+    ``memo`` maps K to both sides, so the two generators of one residue
+    evaluate the identity once per K.
+    """
     def gen(l: int) -> int:
-        return cf.theorem1_identity_sides(4 * l + residue)[side]
+        K = 4 * l + residue
+        if K not in memo:
+            memo[K] = cf.theorem1_identity_sides(K)
+        return memo[K][side]
 
     return gen
 
@@ -266,6 +280,7 @@ def _prove_specs(table: MomentTable) -> dict[str, list[tuple]]:
     even4 = RootSetSpec(EVEN_PHI_POWERS, 4)
     quartic10 = RootSetSpec(QUARTIC_PHI_POWERS, 10)
     twice_odd21 = RootSetSpec(TWICE_ODD_PHI_POWERS, 21)
+    sides: dict[int, tuple[int, int]] = {}  # lives as long as these jobs
     return {
         "lemma2": [
             ("lemma2/A", lambda k: table.a(k, 1, 0), cf.lemma2_a, signed2),
@@ -300,10 +315,14 @@ def _prove_specs(table: MomentTable) -> dict[str, list[tuple]]:
             ),
         ],
         "theorem1": [
-            ("theorem1/mod4=0", _theorem1_side_gen(0, 0), _theorem1_side_gen(0, 1), quartic10),
-            ("theorem1/mod4=1", _theorem1_side_gen(1, 0), _theorem1_side_gen(1, 1), twice_odd21),
-            ("theorem1/mod4=2", _theorem1_side_gen(2, 0), _theorem1_side_gen(2, 1), quartic10),
-            ("theorem1/mod4=3", _theorem1_side_gen(3, 0), _theorem1_side_gen(3, 1), twice_odd21),
+            ("theorem1/mod4=0", _theorem1_side_gen(0, 0, sides),
+             _theorem1_side_gen(0, 1, sides), quartic10),
+            ("theorem1/mod4=1", _theorem1_side_gen(1, 0, sides),
+             _theorem1_side_gen(1, 1, sides), twice_odd21),
+            ("theorem1/mod4=2", _theorem1_side_gen(2, 0, sides),
+             _theorem1_side_gen(2, 1, sides), quartic10),
+            ("theorem1/mod4=3", _theorem1_side_gen(3, 0, sides),
+             _theorem1_side_gen(3, 1, sides), twice_odd21),
         ],
     }
 

@@ -10,7 +10,7 @@ import pytest
 
 from nicom import closed_forms as cf
 from nicom import verify_suite
-from nicom.cli import EXIT_GUARD, EXIT_OK, EXIT_USAGE, canonical_json, main
+from nicom.cli import EXIT_FAIL, EXIT_GUARD, EXIT_OK, EXIT_USAGE, canonical_json, main
 from nicom.decimal_text import decimal_str, exact_str
 from nicom.moment_sums import BruteEngine
 
@@ -247,3 +247,62 @@ def test_verify_left_inconclusive_by_the_guard(capsys, monkeypatch):
                        "--format", "json")
     assert code == EXIT_GUARD
     assert json.loads(out)["verdict"] == "inconclusive"
+
+
+BIG = 10**5000 + 7  # past the interpreter's default digit limit
+
+
+def big_rows(k, engines, table, brute):
+    """A checker whose rows pass 4300 digits: one equal pair, two unequal ones."""
+    yield BIG * k, BIG * k
+    yield BIG * k, BIG * k + 1
+    yield Fraction(BIG, 3 * k), Fraction(1, 3)
+
+
+def big_row_text(k):
+    with int_digit_limit(0):
+        return [[str(BIG * k), str(BIG * k), "true"],
+                [str(BIG * k), str(BIG * k + 1), "false"],
+                [str(Fraction(BIG, 3 * k)), "1/3", "false"]]
+
+
+def test_verify_csv_rows_are_exact_beyond_the_digit_limit(capsys, monkeypatch):
+    monkeypatch.setitem(verify_suite._CHECKERS, "lemma2", (big_rows, 1))
+    with int_digit_limit(4300):
+        code, out, err = run(capsys, "verify", "--claim", "lemma2", "--kmax", "2",
+                             "--format", "csv")
+    assert code == EXIT_FAIL, err
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["claim", "k", "lhs", "rhs", "equal"]
+    assert rows[1:] == [["lemma2", str(k), *row] for k in (1, 2) for row in big_row_text(k)]
+
+
+def test_verify_failures_report_decimal_strings(capsys, monkeypatch):
+    monkeypatch.setitem(verify_suite._CHECKERS, "lemma2", (big_rows, 1))
+    with int_digit_limit(4300):
+        code, out, err = run(capsys, "verify", "--claim", "lemma2", "--kmax", "2",
+                             "--format", "json")
+        assert code == EXIT_FAIL, err
+        code, text, _ = run(capsys, "verify", "--claim", "lemma2", "--kmax", "2")
+        assert code == EXIT_FAIL
+    expected = [{"index": k, "lhs": lhs, "rhs": rhs}
+                for k in (1, 2) for lhs, rhs, equal in big_row_text(k) if equal == "false"]
+    assert json.loads(out)["failures"] == expected
+    assert text.splitlines() == ["lemma2: fail (indices 1..2, engines brute,recursive,closed)"] + [
+        f"  FAIL at {f['index']}: {f['lhs']} != {f['rhs']}" for f in expected]
+
+
+def test_prove_theorem1_evaluates_each_identity_once(capsys, monkeypatch):
+    calls = []
+    sides = cf.theorem1_identity_sides
+
+    def counted(K):
+        calls.append(K)
+        return sides(K)
+
+    monkeypatch.setattr(cf, "theorem1_identity_sides", counted)
+    code, _, _ = run(capsys, "prove", "--claim", "theorem1")
+    assert code == EXIT_OK
+    # the default windows hold 63, 66, 63 and 66 terms per side (residues 0..3)
+    assert len(calls) == 63 + 66 + 63 + 66
+    assert len(set(calls)) == len(calls)

@@ -100,3 +100,92 @@ def test_large_index_evaluation_is_cheap():
     v = cf.lemma3_a3(10_000)
     assert v > 0
     assert cf.theorem1_rhs(2000) < 1
+
+
+# The paper's formulas, read off plain iterated lists: oracles for the
+# evaluators, which read every F and L from one fast-doubling run.
+ORACLE_MAX = 1200
+FS, LS = [0, 1], [2, 1]
+while len(FS) <= 2 * ORACLE_MAX + 5:
+    FS.append(FS[-1] + FS[-2])
+    LS.append(LS[-1] + LS[-2])
+
+
+def oracle_div(n, d):
+    assert n % d == 0
+    return n // d
+
+
+def oracle_moments(k):
+    """A(k,1), A'(k,1), A(k,3), A'(k,3) as the paper's Lemmas 2-4 state them."""
+    F, L = FS, LS
+    a1 = oracle_div((F[k + 1] - 1) * (F[k] - 1), 2)
+    a1p = oracle_div((F[k + 2] - 1) * (F[k] - 1), 2)
+    if k % 2 == 0:
+        a3 = oracle_div((F[k - 1] - 1) * (F[k + 1] - 1) ** 2 * (F[k + 2] - 1), 4)
+    else:
+        a3 = oracle_div((F[k] - 1) * (F[k + 1] - 1)
+                        * (L[2 * k + 2] - 3 * L[k + 2] - L[k + 1] + 3), 20)
+    c = 13 if k % 2 == 0 else 7
+    a3p = oracle_div((F[k] - 1) * (F[k + 2] - 1) * (L[2 * k + 4] - 5 * L[k + 3] + c), 20)
+    return a1, a1p, a3, a3p
+
+
+def oracle_num_den(K):
+    F, L = FS, LS
+    if K % 2 == 0:
+        k = K // 2
+        if k % 2 == 0:
+            return 1, F[k + 1] ** 2 * L[k + 2] * L[k - 1]
+        return 1, L[k + 1] ** 2 * F[k + 2] * F[k - 1]
+    k = (K + 1) // 2
+    if k % 2 == 0:
+        return F[k - 2], F[k + 1] * F[k] ** 2 * L[k - 1] ** 2
+    return L[k - 2], L[k + 1] * L[k] ** 2 * F[k - 1] ** 2
+
+
+def oracle_theorem6(k):
+    F, L = FS, LS
+    if k % 2 == 0:
+        return oracle_div(F[k + 1] * F[k] * L[k + 2] * L[k + 1] * L[k - 1], 2)
+    return oracle_div(F[k + 2] * F[k + 1] * F[k - 1] * L[k + 1] * L[k], 2)
+
+
+def oracle_sides(K):
+    num, den = oracle_num_den(K)
+    a1, a1p, a3, a3p = oracle_moments(K)
+    return den * (a3p * a1 * a1 - a3 * a1p * a1p), a1 * a1 * a1p * a1p * (den - num)
+
+
+def test_moments_match_the_paper_on_iterated_lists():
+    for k in range(1, ORACLE_MAX + 1):
+        got = cf.lemma2_a(k), cf.lemma2_a_prime(k), cf.lemma3_a3(k), cf.lemma4_a_prime3(k)
+        assert got == oracle_moments(k), k
+
+
+def test_theorem6_matches_the_paper_on_iterated_lists():
+    for k in range(1, ORACLE_MAX + 1):
+        assert cf.theorem6_rhs(k) == oracle_theorem6(k), k
+
+
+def test_theorem1_forms_match_the_paper_on_iterated_lists():
+    # K up to 1200 covers both parities of k in both parities of K
+    for K in range(3, ORACLE_MAX + 1):
+        assert cf.theorem1_num_den(K) == oracle_num_den(K), K
+        assert cf.theorem1_identity_sides(K) == oracle_sides(K), K
+
+
+def test_edge_indices_where_the_run_starts_at_f0():
+    # k = 1, 2: the moment run starts at F_0 and F_1; every moment is an empty sum
+    for k in (1, 2):
+        assert oracle_moments(k) == (0, 0, 0, 0)
+        assert (cf.lemma2_a(k), cf.lemma2_a_prime(k), cf.lemma3_a3(k),
+                cf.lemma4_a_prime3(k)) == (0, 0, 0, 0)
+    assert cf.theorem6_rhs(1) == oracle_theorem6(1) == 0  # run starts at F_0
+    assert cf.theorem6_rhs(2) == oracle_theorem6(2) == 28  # run starts at F_0
+    # K = 3, 4 (k = 2) and K = 5 (k = 3): num/den's run starts at F_0
+    assert cf.theorem1_num_den(3) == oracle_num_den(3) == (0, 2)
+    assert cf.theorem1_num_den(4) == oracle_num_den(4) == (1, 28)
+    assert cf.theorem1_num_den(5) == oracle_num_den(5) == (1, 112)
+    assert cf.theorem1_identity_sides(3) == oracle_sides(3) == (8, 8)
+    assert cf.theorem1_identity_sides(4) == oracle_sides(4) == (21168, 21168)

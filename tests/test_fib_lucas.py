@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from nicom.fib_lucas import fib, fib_minus_one_factors, gcd, lcm, lucas
+from nicom.fib_lucas import fib, fib_minus_one_factors, fib_run, gcd, lcm, lucas
 
 
 def naive_fib_lucas(n_max):
@@ -36,6 +36,17 @@ def test_fast_doubling_matches_iteration():
 def test_lucas_matches_iteration():
     for n in range(1001):
         assert lucas(n) == LS[n]
+
+
+def test_fib_run_matches_iteration():
+    for n in range(990):
+        for count in (0, 1, 2, 6, 11):
+            assert fib_run(n, count) == FS[n:n + count], (n, count)
+
+
+def test_fib_run_rejects_negative_start():
+    with pytest.raises(ValueError):
+        fib_run(-1, 3)
 
 
 def test_lucas_is_fib_neighbour_sum():
