@@ -1,6 +1,6 @@
 """Exact golden-ratio Beatty moment sums and mechanical identity verification."""
 
-from .beatty_floor import epsilon, floor_phi, floor_phi2, isqrt
+from .beatty_floor import epsilon, floor_phi, floor_phi2
 from .closed_forms import (
     DegenerateIndexError,
     case4l_sides,
@@ -11,19 +11,8 @@ from .closed_forms import (
     theorem1_rhs,
     theorem6_rhs,
 )
-from .fib_lucas import fib, fib_minus_one_factors, gcd, lcm, lucas
-from .moment_sums import (
-    BruteEngine,
-    BruteForceGuardError,
-    Moment,
-    MomentKey,
-    MomentTable,
-    a_brute,
-    a_prime,
-    a_prime_brute,
-    a_recursive,
-    order_bound,
-)
+from .fib_lucas import fib, fib_minus_one_factors, lucas
+from .moment_sums import BruteEngine, BruteForceGuardError, Moment, MomentTable
 from .qratio import nicomachus_check, q_diff, q_value
 from .recurrence_prover import (
     Certificate,

@@ -11,14 +11,7 @@ which gives floor(phi^2 * n) = n + floor(phi * n).
 
 from __future__ import annotations
 
-import math
-
-
-def isqrt(n: int) -> int:
-    """Integer square root: the unique r with r^2 <= n < (r+1)^2."""
-    if n < 0:
-        raise ValueError(f"isqrt: input must be nonnegative, got {n}")
-    return math.isqrt(n)
+from math import isqrt
 
 
 def floor_phi(n: int) -> int:

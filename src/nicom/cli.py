@@ -1,9 +1,9 @@
 """Command-line front end: compute, verify, prove, bench.
 
 Exit codes: 0 success/pass, 1 verification failure or refutation,
-2 usage error, 3 resource guard exceeded, or a verify the guard left
-inconclusive.  JSON output renders big integers as decimal strings and
-rationals as "num/den" strings.
+2 usage error, 3 resource guard exceeded, or a verify left inconclusive
+because it compared only empty sums.  JSON output renders big integers
+as decimal strings and rationals as "num/den" strings.
 """
 
 from __future__ import annotations
@@ -19,13 +19,7 @@ from . import closed_forms as cf
 from . import verify_suite
 from .decimal_text import decimal_str, exact_str
 from .fib_lucas import fib
-from .moment_sums import (
-    BruteForceGuardError,
-    MomentKey,
-    MomentTable,
-    a_brute,
-    a_prime_brute,
-)
+from .moment_sums import BruteEngine, BruteForceGuardError, Moment, MomentTable
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -43,11 +37,13 @@ def canonical_json(obj) -> str:
 
 
 def _compute_value(sum_kind: str, k: int, s: int, j: int, engine: str) -> int:
+    if k < 1:
+        raise UsageError(f"--k must be >= 1, got {k}")
     prime = sum_kind == "Aprime"
     if prime and j != 0:
         raise UsageError("--j applies to --sum A only")
     if engine == "brute":
-        return a_prime_brute(k, s) if prime else a_brute(MomentKey(k, s, j))
+        return BruteEngine().sums(fib(k) - 1, [Moment(s, j, prime)])[0]
     if engine == "rec":
         return MomentTable().a(k, s, j, prime)
     if j != 0:

@@ -12,8 +12,6 @@ to the index class modulo 4.
 
 from __future__ import annotations
 
-import math
-
 
 def _fib_pair(n: int) -> tuple[int, int]:
     """Return (F_n, F_{n+1}) by fast doubling, from the top bit of n down."""
@@ -75,12 +73,3 @@ def fib_minus_one_factors(n: int) -> tuple[int, int]:
     if r == 2:
         return fib(2 * l), lucas(2 * l + 2)
     return fib(2 * l + 2), lucas(2 * l + 1)
-
-
-def gcd(a: int, b: int) -> int:
-    return math.gcd(a, b)
-
-
-def lcm(a: int, b: int) -> int:
-    """Least common multiple of |a| and |b|; lcm(0, x) = 0."""
-    return math.lcm(a, b)

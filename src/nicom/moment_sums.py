@@ -1,16 +1,17 @@
 """The moment sums A(k, s, j) = sum_{n=1}^{F_k - 1} n^j * floor(phi*n)^s.
 
-Two engines are provided:
+Two engines are provided, each with one entry point:
 
-* ``BruteEngine`` evaluates the defining sums term by term in one
-  resumable pass (guarded, since the range F_k - 1 grows exponentially in
-  k); ``a_brute`` and ``a_prime_brute`` are its one-shot forms;
-* ``MomentTable`` (with ``a_recursive``) reduces A(k, s, j) to values at
-  k-1 and k-2, one step per k, which makes indices like k = 1000 (where
-  the sum has ~10^208 terms) computable in milliseconds.
+* ``BruteEngine.sums(m, moments)`` evaluates the defining sums over
+  n = 1..m term by term in one resumable pass (guarded, since the range
+  F_k - 1 grows exponentially in k);
+* ``MomentTable.a(k, s, j, prime)`` reduces A(k, s, j) to values at k-1
+  and k-2, one step per k, which makes indices like k = 1000 (where the
+  sum has ~10^208 terms) computable in milliseconds.
 
-``a_prime`` gives A'(k, s) = sum floor(phi^2*n)^s from the table's primed
-columns, which follow the same reduction with F_{k+1} in place of F_k.
+A ``Moment(s, j, prime)`` with ``prime`` set, and ``MomentTable.a`` with
+``prime`` set, give A'(k, s, j) = sum n^j * floor(phi^2*n)^s, which follows
+the same reduction with F_{k+1} in place of F_k.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from operator import itemgetter, mul
 from typing import Iterable, NamedTuple
 
 from .beatty_floor import epsilon
-from .fib_lucas import fib
 
 DEFAULT_BRUTE_GUARD = 10**6
 GUARD_ENV_VAR = "NICOM_BRUTE_GUARD"
@@ -39,19 +39,6 @@ def brute_guard() -> int:
     if limit < 0:
         raise ValueError(f"{GUARD_ENV_VAR} must be a nonnegative term count, got {raw}")
     return limit
-
-
-class MomentKey(NamedTuple):
-    k: int
-    s: int
-    j: int
-
-
-def _validate(k: int, s: int, j: int) -> None:
-    if k < 1:
-        raise ValueError(f"moment index k must be >= 1, got {k}")
-    if s < 0 or j < 0:
-        raise ValueError(f"moment powers must be nonnegative, got s={s}, j={j}")
 
 
 class MomentTable:
@@ -82,7 +69,10 @@ class MomentTable:
 
     def a(self, k: int, s: int, j: int = 0, prime: bool = False) -> int:
         """sum_{n=1}^{F_k - 1} n^j * floor(alpha*n)^s, alpha = phi^2 if ``prime`` else phi."""
-        _validate(k, s, j)
+        if k < 1:
+            raise ValueError(f"moment index k must be >= 1, got {k}")
+        if s < 0 or j < 0:
+            raise ValueError(f"moment powers must be nonnegative, got s={s}, j={j}")
         if k <= 2:
             return 0  # empty sums: F_1 - 1 = F_2 - 1 = 0
         col = self._cols.get((s, j, prime))
@@ -105,7 +95,11 @@ class MomentTable:
                  for s in range(s_max + 1)]
         binom = [[comb(n, i) for i in range(n + 1)] for n in range(max(s_max, j_max) + 1)]
         k0 = len(cols[-1][-1])
-        f_prev, f_cur = fib(k0 - 1), fib(k0)  # F_{k-1}, F_k
+        # F_{k-1} and F_k from the (0, 0) column, the longest one:
+        # A(k, 0, 0) = A'(k, 0, 0) = F_k - 1
+        count = cols[0][0]
+        f_prev = count[k0 - 1] + 1
+        f_cur = f_prev + count[k0 - 2] + 1
         for k in range(k0, k_max + 1):
             # a step reads only cells at k - 1 and k - 2, so the columns
             # may be extended in any order
@@ -181,12 +175,6 @@ class BruteEngine:
         self._advance(m)
         return [self._sums[mo] for mo in moments]
 
-    def a(self, m: int, s: int, j: int = 0) -> int:
-        return self.sums(m, [Moment(s, j)])[0]
-
-    def a_prime(self, m: int, s: int) -> int:
-        return self.sums(m, [Moment(s, prime=True)])[0]
-
     def _advance(self, m: int) -> None:
         """Add the terms n = self._n + 1 .. m to every running sum."""
         primed = any(mo.prime for mo in self._sums)
@@ -202,33 +190,3 @@ class BruteEngine:
                 self._sums[mo] += sum(terms)
             self.terms += len(ns)
         self._n = m
-
-
-def a_brute(key: MomentKey, guard: int | None = None) -> int:
-    """A(k, s, j) by literal summation over n = 1 .. F_k - 1."""
-    k, s, j = key
-    _validate(k, s, j)
-    return BruteEngine(guard).a(fib(k) - 1, s, j)
-
-
-def a_prime_brute(k: int, s: int, guard: int | None = None) -> int:
-    """A'(k, s) by literal summation of floor(phi^2 * n)^s."""
-    _validate(k, s, 0)
-    return BruteEngine(guard).a_prime(fib(k) - 1, s)
-
-
-def a_recursive(key: MomentKey, table: MomentTable) -> int:
-    """A(k, s, j) by the two-step reduction, memoized into ``table``."""
-    return table.a(*key)
-
-
-def a_prime(k: int, s: int, table: MomentTable) -> int:
-    """A'(k, s) = sum_{n=1}^{F_k - 1} floor(phi^2*n)^s, from the primed columns of ``table``."""
-    return table.a(k, s, 0, True)
-
-
-def order_bound(s: int, j: int) -> int:
-    """Upper bound 4(s + j) + 6 on the linear-recurrence order of A(., s, j)."""
-    if s < 0 or j < 0:
-        raise ValueError(f"moment powers must be nonnegative, got s={s}, j={j}")
-    return 4 * (s + j) + 6

@@ -13,11 +13,11 @@ sweep in m passes in so that it makes one summation pass.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 from . import closed_forms
-from .beatty_floor import isqrt
 from .fib_lucas import fib
-from .moment_sums import BruteEngine, Moment, MomentTable, a_prime
+from .moment_sums import BruteEngine, Moment, MomentTable
 
 PHI = "phi"
 PHI2 = "phi2"
@@ -43,9 +43,8 @@ def _sums_at_fib_index(alpha: str, K: int, engine: str) -> tuple[int, int]:
         if alpha == PHI:
             return closed_forms.lemma3_a3(K), closed_forms.lemma2_a(K)
         return closed_forms.lemma4_a_prime3(K), closed_forms.lemma2_a_prime(K)
-    if alpha == PHI:
-        return _table.a(K, 3, 0), _table.a(K, 1, 0)
-    return a_prime(K, 3, _table), a_prime(K, 1, _table)
+    prime = alpha == PHI2
+    return _table.a(K, 3, 0, prime), _table.a(K, 1, 0, prime)
 
 
 def q_value(alpha: str, m: int, engine: str = "auto", brute: BruteEngine | None = None) -> Fraction:

@@ -9,13 +9,14 @@ the sequence generators, the root-set spec and the default index range.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd, lcm
 from typing import Callable, Iterable
 
 from . import closed_forms as cf
 from . import qratio
 from .decimal_text import exact_str
-from .fib_lucas import fib, fib_minus_one_factors, gcd, lcm, lucas
-from .moment_sums import BruteEngine, BruteForceGuardError, Moment, MomentTable, a_prime
+from .fib_lucas import fib, fib_minus_one_factors, lucas
+from .moment_sums import BruteEngine, BruteForceGuardError, Moment, MomentTable
 from .recurrence_prover import (
     QUARTIC_PHI_POWERS,
     SIGNED_PHI_POWERS,
@@ -86,7 +87,6 @@ class ClaimReport:
     verdict: str
     failures: list[dict]
     skipped: list[int]
-    certificate: list[dict] | None
     rows: list[IndexResult] = field(repr=False, default_factory=list)
 
     @property
@@ -101,7 +101,6 @@ class ClaimReport:
             "verdict": self.verdict,
             "failures": self.failures,
             "skipped": self.skipped,
-            "certificate": self.certificate,
         }
 
 
@@ -115,14 +114,14 @@ def _pairs_lemma2(k: int, engines: Iterable[str], table: MomentTable, brute: Bru
             yield from zip(brute.sums(fib(k) - 1, _FIRST_MOMENTS), closed)
         elif eng == "recursive":
             yield table.a(k, 1, 0), closed[0]
-            yield a_prime(k, 1, table), closed[1]
+            yield table.a(k, 1, 0, True), closed[1]
 
 
 def _pairs_lemma3(k: int, engines: Iterable[str], table: MomentTable, brute: BruteEngine):
     closed = cf.lemma3_a3(k)
     for eng in engines:
         if eng == "brute":
-            yield brute.a(fib(k) - 1, 3), closed
+            yield brute.sums(fib(k) - 1, [Moment(3)])[0], closed
         elif eng == "recursive":
             yield table.a(k, 3, 0), closed
 
@@ -131,19 +130,15 @@ def _pairs_lemma4(k: int, engines: Iterable[str], table: MomentTable, brute: Bru
     closed = cf.lemma4_a_prime3(k)
     for eng in engines:
         if eng == "brute":
-            yield brute.a_prime(fib(k) - 1, 3), closed
+            yield brute.sums(fib(k) - 1, [Moment(3, prime=True)])[0], closed
         elif eng == "recursive":
-            yield a_prime(k, 3, table), closed
+            yield table.a(k, 3, 0, True), closed
 
 
 def _pairs_theorem1(K: int, engines: Iterable[str], table: MomentTable, brute: BruteEngine):
     rhs = cf.theorem1_rhs(K)
     for eng in engines:
-        if eng == "closed":
-            continue
         yield qratio.q_diff(K, engine=eng, brute=brute), rhs
-    if tuple(engines) == ("closed",):
-        yield qratio.q_diff(K, engine="closed"), rhs
 
 
 def _pairs_theorem6(k: int, engines: Iterable[str], table: MomentTable, brute: BruteEngine):
@@ -159,8 +154,8 @@ def _pairs_case4l(l: int, engines: Iterable[str], table: MomentTable, brute: Bru
     if "recursive" in engines:
         K = 4 * l
         num, den = cf.theorem1_num_den(K)
-        a1, a1p = table.a(K, 1, 0), a_prime(K, 1, table)
-        a3, a3p = table.a(K, 3, 0), a_prime(K, 3, table)
+        a1, a1p = table.a(K, 1, 0), table.a(K, 1, 0, True)
+        a3, a3p = table.a(K, 3, 0), table.a(K, 3, 0, True)
         yield den * (a3p * a1 * a1 - a3 * a1p * a1p), a1 * a1 * a1p * a1p * (den - num)
 
 
@@ -196,9 +191,10 @@ def verify_claim(
 ) -> ClaimReport:
     """Check one claim index by index; exact equality at every index.
 
-    The verdict is "fail" on any unequal row, "inconclusive" when the
-    brute-force guard skipped some index and every row it left compares
-    zero with zero, and "pass" otherwise.
+    The verdict is "fail" on any unequal row, "inconclusive" when no row
+    checked has a nonzero side (no row at all, only the empty sums at
+    k <= 2, or only those the brute-force guard left), and "pass"
+    otherwise.
     """
     if claim not in CLAIM_IDS:
         raise ValueError(f"unknown claim {claim!r}; known: {', '.join(CLAIM_IDS)}")
@@ -231,8 +227,8 @@ def verify_claim(
             rows.append(IndexResult(idx, None, None, True, skipped=True))
     if failures:
         verdict = "fail"
-    elif skipped and not nonzero:
-        verdict = "inconclusive"  # the guard left only empty sums to compare
+    elif not nonzero:
+        verdict = "inconclusive"  # only empty sums were compared
     else:
         verdict = "pass"
     return ClaimReport(
@@ -242,7 +238,6 @@ def verify_claim(
         verdict=verdict,
         failures=failures,
         skipped=skipped,
-        certificate=None,
         rows=rows,
     )
 
@@ -284,7 +279,7 @@ def _prove_specs(table: MomentTable) -> dict[str, list[tuple]]:
     return {
         "lemma2": [
             ("lemma2/A", lambda k: table.a(k, 1, 0), cf.lemma2_a, signed2),
-            ("lemma2/Aprime", lambda k: a_prime(k, 1, table), cf.lemma2_a_prime, signed2),
+            ("lemma2/Aprime", lambda k: table.a(k, 1, 0, True), cf.lemma2_a_prime, signed2),
         ],
         "lemma3": [
             (
@@ -303,13 +298,13 @@ def _prove_specs(table: MomentTable) -> dict[str, list[tuple]]:
         "lemma4": [
             (
                 "lemma4/even",
-                lambda k: a_prime(2 * k, 3, table),
+                lambda k: table.a(2 * k, 3, 0, True),
                 lambda k: cf.lemma4_a_prime3(2 * k),
                 even4,
             ),
             (
                 "lemma4/odd",
-                lambda k: a_prime(2 * k - 1, 3, table),
+                lambda k: table.a(2 * k - 1, 3, 0, True),
                 lambda k: cf.lemma4_a_prime3(2 * k - 1),
                 even4,
             ),

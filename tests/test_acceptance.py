@@ -7,13 +7,14 @@ lines on stdout.
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
 from nicom import closed_forms as cf
 from nicom.beatty_floor import epsilon, floor_phi, floor_phi2
-from nicom.fib_lucas import fib, fib_minus_one_factors, gcd, lcm, lucas
-from nicom.moment_sums import MomentKey, MomentTable, a_brute, a_prime, a_prime_brute
+from nicom.fib_lucas import fib, fib_minus_one_factors, lucas
+from nicom.moment_sums import BruteEngine, Moment, MomentTable
 from nicom.qratio import phi_interval, q_diff, q_value
 from nicom.recurrence_prover import (
     SIGNED_PHI_POWERS,
@@ -22,6 +23,11 @@ from nicom.recurrence_prover import (
     char_poly,
 )
 from nicom.verify_suite import prove_claim, verify_claim
+
+
+def brute_sum(k, s, j=0, prime=False):
+    """The literal-sum engine over n = 1..F_k - 1, fresh for each call."""
+    return BruteEngine().sums(fib(k) - 1, [Moment(s, j, prime)])[0]
 
 
 @contextmanager
@@ -41,8 +47,8 @@ def test_criterion_1_first_moment_closed_forms():
     with criterion(1, "first-moment closed forms vs brute, k=1..25"):
         start = time.perf_counter()
         for k in range(1, 26):
-            assert cf.lemma2_a(k) == a_brute(MomentKey(k, 1, 0))
-            assert cf.lemma2_a_prime(k) == a_prime_brute(k, 1)
+            assert cf.lemma2_a(k) == brute_sum(k, 1)
+            assert cf.lemma2_a_prime(k) == brute_sum(k, 1, prime=True)
         assert time.perf_counter() - start < 5.0
 
 
@@ -50,8 +56,8 @@ def test_criterion_2_third_moment_closed_forms():
     with criterion(2, "third-moment closed forms vs brute, K=1..25"):
         evens = odds = 0
         for K in range(1, 26):
-            assert cf.lemma3_a3(K) == a_brute(MomentKey(K, 3, 0))
-            assert cf.lemma4_a_prime3(K) == a_prime_brute(K, 3)
+            assert cf.lemma3_a3(K) == brute_sum(K, 3)
+            assert cf.lemma4_a_prime3(K) == brute_sum(K, 3, prime=True)
             if K % 2 == 0:
                 evens += 1
             else:
@@ -89,7 +95,7 @@ def test_criterion_5_lcm_formula():
         for k in range(1, 61):
             assert lcm(cf.lemma2_a(2 * k), cf.lemma2_a_prime(2 * k)) == cf.theorem6_rhs(k)
         for k in range(1, 13):
-            brute = lcm(a_brute(MomentKey(2 * k, 1, 0)), a_prime_brute(2 * k, 1))
+            brute = lcm(brute_sum(2 * k, 1), brute_sum(2 * k, 1, prime=True))
             assert cf.theorem6_rhs(k) == brute
         assert cf.theorem6_rhs(2) == 28
         assert cf.theorem6_rhs(3) == 210
@@ -141,9 +147,9 @@ def test_criterion_7_engine_equivalence():
         for k in range(1, 19):
             for s in range(5):
                 for j in range(5 - s):
-                    assert table.a(k, s, j) == a_brute(MomentKey(k, s, j))
+                    assert table.a(k, s, j) == brute_sum(k, s, j)
             for s in range(4):
-                assert a_prime(k, s, table) == a_prime_brute(k, s)
+                assert table.a(k, s, 0, True) == brute_sum(k, s, prime=True)
 
 
 def test_criterion_8_scale():
@@ -153,8 +159,8 @@ def test_criterion_8_scale():
         rec = {
             "a1": table.a(1000, 1, 0),
             "a3": table.a(1000, 3, 0),
-            "ap1": a_prime(1000, 1, table),
-            "ap3": a_prime(1000, 3, table),
+            "ap1": table.a(1000, 1, 0, True),
+            "ap3": table.a(1000, 3, 0, True),
         }
         rec_time = time.perf_counter() - t0
         t0 = time.perf_counter()

@@ -1,25 +1,10 @@
+from math import isqrt
+
 import pytest
 from hypothesis import given, strategies as st
 
-from nicom.beatty_floor import epsilon, floor_phi, floor_phi2, isqrt
+from nicom.beatty_floor import epsilon, floor_phi, floor_phi2
 from nicom.fib_lucas import fib
-
-
-def test_isqrt_examples():
-    assert isqrt(0) == 0
-    assert isqrt(81) == 9
-    assert isqrt(80) == 8
-
-
-def test_isqrt_rejects_negative():
-    with pytest.raises(ValueError):
-        isqrt(-1)
-
-
-@given(st.integers(0, 10**40))
-def test_isqrt_defining_property(n):
-    r = isqrt(n)
-    assert r * r <= n < (r + 1) * (r + 1)
 
 
 @given(st.integers(1, 10**30))

@@ -5,13 +5,7 @@ import pytest
 from nicom import verify_suite
 from nicom.beatty_floor import floor_phi, floor_phi2
 from nicom.fib_lucas import fib
-from nicom.moment_sums import (
-    BruteEngine,
-    BruteForceGuardError,
-    Moment,
-    MomentTable,
-    a_prime,
-)
+from nicom.moment_sums import BruteEngine, BruteForceGuardError, Moment, MomentTable
 from nicom.qratio import q_diff, q_value
 
 
@@ -28,7 +22,8 @@ def test_sweep_matches_moment_table():
     primed = [Moment(s, prime=True) for s in range(5)]
     for k in range(1, 21):
         values = engine.sums(fib(k) - 1, plain + primed)
-        want = [table.a(k, mo.s, mo.j) for mo in plain] + [a_prime(k, mo.s, table) for mo in primed]
+        want = [table.a(k, mo.s, mo.j) for mo in plain]
+        want += [table.a(k, mo.s, 0, True) for mo in primed]
         assert values == want, k
     assert engine.terms == fib(20) - 1
 
@@ -53,14 +48,14 @@ def test_q_diff_shares_one_pass():
 
 def test_resume_then_add_a_moment_mid_stream():
     engine = BruteEngine()
-    assert engine.a(10, 1) == literal(10, 1)
+    assert engine.sums(10, [Moment(1)]) == [literal(10, 1)]
     assert engine.terms == 10
-    assert engine.a(100, 1) == literal(100, 1)
+    assert engine.sums(100, [Moment(1)]) == [literal(100, 1)]
     assert engine.terms == 100  # resumed from n = 11, not restarted
     # a new moment restarts the pass, which then carries every moment
-    assert engine.a(100, 3, 2) == literal(100, 3, 2)
+    assert engine.sums(100, [Moment(3, 2)]) == [literal(100, 3, 2)]
     assert engine.terms == 200
-    assert engine.a(150, 1) == literal(150, 1)
+    assert engine.sums(150, [Moment(1)]) == [literal(150, 1)]
     assert engine.terms == 250
     assert engine.sums(150, [Moment(1), Moment(3, 2), Moment(2, prime=True)]) == [
         literal(150, 1), literal(150, 3, 2), literal(150, 2, prime=True)]
@@ -68,23 +63,23 @@ def test_resume_then_add_a_moment_mid_stream():
     assert engine.sums(160, [Moment(3, 2), Moment(1)]) == [literal(160, 3, 2), literal(160, 1)]
     assert engine.terms == 410
     # so does a request behind the pass
-    assert engine.a_prime(40, 2) == literal(40, 2, prime=True)
+    assert engine.sums(40, [Moment(2, prime=True)]) == [literal(40, 2, prime=True)]
     assert engine.terms == 450
-    assert engine.a(0, 3) == 0
+    assert engine.sums(0, [Moment(3)]) == [0]
 
 
 def test_guard_raises_before_any_term_is_summed():
     engine = BruteEngine(guard=10)
-    assert engine.a(10, 1) == literal(10, 1)
+    assert engine.sums(10, [Moment(1)]) == [literal(10, 1)]
     with pytest.raises(BruteForceGuardError, match="guard 10"):
-        engine.a(11, 3)
+        engine.sums(11, [Moment(3)])
     assert engine.terms == 10
     with pytest.raises(BruteForceGuardError):
-        BruteEngine(guard=0).a(1, 1)
+        BruteEngine(guard=0).sums(1, [Moment(1)])
     with pytest.raises(ValueError):
         BruteEngine(guard=-1)
     with pytest.raises(ValueError):
-        engine.a(-1, 1)
+        engine.sums(-1, [Moment(1)])
 
 
 def test_verify_lists_guarded_indices_as_skipped(monkeypatch):
@@ -127,9 +122,9 @@ def test_guard_that_leaves_only_empty_sums_is_inconclusive(monkeypatch):
     assert not report.passed
     assert report.skipped == list(range(3, 19))
     assert report.to_dict()["verdict"] == "inconclusive"
-    # with nothing skipped, comparing the empty sums is a pass
+    # with nothing skipped, comparing only the empty sums is inconclusive too
     report = verify_suite.verify_claim("lemma3", k_max=2, engines=("brute",))
-    assert (report.verdict, report.skipped) == ("pass", [])
+    assert (report.verdict, report.skipped) == ("inconclusive", [])
 
 
 def test_theorem6_brute_sweep_sums_each_term_once(monkeypatch):
@@ -139,4 +134,4 @@ def test_theorem6_brute_sweep_sums_each_term_once(monkeypatch):
 def test_guard_message_for_a_sum_past_the_digit_limit():
     # F_30000 - 1 has over 6000 digits; the guard error must not render it
     with pytest.raises(BruteForceGuardError, match="over 10\\^30 terms"):
-        BruteEngine().a(fib(30000) - 1, 1)
+        BruteEngine().sums(fib(30000) - 1, [Moment(1)])

@@ -26,6 +26,13 @@ def test_compute_brute(capsys):
                        "--engine", "brute")
     assert code == EXIT_OK
     assert out.strip() == "14"
+    code, out, _ = run(capsys, "compute", "--sum", "Aprime", "--k", "4", "--s", "3",
+                       "--engine", "brute")
+    assert (code, out.strip()) == (EXIT_OK, "133")
+    # A(6, 1, 2) = sum n^2 floor(phi*n) over n = 1..7
+    code, out, _ = run(capsys, "compute", "--sum", "A", "--k", "6", "--s", "1", "--j", "2",
+                       "--engine", "brute")
+    assert (code, out.strip()) == (EXIT_OK, "1208")
 
 
 def test_compute_closed_aprime(capsys):
@@ -249,7 +256,43 @@ def test_verify_left_inconclusive_by_the_guard(capsys, monkeypatch):
     assert json.loads(out)["verdict"] == "inconclusive"
 
 
-BIG = 10**5000 + 7  # past the interpreter's default digit limit
+@pytest.mark.parametrize("argv", [
+    ("lemma2", "--kmax", "2"),  # A(k, 1, 0) = 0 at k = 1, 2, on every engine
+    ("lemma3", "--kmax", "2", "--engines", "brute"),
+    ("lemma4", "--engines", "closed"),  # the closed form alone has nothing to compare with
+])
+def test_verify_of_only_empty_sums_is_inconclusive(capsys, argv):
+    code, out, _ = run(capsys, "verify", "--claim", *argv)
+    assert code == EXIT_GUARD
+    assert out.startswith(f"{argv[0]}: inconclusive")
+    assert "skipped" not in out
+
+
+def test_verify_theorem1_checks_every_default_engine(capsys, monkeypatch):
+    a_prime3 = cf.lemma4_a_prime3
+    monkeypatch.setattr(cf, "lemma4_a_prime3", lambda k: a_prime3(k) + 1)
+    code, out, _ = run(capsys, "verify", "--claim", "theorem1")
+    assert code == EXIT_FAIL
+    assert out.startswith("theorem1: fail (indices 3..30, engines recursive,closed)")
+    # the recursive engine alone does not read the closed forms
+    code, out, _ = run(capsys, "verify", "--claim", "theorem1", "--engines", "recursive")
+    assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("engine", ["brute", "rec", "closed"])
+def test_k_below_one_is_a_usage_error(capsys, engine):
+    for k in ("0", "-1"):
+        for sum_kind in ("A", "Aprime"):
+            code, out, err = run(capsys, "compute", "--sum", sum_kind, "--k", k, "--s", "0",
+                                 "--engine", engine)
+            assert (code, out) == (EXIT_USAGE, ""), (k, sum_kind)
+            assert "--k must be >= 1" in err
+        code, out, err = run(capsys, "bench", "--k", k, "--s", "0", "--engine", engine)
+        assert (code, out) == (EXIT_USAGE, ""), k
+        assert "--k must be >= 1" in err
+
+
+BIG =10**5000 + 7  # past the interpreter's default digit limit
 
 
 def big_rows(k, engines, table, brute):

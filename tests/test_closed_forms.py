@@ -1,11 +1,17 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from nicom import closed_forms as cf
-from nicom.fib_lucas import lcm
-from nicom.moment_sums import MomentKey, a_brute, a_prime_brute
+from nicom.fib_lucas import fib
+from nicom.moment_sums import BruteEngine, Moment
 from nicom.qratio import q_diff
+
+
+def brute_sum(k, s, prime=False):
+    """The literal-sum engine: sum of floor(alpha*n)^s over n = 1..F_k - 1."""
+    return BruteEngine().sums(fib(k) - 1, [Moment(s, prime=prime)])[0]
 
 
 def test_lemma2_examples():
@@ -19,8 +25,8 @@ def test_lemma2_examples():
 
 def test_lemma2_matches_brute():
     for k in range(1, 26):
-        assert cf.lemma2_a(k) == a_brute(MomentKey(k, 1, 0))
-        assert cf.lemma2_a_prime(k) == a_prime_brute(k, 1)
+        assert cf.lemma2_a(k) == brute_sum(k, 1)
+        assert cf.lemma2_a_prime(k) == brute_sum(k, 1, prime=True)
 
 
 def test_lemma3_examples():
@@ -37,8 +43,8 @@ def test_lemma4_examples():
 
 def test_third_moments_match_brute():
     for k in range(1, 26):
-        assert cf.lemma3_a3(k) == a_brute(MomentKey(k, 3, 0)), k
-        assert cf.lemma4_a_prime3(k) == a_prime_brute(k, 3), k
+        assert cf.lemma3_a3(k) == brute_sum(k, 3), k
+        assert cf.lemma4_a_prime3(k) == brute_sum(k, 3, prime=True), k
 
 
 def test_index_guards():
@@ -79,7 +85,7 @@ def test_theorem6_matches_lcm_of_first_moments():
 
 def test_theorem6_cross_checked_against_brute():
     for k in range(1, 13):
-        brute = lcm(a_brute(MomentKey(2 * k, 1, 0)), a_prime_brute(2 * k, 1))
+        brute = lcm(brute_sum(2 * k, 1), brute_sum(2 * k, 1, prime=True))
         assert cf.theorem6_rhs(k) == brute, k
 
 

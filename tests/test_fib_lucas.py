@@ -1,7 +1,8 @@
-import pytest
-from hypothesis import given, strategies as st
+from math import gcd
 
-from nicom.fib_lucas import fib, fib_minus_one_factors, fib_run, gcd, lcm, lucas
+import pytest
+
+from nicom.fib_lucas import fib, fib_minus_one_factors, fib_run, lucas
 
 
 def naive_fib_lucas(n_max):
@@ -97,19 +98,3 @@ def test_adjacent_lucas_coprime():
     for l in range(1, 51):
         assert gcd(lucas(2 * l + 1), lucas(2 * l + 2)) == 1
 
-
-def test_lcm_examples():
-    assert lcm(4, 7) == 28
-    assert lcm(0, 0) == 0
-    assert lcm(42, 70) == 210
-
-
-@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
-def test_lcm_properties(a, b):
-    m = lcm(a, b)
-    assert m >= 0
-    if a and b:
-        assert m % a == 0 and m % b == 0
-        assert m * gcd(a, b) == abs(a * b)
-    else:
-        assert m == 0

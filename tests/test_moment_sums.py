@@ -5,16 +5,7 @@ import pytest
 from nicom import closed_forms as cf
 from nicom.beatty_floor import floor_phi, floor_phi2
 from nicom.fib_lucas import fib
-from nicom.moment_sums import (
-    BruteForceGuardError,
-    MomentKey,
-    MomentTable,
-    a_brute,
-    a_prime,
-    a_prime_brute,
-    a_recursive,
-    order_bound,
-)
+from nicom.moment_sums import BruteEngine, BruteForceGuardError, Moment, MomentTable
 from nicom.recurrence_prover import (
     SIGNED_PHI_POWERS,
     RootSetSpec,
@@ -32,32 +23,37 @@ def literal_a_prime(k, s):
     return sum(floor_phi2(n) ** s for n in range(1, fib(k)))
 
 
+def brute_sum(k, moment):
+    """The literal-sum engine over n = 1..F_k - 1, fresh for each call."""
+    return BruteEngine().sums(fib(k) - 1, [moment])[0]
+
+
 def test_brute_examples():
-    assert a_brute(MomentKey(5, 1, 0)) == 14
-    assert a_brute(MomentKey(2, 3, 0)) == 0
-    assert a_brute(MomentKey(4, 3, 0)) == 28
+    assert brute_sum(5, Moment(1)) == 14
+    assert brute_sum(2, Moment(3)) == 0
+    assert brute_sum(4, Moment(3)) == 28
 
 
 def test_brute_guard():
     with pytest.raises(BruteForceGuardError, match="guard"):
-        a_brute(MomentKey(40, 1, 0))
+        brute_sum(40, Moment(1))
     with pytest.raises(BruteForceGuardError):
-        a_prime_brute(40, 1)
+        brute_sum(40, Moment(1, prime=True))
 
 
 def test_guard_env_override(monkeypatch):
     monkeypatch.setenv("NICOM_BRUTE_GUARD", "3")
     with pytest.raises(BruteForceGuardError):
-        a_brute(MomentKey(5, 1, 0))
+        brute_sum(5, Moment(1))
     monkeypatch.setenv("NICOM_BRUTE_GUARD", "1000000")
-    assert a_brute(MomentKey(5, 1, 0)) == 14
+    assert brute_sum(5, Moment(1)) == 14
 
 
 def test_recursive_examples():
     table = MomentTable()
-    assert a_recursive(MomentKey(5, 1, 0), table) == 14
-    assert a_recursive(MomentKey(1, 7, 3), table) == 0
-    assert a_recursive(MomentKey(6, 0, 0), table) == 7
+    assert table.a(5, 1, 0) == 14
+    assert table.a(1, 7, 3) == 0
+    assert table.a(6, 0, 0) == 7
 
 
 def test_recursive_base_cases():
@@ -78,16 +74,16 @@ def test_recursive_matches_brute_on_grid():
 
 def test_a_prime_examples():
     table = MomentTable()
-    assert a_prime(5, 1, table) == 24
-    assert a_prime(3, 3, table) == 8
-    assert a_prime(2, 3, table) == 0
+    assert table.a(5, 1, 0, True) == 24
+    assert table.a(3, 3, 0, True) == 8
+    assert table.a(2, 3, 0, True) == 0
 
 
 def test_a_prime_matches_literal():
     table = MomentTable()
     for k in range(1, 19):
         for s in range(4):
-            assert a_prime(k, s, table) == literal_a_prime(k, s), (k, s)
+            assert table.a(k, s, 0, True) == literal_a_prime(k, s), (k, s)
 
 
 def test_zeroth_moment_is_fib_minus_one():
@@ -114,18 +110,7 @@ def test_invalid_keys_rejected():
     with pytest.raises(ValueError):
         table.a(3, -1, 0)
     with pytest.raises(ValueError):
-        a_brute(MomentKey(3, 0, -2))
-
-
-def test_order_bound():
-    assert order_bound(1, 0) == 10
-    assert order_bound(3, 0) == 18
-    assert order_bound(0, 0) == 6
-    # degree of the signed root-set polynomial at B = s + j + 1 matches
-    for s in range(3):
-        for j in range(3):
-            spec = RootSetSpec(SIGNED_PHI_POWERS, s + j + 1)
-            assert char_poly(spec).degree == order_bound(s, j)
+        brute_sum(3, Moment(0, -2))
 
 
 def test_sequences_live_in_claimed_span():
@@ -158,7 +143,7 @@ def test_cold_fill_creates_only_the_downset():
     assert set(table._cols) == {(s, 0, False) for s in range(4)}
     assert len(table) == 4 * (K - 2)
     table = MomentTable()
-    a_prime(K, 3, table)
+    table.a(K, 3, 0, True)
     assert set(table._cols) == {(s, 0, True) for s in range(4)}
     table.a(K, 1, 2, True)
     assert set(table._cols) == {(s, 0, True) for s in range(4)} | {(s, j, True)
@@ -191,5 +176,5 @@ def test_recursive_matches_closed_forms_at_k_2000():
     k = 2000
     assert table.a(k, 1) == cf.lemma2_a(k)
     assert table.a(k, 3) == cf.lemma3_a3(k)
-    assert a_prime(k, 1, table) == cf.lemma2_a_prime(k)
-    assert a_prime(k, 3, table) == cf.lemma4_a_prime3(k)
+    assert table.a(k, 1, 0, True) == cf.lemma2_a_prime(k)
+    assert table.a(k, 3, 0, True) == cf.lemma4_a_prime3(k)

@@ -58,7 +58,6 @@ def test_report_dict_schema():
     d = report.to_dict()
     assert set(d) == {
         "claim", "range", "engines", "verdict", "failures", "skipped",
-        "certificate",
     }
     assert d["verdict"] == "pass"
     assert d["failures"] == []
