@@ -5,8 +5,10 @@ phi*n is irrational for n >= 1,
 
     floor(phi * n) = (n + isqrt(5 * n^2)) // 2
 
-is exact at every size.  floor(phi^2 * n) follows from phi^2 = phi + 1,
-which gives floor(phi^2 * n) = n + floor(phi * n).
+is exact at every size.  ``phi_floors`` evaluates it over a block of n,
+as the brute engine calls it, and ``floor_phi`` reads through it.
+floor(phi^2 * n) follows from phi^2 = phi + 1, which gives
+floor(phi^2 * n) = n + floor(phi * n).
 """
 
 from __future__ import annotations
@@ -14,11 +16,16 @@ from __future__ import annotations
 from math import isqrt
 
 
+def phi_floors(ns: range) -> list[int]:
+    """[floor(phi * n) for n in ns], for a range of positive n."""
+    return [(n + isqrt(5 * n * n)) >> 1 for n in ns]
+
+
 def floor_phi(n: int) -> int:
     """floor(phi * n) for n >= 1, where phi = (1 + sqrt(5)) / 2."""
     if n < 1:
         raise ValueError(f"floor_phi: index must be positive, got {n}")
-    return (n + isqrt(5 * n * n)) // 2
+    return phi_floors(range(n, n + 1))[0]
 
 
 def floor_phi2(n: int) -> int:

@@ -159,17 +159,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compute)
 
     p = sub.add_parser("verify", help="check a claim index by index")
-    p.add_argument("--claim", choices=list(verify_suite.CLAIM_IDS), required=True)
+    p.add_argument("--claim", choices=list(verify_suite.CLAIMS), required=True)
     p.add_argument("--kmax", type=int, default=None)
     p.add_argument("--engines", default=None,
-                   help="comma-separated subset of brute,recursive,closed")
+                   help="comma-separated subset of the engines the claim supports "
+                        "(brute,recursive,closed); another engine is a usage error")
     p.add_argument("--deep", action="store_true",
                    help="extend default ranges (theorem1/case4l to 100)")
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("prove", help="finite recurrence certification of a claim")
-    p.add_argument("--claim", choices=list(verify_suite.PROVABLE_CLAIMS), required=True)
+    p.add_argument("--claim", required=True,
+                   choices=[c for c, claim in verify_suite.CLAIMS.items() if claim.prove])
     p.add_argument("--window", type=int, default=None,
                    help="corroboration window (default 2x the annihilator degree)")
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")

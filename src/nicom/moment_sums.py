@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import os
 from itertools import repeat
-from math import comb, isqrt
+from math import comb
 from operator import itemgetter, mul
 from typing import Iterable, NamedTuple
 
-from .beatty_floor import epsilon
+from .beatty_floor import epsilon, phi_floors
 
 DEFAULT_BRUTE_GUARD = 10**6
 GUARD_ENV_VAR = "NICOM_BRUTE_GUARD"
@@ -144,8 +144,8 @@ _BLOCK = 4096  # floors held at once by the brute engine
 class BruteEngine:
     """Literal summation in one resumable pass over n = 1, 2, ...
 
-    Each floor(phi*n) is computed once, by the isqrt formula of
-    ``beatty_floor``, and added to every moment requested so far
+    Each floor(phi*n) is computed once, by ``beatty_floor.phi_floors`` one
+    block at a time, and added to every moment requested so far
     (floor(phi^2*n) = n + floor(phi*n)).  A request continues the pass, so
     a sweep over m = F_k - 1, k <= K, sums F_K - 1 terms; a request behind
     the pass, or with a moment not yet summed, restarts it.  ``terms``
@@ -180,7 +180,7 @@ class BruteEngine:
         primed = any(mo.prime for mo in self._sums)
         for lo in range(self._n + 1, m + 1, _BLOCK):
             ns = range(lo, min(lo + _BLOCK, m + 1))
-            floors = [(n + isqrt(5 * n * n)) >> 1 for n in ns]
+            floors = phi_floors(ns)
             floors2 = [n + f for n, f in zip(ns, floors)] if primed else None
             for mo in self._sums:
                 terms = floors2 if mo.prime else floors

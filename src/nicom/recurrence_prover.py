@@ -168,11 +168,16 @@ def annihilates(p: IntPolynomial, terms: list[int]) -> bool:
             f"need at least {d + 1} terms for a degree-{d} polynomial, "
             f"got {len(terms)}"
         )
+    return _first_surviving_window(p, terms) is None
+
+
+def _first_surviving_window(p: IntPolynomial, terms: list[int]) -> int | None:
+    """The first n with sum_i c_i * terms[n + i] != 0, or None if p kills every window."""
     coeffs = p.coeffs
-    return all(
-        sum(c * terms[n + i] for i, c in enumerate(coeffs)) == 0
-        for n in range(len(terms) - d)
-    )
+    for n in range(len(terms) - p.degree):
+        if sum(c * terms[n + i] for i, c in enumerate(coeffs)) != 0:
+            return n
+    return None
 
 
 @dataclass(frozen=True)
@@ -250,8 +255,8 @@ def certify_identity(
             return cert(f"refuted at index {i + 1}", agreed=i)
 
     for side in (lhs_terms, rhs_terms):
-        for n in range(total - d):
-            if sum(c * side[n + i] for i, c in enumerate(p.coeffs)) != 0:
-                return cert(f"refuted at index {n + 1}", agreed=d)
+        n = _first_surviving_window(p, side)
+        if n is not None:
+            return cert(f"refuted at index {n + 1}", agreed=d)
 
     return cert("certified", agreed=d)

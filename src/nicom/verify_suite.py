@@ -1,9 +1,10 @@
 """End-to-end verification and certification of the moment-sum identities.
 
-``verify_claim`` evaluates a claim index by index with the requested
-engines and reports exact equality; ``prove_claim`` runs the finite
-recurrence certification.  The claim registry is data: each entry carries
-the sequence generators, the root-set spec and the default index range.
+Each claim of the paper is one ``Claim`` in ``CLAIMS``: its index ranges,
+one row generator per engine it supports, its closed right-hand side and,
+for lemma2/3/4 and theorem1, its certification jobs.  ``verify_claim``
+evaluates a claim index by index with the requested engines and reports
+exact equality; ``prove_claim`` runs the finite recurrence certification.
 """
 
 from __future__ import annotations
@@ -26,41 +27,6 @@ from .recurrence_prover import (
     RootSetSpec,
     certify_identity,
 )
-
-CLAIM_IDS = (
-    "lemma2",
-    "lemma3",
-    "lemma4",
-    "theorem1",
-    "theorem6",
-    "case4l",
-    "nicomachus",
-    "fact-identities",
-)
-
-DEFAULT_RANGES = {
-    "lemma2": 10,
-    "lemma3": 18,  # 9 instances per parity class
-    "lemma4": 18,
-    "theorem1": 30,
-    "theorem6": 60,
-    "case4l": 21,
-    "nicomachus": 1000,
-    "fact-identities": 50,
-}
-
-DEEP_RANGES = {"case4l": 100, "theorem1": 100}
-
-DEFAULT_ENGINES = {
-    "lemma2": ("brute", "recursive", "closed"),
-    "lemma3": ("brute", "recursive", "closed"),
-    "lemma4": ("brute", "recursive", "closed"),
-    "theorem1": ("recursive", "closed"),
-    "theorem6": ("closed",),
-    "case4l": ("closed",),
-    "nicomachus": ("brute",),
-    "fact-identities": ("closed",),
-}
 
 
 @dataclass
@@ -104,82 +70,149 @@ class ClaimReport:
         }
 
 
-_FIRST_MOMENTS = (Moment(1), Moment(1, prime=True))
+# rows(index, closed right-hand side, table, brute engine) -> (lhs, rhs) pairs
+Rows = Callable[[int, object, MomentTable, BruteEngine], Iterable[tuple]]
 
 
-def _pairs_lemma2(k: int, engines: Iterable[str], table: MomentTable, brute: BruteEngine):
-    closed = cf.lemma2_a(k), cf.lemma2_a_prime(k)
-    for eng in engines:
-        if eng == "brute":
-            yield from zip(brute.sums(fib(k) - 1, _FIRST_MOMENTS), closed)
-        elif eng == "recursive":
-            yield table.a(k, 1, 0), closed[0]
-            yield table.a(k, 1, 0, True), closed[1]
+@dataclass(frozen=True)
+class Claim:
+    """One claim: the indices it is checked at, its engines, its certification.
+
+    At each index, ``rhs(index)`` evaluates the closed right-hand side once,
+    and each requested engine's ``rows[engine]`` yields the pairs it
+    compares there.  The keys of ``rows`` are the engines the claim
+    supports, ``engines`` the ones it runs by default.  ``prove(table)``
+    lists the (name, lhs, rhs, spec) certification jobs, or is None for a
+    claim without a root-set spec.
+    """
+
+    first: int  # first index
+    kmax: int  # last index by default
+    deep_kmax: int  # last index with --deep
+    rows: dict[str, Rows]
+    engines: tuple[str, ...]
+    rhs: Callable[[int], object] = lambda index: None
+    prove: Callable[[MomentTable], list[tuple]] | None = None
 
 
-def _pairs_lemma3(k: int, engines: Iterable[str], table: MomentTable, brute: BruteEngine):
-    closed = cf.lemma3_a3(k)
-    for eng in engines:
-        if eng == "brute":
-            yield brute.sums(fib(k) - 1, [Moment(3)])[0], closed
-        elif eng == "recursive":
-            yield table.a(k, 3, 0), closed
+def _lemma(kmax: int, moments: list[Moment], closed: list[Callable[[int], int]],
+           spec: RootSetSpec, split: bool = False) -> Claim:
+    """A lemma: each of ``moments`` at k equals its closed form, k -> value.
+
+    The brute and recursive engines each compare their sums with the closed
+    forms; the closed engine is the right-hand side itself and adds no row.
+    Certification takes each moment as one sequence in k, or with ``split``
+    as its even and odd subsequences k -> 2k, 2k - 1.
+    """
+    def brute_rows(k, rhs, table, brute):
+        return zip(brute.sums(fib(k) - 1, moments), rhs)
+
+    def recursive_rows(k, rhs, table, brute):
+        return zip([table.a(k, *mo) for mo in moments], rhs)
+
+    def prove(table):
+        def job(name, mo, f, at):
+            return name, lambda k: table.a(at(k), *mo), lambda k: f(at(k)), spec
+
+        if split:
+            (mo,), (f,) = moments, closed
+            return [job("even", mo, f, lambda k: 2 * k), job("odd", mo, f, lambda k: 2 * k - 1)]
+        return [job("Aprime" if mo.prime else "A", mo, f, lambda k: k)
+                for mo, f in zip(moments, closed)]
+
+    rows = {"brute": brute_rows, "recursive": recursive_rows, "closed": lambda *_: ()}
+    return Claim(1, kmax, kmax, rows, tuple(rows),
+                 rhs=lambda k: [f(k) for f in closed], prove=prove)
 
 
-def _pairs_lemma4(k: int, engines: Iterable[str], table: MomentTable, brute: BruteEngine):
-    closed = cf.lemma4_a_prime3(k)
-    for eng in engines:
-        if eng == "brute":
-            yield brute.sums(fib(k) - 1, [Moment(3, prime=True)])[0], closed
-        elif eng == "recursive":
-            yield table.a(k, 3, 0, True), closed
+def _q_diff_rows(engine: str) -> Rows:
+    """Q(phi^2, F_K - 1) - Q(phi, F_K - 1) on one engine against the closed value."""
+    def rows(K, rhs, table, brute):
+        return [(qratio.q_diff(K, engine=engine, brute=brute), rhs)]
+
+    return rows
 
 
-def _pairs_theorem1(K: int, engines: Iterable[str], table: MomentTable, brute: BruteEngine):
-    rhs = cf.theorem1_rhs(K)
-    for eng in engines:
-        yield qratio.q_diff(K, engine=eng, brute=brute), rhs
+def _theorem1_jobs(table: MomentTable) -> list[tuple]:
+    """The denominator-free Q-difference identity, split modulo 4.
+
+    The even residues need the 21-element set {phi^(4l): |l| <= 10}, the
+    odd residues the 22-element set {phi^(2l): l odd, |l| <= 21} (their
+    characteristic roots sit at odd multiples of phi^2).  ``sides`` maps K
+    to both sides and lives as long as these jobs, so the two sequences of a
+    residue evaluate the identity once per K.
+    """
+    sides: dict[int, tuple[int, int]] = {}
+
+    def side(residue: int, which: int) -> Callable[[int], int]:
+        def gen(l: int) -> int:
+            K = 4 * l + residue
+            if K not in sides:
+                sides[K] = cf.theorem1_identity_sides(K)
+            return sides[K][which]
+
+        return gen
+
+    quartic10 = RootSetSpec(QUARTIC_PHI_POWERS, 10)
+    twice_odd21 = RootSetSpec(TWICE_ODD_PHI_POWERS, 21)
+    return [(f"mod4={r}", side(r, 0), side(r, 1), twice_odd21 if r % 2 else quartic10)
+            for r in range(4)]
 
 
-def _pairs_theorem6(k: int, engines: Iterable[str], table: MomentTable, brute: BruteEngine):
-    rhs = cf.theorem6_rhs(k)
-    yield lcm(cf.lemma2_a(2 * k), cf.lemma2_a_prime(2 * k)), rhs
-    if "brute" in engines:
-        yield lcm(*brute.sums(fib(2 * k) - 1, _FIRST_MOMENTS)), rhs
+def _theorem6_brute(k, rhs, table, brute):
+    return [(lcm(*brute.sums(fib(2 * k) - 1, [Moment(1), Moment(1, prime=True)])), rhs)]
 
 
-def _pairs_case4l(l: int, engines: Iterable[str], table: MomentTable, brute: BruteEngine):
-    lhs, rhs = cf.case4l_sides(l)
-    yield lhs, rhs
-    if "recursive" in engines:
-        K = 4 * l
-        num, den = cf.theorem1_num_den(K)
-        a1, a1p = table.a(K, 1, 0), table.a(K, 1, 0, True)
-        a3, a3p = table.a(K, 3, 0), table.a(K, 3, 0, True)
-        yield den * (a3p * a1 * a1 - a3 * a1p * a1p), a1 * a1 * a1p * a1p * (den - num)
+def _theorem6_closed(k, rhs, table, brute):
+    return [(lcm(cf.lemma2_a(2 * k), cf.lemma2_a_prime(2 * k)), rhs)]
 
 
-def _pairs_nicomachus(m: int, engines: Iterable[str], table: MomentTable, brute: BruteEngine):
-    yield qratio.nicomachus_check(m, brute), True
+def _case4l_recursive(l, rhs, table, brute):
+    """The denominator-free identity at K = 4l with the recurrence engine's moments."""
+    K = 4 * l
+    num, den = cf.theorem1_num_den(K)
+    a1, a1p = table.a(K, 1, 0), table.a(K, 1, 0, True)
+    a3, a3p = table.a(K, 3, 0), table.a(K, 3, 0, True)
+    return [(den * (a3p * a1 * a1 - a3 * a1p * a1p), a1 * a1 * a1p * a1p * (den - num))]
 
 
-def _pairs_fact(l: int, engines: Iterable[str], table: MomentTable, brute: BruteEngine):
+def _case4l_closed(l, rhs, table, brute):
+    return [cf.case4l_sides(l)]
+
+
+def _nicomachus_brute(m, rhs, table, brute):
+    return [(qratio.nicomachus_check(m, brute), True)]
+
+
+def _fact_rows(l, rhs, table, brute):
     for n in range(4 * l, 4 * l + 4):
         f, lu = fib_minus_one_factors(n)
         yield f * lu, fib(n) - 1
     yield gcd(lucas(2 * l + 1), lucas(2 * l + 2)), 1
 
 
-_CHECKERS: dict[str, tuple[Callable, int]] = {
-    # checker, first index
-    "lemma2": (_pairs_lemma2, 1),
-    "lemma3": (_pairs_lemma3, 1),
-    "lemma4": (_pairs_lemma4, 1),
-    "theorem1": (_pairs_theorem1, 3),
-    "theorem6": (_pairs_theorem6, 1),
-    "case4l": (_pairs_case4l, 1),
-    "nicomachus": (_pairs_nicomachus, 1),
-    "fact-identities": (_pairs_fact, 1),
+# Claim(first, kmax, deep_kmax, rows, default engines, rhs, prove).  Rows and
+# right-hand sides look the closed forms up in ``cf`` when they run, so a
+# rebinding of a closed form reaches every claim that reads it.
+CLAIMS: dict[str, Claim] = {
+    # the first moments certify on the 10-element signed root set
+    "lemma2": _lemma(10, [Moment(1), Moment(1, prime=True)],
+                     [lambda k: cf.lemma2_a(k), lambda k: cf.lemma2_a_prime(k)],
+                     RootSetSpec(SIGNED_PHI_POWERS, 2)),
+    # the third moments split by parity, 9 indices per class by default, and
+    # certify on the 9-element even-power set
+    "lemma3": _lemma(18, [Moment(3)], [lambda k: cf.lemma3_a3(k)],
+                     RootSetSpec(EVEN_PHI_POWERS, 4), split=True),
+    "lemma4": _lemma(18, [Moment(3, prime=True)], [lambda k: cf.lemma4_a_prime3(k)],
+                     RootSetSpec(EVEN_PHI_POWERS, 4), split=True),
+    "theorem1": Claim(3, 30, 100, {e: _q_diff_rows(e) for e in ("brute", "recursive", "closed")},
+                      ("recursive", "closed"), lambda K: cf.theorem1_rhs(K), _theorem1_jobs),
+    "theorem6": Claim(1, 60, 60, {"brute": _theorem6_brute, "closed": _theorem6_closed},
+                      ("closed",), lambda k: cf.theorem6_rhs(k)),
+    "case4l": Claim(1, 21, 100, {"recursive": _case4l_recursive, "closed": _case4l_closed},
+                    ("closed",)),
+    "nicomachus": Claim(1, 1000, 1000, {"brute": _nicomachus_brute}, ("brute",)),
+    "fact-identities": Claim(1, 50, 50, {"closed": _fact_rows}, ("closed",)),
 }
 
 
@@ -191,23 +224,26 @@ def verify_claim(
 ) -> ClaimReport:
     """Check one claim index by index; exact equality at every index.
 
-    The verdict is "fail" on any unequal row, "inconclusive" when no row
-    checked has a nonzero side (no row at all, only the empty sums at
-    k <= 2, or only those the brute-force guard left), and "pass"
-    otherwise.
+    An engine the claim does not support is a ValueError.  The verdict is
+    "fail" on any unequal row, "inconclusive" when no row checked has a
+    nonzero side (no row at all, only the empty sums at k <= 2, or only
+    those the brute-force guard left), and "pass" otherwise.
     """
-    if claim not in CLAIM_IDS:
-        raise ValueError(f"unknown claim {claim!r}; known: {', '.join(CLAIM_IDS)}")
-    checker, lo = _CHECKERS[claim]
+    if claim not in CLAIMS:
+        raise ValueError(f"unknown claim {claim!r}; known: {', '.join(CLAIMS)}")
+    entry = CLAIMS[claim]
+    lo = entry.first
     if k_max is None:
-        k_max = DEEP_RANGES.get(claim, DEFAULT_RANGES[claim]) if deep else DEFAULT_RANGES[claim]
-    engines = tuple(engines) if engines is not None else DEFAULT_ENGINES[claim]
+        k_max = entry.deep_kmax if deep else entry.kmax
+    engines = entry.engines if engines is None else tuple(engines)
     for eng in engines:
-        if eng not in ("brute", "recursive", "closed"):
-            raise ValueError(f"unknown engine {eng!r}")
+        if eng not in entry.rows:
+            raise ValueError(f"unknown engine {eng!r} for {claim}; "
+                             f"supported: {', '.join(entry.rows)}")
     if k_max < lo:
         raise ValueError(f"{claim}: empty index range {lo}..{k_max}; nothing to check")
 
+    row_makers = [entry.rows[eng] for eng in engines]
     table = MomentTable()
     brute = BruteEngine()
     rows: list[IndexResult] = []
@@ -216,12 +252,15 @@ def verify_claim(
     nonzero = False  # some checked row has a nonzero side
     for idx in range(lo, k_max + 1):
         try:
-            for lhs, rhs in checker(idx, engines, table, brute):
-                nonzero = nonzero or lhs != 0 or rhs != 0
-                equal = lhs == rhs
-                rows.append(IndexResult(idx, lhs, rhs, equal))
-                if not equal:
-                    failures.append({"index": idx, "lhs": exact_str(lhs), "rhs": exact_str(rhs)})
+            closed = entry.rhs(idx)
+            for make_rows in row_makers:
+                for lhs, rhs in make_rows(idx, closed, table, brute):
+                    nonzero = nonzero or lhs != 0 or rhs != 0
+                    equal = lhs == rhs
+                    rows.append(IndexResult(idx, lhs, rhs, equal))
+                    if not equal:
+                        failures.append({"index": idx, "lhs": exact_str(lhs),
+                                         "rhs": exact_str(rhs)})
         except BruteForceGuardError:
             skipped.append(idx)
             rows.append(IndexResult(idx, None, None, True, skipped=True))
@@ -242,102 +281,20 @@ def verify_claim(
     )
 
 
-# ---------------------------------------------------------------------------
-# Certification registry
-# ---------------------------------------------------------------------------
-
-def _theorem1_side_gen(residue: int, side: int, memo: dict) -> Callable[[int], int]:
-    """One side of the theorem1 identity at K = 4l + residue.
-
-    ``memo`` maps K to both sides, so the two generators of one residue
-    evaluate the identity once per K.
-    """
-    def gen(l: int) -> int:
-        K = 4 * l + residue
-        if K not in memo:
-            memo[K] = cf.theorem1_identity_sides(K)
-        return memo[K][side]
-
-    return gen
-
-
-def _prove_specs(table: MomentTable) -> dict[str, list[tuple]]:
-    """claim id -> list of (name, lhs, rhs, spec) certification jobs.
-
-    The first-moment identities live on the 10-element signed root set; the
-    parity-split third-moment identities on the 9-element even-power set.
-    The denominator-free Q-difference identity splits modulo 4: the even
-    residues need the 21-element set {phi^(4l): |l| <= 10}, the odd
-    residues the 22-element set {phi^(2l): l odd, |l| <= 21} (their
-    characteristic roots sit at odd multiples of phi^2).
-    """
-    signed2 = RootSetSpec(SIGNED_PHI_POWERS, 2)
-    even4 = RootSetSpec(EVEN_PHI_POWERS, 4)
-    quartic10 = RootSetSpec(QUARTIC_PHI_POWERS, 10)
-    twice_odd21 = RootSetSpec(TWICE_ODD_PHI_POWERS, 21)
-    sides: dict[int, tuple[int, int]] = {}  # lives as long as these jobs
-    return {
-        "lemma2": [
-            ("lemma2/A", lambda k: table.a(k, 1, 0), cf.lemma2_a, signed2),
-            ("lemma2/Aprime", lambda k: table.a(k, 1, 0, True), cf.lemma2_a_prime, signed2),
-        ],
-        "lemma3": [
-            (
-                "lemma3/even",
-                lambda k: table.a(2 * k, 3, 0),
-                lambda k: cf.lemma3_a3(2 * k),
-                even4,
-            ),
-            (
-                "lemma3/odd",
-                lambda k: table.a(2 * k - 1, 3, 0),
-                lambda k: cf.lemma3_a3(2 * k - 1),
-                even4,
-            ),
-        ],
-        "lemma4": [
-            (
-                "lemma4/even",
-                lambda k: table.a(2 * k, 3, 0, True),
-                lambda k: cf.lemma4_a_prime3(2 * k),
-                even4,
-            ),
-            (
-                "lemma4/odd",
-                lambda k: table.a(2 * k - 1, 3, 0, True),
-                lambda k: cf.lemma4_a_prime3(2 * k - 1),
-                even4,
-            ),
-        ],
-        "theorem1": [
-            ("theorem1/mod4=0", _theorem1_side_gen(0, 0, sides),
-             _theorem1_side_gen(0, 1, sides), quartic10),
-            ("theorem1/mod4=1", _theorem1_side_gen(1, 0, sides),
-             _theorem1_side_gen(1, 1, sides), twice_odd21),
-            ("theorem1/mod4=2", _theorem1_side_gen(2, 0, sides),
-             _theorem1_side_gen(2, 1, sides), quartic10),
-            ("theorem1/mod4=3", _theorem1_side_gen(3, 0, sides),
-             _theorem1_side_gen(3, 1, sides), twice_odd21),
-        ],
-    }
-
-
-PROVABLE_CLAIMS = ("lemma2", "lemma3", "lemma4", "theorem1")
-
-
 def prove_claim(claim: str, extra_window: int | None = None) -> list[Certificate]:
     """Run the finite certification for a registered claim.
 
-    Returns one Certificate per branch (parity class or residue class).
+    Returns one Certificate per branch (moment, parity class or residue
+    class), named under the claim.
     """
-    if claim not in PROVABLE_CLAIMS:
+    entry = CLAIMS.get(claim)
+    if entry is None or entry.prove is None:
+        provable = [c for c, e in CLAIMS.items() if e.prove]
         raise ValueError(
             f"claim {claim!r} has no registered root-set spec; "
-            f"provable claims: {', '.join(PROVABLE_CLAIMS)}"
+            f"provable claims: {', '.join(provable)}"
         )
-    table = MomentTable()
-    jobs = _prove_specs(table)[claim]
     return [
-        certify_identity(name, lhs, rhs, spec, extra_window)
-        for name, lhs, rhs, spec in jobs
+        certify_identity(f"{claim}/{name}", lhs, rhs, spec, extra_window)
+        for name, lhs, rhs, spec in entry.prove(MomentTable())
     ]

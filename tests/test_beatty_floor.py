@@ -3,7 +3,7 @@ from math import isqrt
 import pytest
 from hypothesis import given, strategies as st
 
-from nicom.beatty_floor import epsilon, floor_phi, floor_phi2
+from nicom.beatty_floor import epsilon, floor_phi, floor_phi2, phi_floors
 from nicom.fib_lucas import fib
 
 
@@ -15,6 +15,13 @@ def test_floor_phi_defining_property(n):
     lo, hi = 2 * k - n, 2 * (k + 1) - n
     assert lo >= 0 and lo * lo < 5 * n * n  # equality impossible
     assert hi * hi > 5 * n * n
+
+
+def test_phi_floors_blocks():
+    assert phi_floors(range(1, 9)) == [1, 3, 4, 6, 8, 9, 11, 12]
+    assert phi_floors(range(5, 5)) == []
+    n = 10**40
+    assert phi_floors(range(n, n + 3)) == [floor_phi(n), floor_phi(n + 1), floor_phi(n + 2)]
 
 
 def test_floor_phi_examples():

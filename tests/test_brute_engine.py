@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from nicom import verify_suite
-from nicom.beatty_floor import floor_phi, floor_phi2
+from nicom import moment_sums, verify_suite
+from nicom.beatty_floor import floor_phi, floor_phi2, phi_floors
 from nicom.fib_lucas import fib
 from nicom.moment_sums import BruteEngine, BruteForceGuardError, Moment, MomentTable
 from nicom.qratio import q_diff, q_value
@@ -66,6 +66,21 @@ def test_resume_then_add_a_moment_mid_stream():
     assert engine.sums(40, [Moment(2, prime=True)]) == [literal(40, 2, prime=True)]
     assert engine.terms == 450
     assert engine.sums(0, [Moment(3)]) == [0]
+
+
+def test_floors_come_from_one_block_call(monkeypatch):
+    blocks = []
+
+    def counted(ns):
+        blocks.append(ns)
+        return phi_floors(ns)
+
+    monkeypatch.setattr(moment_sums, "phi_floors", counted)
+    engine = BruteEngine()
+    assert engine.sums(10000, [Moment(1), Moment(2, prime=True)]) == [
+        literal(10000, 1), literal(10000, 2, prime=True)]
+    assert blocks == [range(1, 4097), range(4097, 8193), range(8193, 10001)]
+    assert engine.terms == 10000
 
 
 def test_guard_raises_before_any_term_is_summed():

@@ -4,6 +4,7 @@ import io
 import json
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -279,6 +280,33 @@ def test_verify_theorem1_checks_every_default_engine(capsys, monkeypatch):
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize("argv, supported", [
+    (("theorem6", "--engines", "recursive"), "brute, closed"),
+    (("case4l", "--engines", "brute"), "recursive, closed"),
+    (("nicomachus", "--engines", "closed", "--kmax", "10"), "brute"),
+    (("fact-identities", "--engines", "brute"), "closed"),
+    (("lemma2", "--engines", "brute,magic"), "brute, recursive, closed"),
+])
+def test_verify_with_an_unsupported_engine_is_a_usage_error(capsys, argv, supported):
+    code, out, err = run(capsys, "verify", "--claim", *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "unknown engine" in err
+    assert err.strip().endswith(f"supported: {supported}")
+
+
+def test_claim_choices_come_from_the_registry(capsys, monkeypatch):
+    entry = verify_suite.CLAIMS["lemma2"]
+    monkeypatch.setitem(verify_suite.CLAIMS, "lemma2-copy", entry)
+    code, out, _ = run(capsys, "verify", "--claim", "lemma2-copy", "--kmax", "5")
+    assert code == EXIT_OK
+    assert out.startswith("lemma2-copy: pass (indices 1..5, engines brute,recursive,closed)")
+    code, out, _ = run(capsys, "prove", "--claim", "lemma2-copy")
+    assert code == EXIT_OK
+    assert out.startswith("lemma2-copy/A: certified")
+    monkeypatch.setitem(verify_suite.CLAIMS, "lemma2-copy", replace(entry, prove=None))
+    assert run(capsys, "prove", "--claim", "lemma2-copy")[0] == EXIT_USAGE
+
+
 @pytest.mark.parametrize("engine", ["brute", "rec", "closed"])
 def test_k_below_one_is_a_usage_error(capsys, engine):
     for k in ("0", "-1"):
@@ -295,8 +323,8 @@ def test_k_below_one_is_a_usage_error(capsys, engine):
 BIG =10**5000 + 7  # past the interpreter's default digit limit
 
 
-def big_rows(k, engines, table, brute):
-    """A checker whose rows pass 4300 digits: one equal pair, two unequal ones."""
+def big_rows(k, rhs, table, brute):
+    """Rows that pass 4300 digits: one equal pair, two unequal ones."""
     yield BIG * k, BIG * k
     yield BIG * k, BIG * k + 1
     yield Fraction(BIG, 3 * k), Fraction(1, 3)
@@ -309,8 +337,15 @@ def big_row_text(k):
                 [str(Fraction(BIG, 3 * k)), "1/3", "false"]]
 
 
+def patch_big_rows(monkeypatch):
+    """lemma2's brute engine yields big_rows; its other engines yield nothing."""
+    entry = verify_suite.CLAIMS["lemma2"]
+    rows = {**dict.fromkeys(entry.rows, lambda *_: ()), "brute": big_rows}
+    monkeypatch.setitem(verify_suite.CLAIMS, "lemma2", replace(entry, rows=rows))
+
+
 def test_verify_csv_rows_are_exact_beyond_the_digit_limit(capsys, monkeypatch):
-    monkeypatch.setitem(verify_suite._CHECKERS, "lemma2", (big_rows, 1))
+    patch_big_rows(monkeypatch)
     with int_digit_limit(4300):
         code, out, err = run(capsys, "verify", "--claim", "lemma2", "--kmax", "2",
                              "--format", "csv")
@@ -321,7 +356,7 @@ def test_verify_csv_rows_are_exact_beyond_the_digit_limit(capsys, monkeypatch):
 
 
 def test_verify_failures_report_decimal_strings(capsys, monkeypatch):
-    monkeypatch.setitem(verify_suite._CHECKERS, "lemma2", (big_rows, 1))
+    patch_big_rows(monkeypatch)
     with int_digit_limit(4300):
         code, out, err = run(capsys, "verify", "--claim", "lemma2", "--kmax", "2",
                              "--format", "json")

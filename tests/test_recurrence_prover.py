@@ -163,6 +163,20 @@ class TestCertify:
         assert cert.verdict == "refuted at index 4"
         assert cert.agreed_terms == 3
 
+    def test_agreement_on_d_terms_then_a_later_break_is_refuted(self):
+        # F_k satisfies x^2 - x - 1, whose roots lie in the signed set, so
+        # the sides agree on the first d = 10 terms and only the
+        # annihilation windows see the change at k = 15.
+        spec = RootSetSpec(SIGNED_PHI_POWERS, 2)
+        broken = [fib(k) + (k == 15) for k in range(1, 31)]
+        assert not annihilates(char_poly(spec), broken)
+        for lhs, rhs in ((fib, lambda k: broken[k - 1]), (lambda k: broken[k - 1], fib)):
+            cert = certify_identity("fibonacci-broken", lhs, rhs, spec)
+            assert not cert.certified
+            assert cert.agreed_terms == cert.degree == 10
+            # the first window of 11 terms that holds k = 15 starts at k = 5
+            assert cert.verdict == "refuted at index 5"
+
     def test_mutated_coefficient_refuted_within_degree(self):
         # perturb the constant inside the third-moment closed form
         table = self.table()

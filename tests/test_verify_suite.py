@@ -1,17 +1,17 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
+from nicom import closed_forms as cf
 from nicom.cli import canonical_json
-from nicom.verify_suite import (
-    CLAIM_IDS,
-    PROVABLE_CLAIMS,
-    prove_claim,
-    verify_claim,
-)
+from nicom.verify_suite import CLAIMS, prove_claim, verify_claim
+
+PROVABLE_CLAIMS = [claim for claim, entry in CLAIMS.items() if entry.prove]
 
 
-@pytest.mark.parametrize("claim", CLAIM_IDS)
+@pytest.mark.parametrize("claim", list(CLAIMS))
 def test_every_registered_claim_passes_at_defaults(claim):
     report = verify_claim(claim)
     assert report.passed, report.failures
@@ -22,6 +22,36 @@ def test_unknown_claim_rejected():
         verify_claim("lemma9")
     with pytest.raises(ValueError, match="unknown engine"):
         verify_claim("lemma2", engines=("magic",))
+
+
+@pytest.mark.parametrize("claim, engine", [
+    (claim, engine) for claim, entry in CLAIMS.items() for engine in entry.rows])
+def test_every_supported_engine_checks_the_claim_alone(claim, engine):
+    k_max = min(CLAIMS[claim].kmax, 12)
+    report = verify_claim(claim, k_max=k_max, engines=(engine,))
+    assert report.engines == (engine,)
+    assert not report.skipped
+    if claim.startswith("lemma") and engine == "closed":
+        # the closed form is the lemma's right-hand side: nothing to compare it with
+        assert (report.verdict, report.rows) == ("inconclusive", [])
+    else:
+        assert report.passed, report.failures
+        assert {r.index for r in report.rows} == set(range(CLAIMS[claim].first, k_max + 1))
+
+
+def test_unsupported_engine_names_the_supported_ones():
+    with pytest.raises(ValueError, match="unknown engine 'recursive' for theorem6; "
+                                         "supported: brute, closed"):
+        verify_claim("theorem6", engines=("recursive",))
+
+
+def test_ranges_match_the_benchmark_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert {c: (e.first, e.kmax) for c, e in CLAIMS.items()} == workloads.DEFAULT_RANGES
+    assert {c: (e.first, e.deep_kmax) for c, e in CLAIMS.items()} == workloads.DEEP_RANGES
 
 
 def test_lemma2_brute_and_closed():
@@ -96,6 +126,23 @@ def test_prove_degrees():
         "theorem1/mod4=2": 21,
         "theorem1/mod4=3": 22,
     }
+
+
+@pytest.mark.parametrize("claim, names, closed_indices", [
+    ("lemma2", ["lemma2/A", "lemma2/Aprime"],
+     {"lemma2_a": range(1, 31), "lemma2_a_prime": range(1, 31)}),
+    # k -> 2k and k -> 2k - 1 over 27 terms each: every index 1..54 once
+    ("lemma3", ["lemma3/even", "lemma3/odd"], {"lemma3_a3": range(1, 55)}),
+    ("lemma4", ["lemma4/even", "lemma4/odd"], {"lemma4_a_prime3": range(1, 55)}),
+])
+def test_lemma_certificates_cover_each_index_once(monkeypatch, claim, names, closed_indices):
+    calls = {name: [] for name in ("lemma2_a", "lemma2_a_prime", "lemma3_a3", "lemma4_a_prime3")}
+    for name, seen in calls.items():
+        f = getattr(cf, name)
+        monkeypatch.setattr(cf, name, lambda k, f=f, seen=seen: seen.append(k) or f(k))
+    assert [c.claim for c in prove_claim(claim)] == names
+    assert {name: sorted(ks) for name, ks in calls.items() if ks} == {
+        name: list(ks) for name, ks in closed_indices.items()}
 
 
 def test_prove_custom_window():
