@@ -62,6 +62,8 @@ class MomentTable:
 
     def __init__(self) -> None:
         self._cols: dict[tuple[int, int, bool], list[int]] = {}
+        # (s_max, j_max, prime) -> a fill's lists; they hold columns, which only grow
+        self._plans: dict[tuple[int, int, bool], tuple] = {}
 
     def __len__(self) -> int:
         # every column starts with the empty sums at k = 0, 1, 2
@@ -88,12 +90,16 @@ class MomentTable:
         longer than one below it: the last column of the fill is the
         shortest, and so is the last column of each row.
         """
-        cols = [[self._cols.setdefault((s, j, prime), [0, 0, 0]) for j in range(j_max + 1)]
-                for s in range(s_max + 1)]
-        # below[s][j]: the columns (s - i, j), i = 0..s, that row s reads at k - 2
-        below = [[[cols[s - i][j] for i in range(s + 1)] for j in range(j_max + 1)]
-                 for s in range(s_max + 1)]
-        binom = [[comb(n, i) for i in range(n + 1)] for n in range(max(s_max, j_max) + 1)]
+        plan = self._plans.get((s_max, j_max, prime))
+        if plan is None:
+            cols = [[self._cols.setdefault((s, j, prime), [0, 0, 0]) for j in range(j_max + 1)]
+                    for s in range(s_max + 1)]
+            # below[s][j]: the columns (s - i, j), i = 0..s, that row s reads at k - 2
+            below = [[[cols[s - i][j] for i in range(s + 1)] for j in range(j_max + 1)]
+                     for s in range(s_max + 1)]
+            binom = [[comb(n, i) for i in range(n + 1)] for n in range(max(s_max, j_max) + 1)]
+            plan = self._plans[s_max, j_max, prime] = cols, below, binom
+        cols, below, binom = plan
         k0 = len(cols[-1][-1])
         # F_{k-1} and F_k from the (0, 0) column, the longest one:
         # A(k, 0, 0) = A'(k, 0, 0) = F_k - 1

@@ -128,7 +128,7 @@ def _lemma(kmax: int, moments: list[Moment], closed: list[Callable[[int], int]],
 def _q_diff_rows(engine: str) -> Rows:
     """Q(phi^2, F_K - 1) - Q(phi, F_K - 1) on one engine against the closed value."""
     def rows(K, rhs, table, brute):
-        return [(qratio.q_diff(K, engine=engine, brute=brute), rhs)]
+        return [(qratio.q_diff(K, engine=engine, brute=brute, table=table), rhs)]
 
     return rows
 
@@ -243,25 +243,32 @@ def verify_claim(
     if k_max < lo:
         raise ValueError(f"{claim}: empty index range {lo}..{k_max}; nothing to check")
 
-    row_makers = [entry.rows[eng] for eng in engines]
     table = MomentTable()
     brute = BruteEngine()
     rows: list[IndexResult] = []
     failures: list[dict] = []
     skipped: list[int] = []
     nonzero = False  # some checked row has a nonzero side
+    # an engine that tripped the brute-force guard would trip at every later
+    # index too, as each brute row's m (F_k - 1, F_2k - 1 or m) grows with the
+    # index: its rows are not called again, and the later indices are skipped
+    tripped: set[str] = set()
     for idx in range(lo, k_max + 1):
-        try:
-            closed = entry.rhs(idx)
-            for make_rows in row_makers:
-                for lhs, rhs in make_rows(idx, closed, table, brute):
-                    nonzero = nonzero or lhs != 0 or rhs != 0
-                    equal = lhs == rhs
-                    rows.append(IndexResult(idx, lhs, rhs, equal))
-                    if not equal:
-                        failures.append({"index": idx, "lhs": exact_str(lhs),
-                                         "rhs": exact_str(rhs)})
-        except BruteForceGuardError:
+        closed = entry.rhs(idx)
+        for eng in [e for e in engines if e not in tripped]:
+            try:
+                pairs = list(entry.rows[eng](idx, closed, table, brute))
+            except BruteForceGuardError:
+                tripped.add(eng)
+                continue
+            for lhs, rhs in pairs:
+                nonzero = nonzero or lhs != 0 or rhs != 0
+                equal = lhs == rhs
+                rows.append(IndexResult(idx, lhs, rhs, equal))
+                if not equal:
+                    failures.append({"index": idx, "lhs": exact_str(lhs),
+                                     "rhs": exact_str(rhs)})
+        if tripped:
             skipped.append(idx)
             rows.append(IndexResult(idx, None, None, True, skipped=True))
     if failures:

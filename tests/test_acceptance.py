@@ -7,7 +7,7 @@ lines on stdout.
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 
@@ -15,7 +15,7 @@ from nicom import closed_forms as cf
 from nicom.beatty_floor import epsilon, floor_phi, floor_phi2
 from nicom.fib_lucas import fib, fib_minus_one_factors, lucas
 from nicom.moment_sums import BruteEngine, Moment, MomentTable
-from nicom.qratio import phi_interval, q_diff, q_value
+from nicom.qratio import q_diff, q_value
 from nicom.recurrence_prover import (
     SIGNED_PHI_POWERS,
     RootSetSpec,
@@ -23,6 +23,13 @@ from nicom.recurrence_prover import (
     char_poly,
 )
 from nicom.verify_suite import prove_claim, verify_claim
+
+
+def phi_interval(digits):
+    """Rational bracket lo < phi < hi, accurate to ~``digits`` decimals."""
+    scale = 10**digits
+    r = isqrt(5 * scale * scale)
+    return Fraction(scale + r, 2 * scale), Fraction(scale + r + 1, 2 * scale)
 
 
 def brute_sum(k, s, j=0, prime=False):

@@ -142,6 +142,43 @@ def test_guard_that_leaves_only_empty_sums_is_inconclusive(monkeypatch):
     assert (report.verdict, report.skipped) == ("inconclusive", [])
 
 
+def test_guard_trip_skips_only_the_brute_rows(monkeypatch):
+    monkeypatch.setenv("NICOM_BRUTE_GUARD", "200")  # F_13 - 1 = 232 trips it
+    reports = [verify_suite.verify_claim("theorem1", k_max=16, engines=engines)
+               for engines in [("brute", "recursive"), ("recursive", "brute")]]
+    checked = [sorted((r.index, r.lhs) for r in report.rows if not r.skipped)
+               for report in reports]
+    assert checked[0] == checked[1]
+    # both engines at K = 3..12, the recursive one alone at K = 13..16
+    assert [K for K, _ in checked[0]] == sorted(2 * [*range(3, 13)]) + [13, 14, 15, 16]
+    assert all(report.passed and report.skipped == [13, 14, 15, 16] for report in reports)
+
+
+@pytest.mark.parametrize("claim, k_max, engines", [
+    ("lemma3", 20, ("brute", "recursive")),
+    ("theorem1", 20, ("brute",)),
+    ("theorem6", 12, ("brute", "closed")),
+    ("nicomachus", 1100, ("brute",)),
+])
+def test_guard_trips_once_per_run(monkeypatch, claim, k_max, engines):
+    monkeypatch.setenv("NICOM_BRUTE_GUARD", "1000")
+    trips = []
+    sums = BruteEngine.sums
+
+    def counted(self, m, moments):
+        try:
+            return sums(self, m, moments)
+        except BruteForceGuardError:
+            trips.append(m)
+            raise
+
+    monkeypatch.setattr(BruteEngine, "sums", counted)
+    report = verify_suite.verify_claim(claim, k_max=k_max, engines=engines)
+    assert report.passed
+    assert len(trips) == 1, trips
+    assert report.skipped == list(range(report.skipped[0], k_max + 1))
+
+
 def test_theorem6_brute_sweep_sums_each_term_once(monkeypatch):
     assert _count_terms(monkeypatch, "theorem6", 9, ("brute", "closed")) == fib(18) - 1
 

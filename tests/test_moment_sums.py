@@ -1,7 +1,10 @@
+import importlib
+import pkgutil
 import random
 
 import pytest
 
+import nicom
 from nicom import closed_forms as cf
 from nicom.beatty_floor import floor_phi, floor_phi2
 from nicom.fib_lucas import fib
@@ -169,6 +172,15 @@ def test_fill_order_does_not_matter():
     for _ in range(60):
         k, s, j, prime = rng.randrange(1, 90), rng.randrange(4), rng.randrange(3), rng.random() < 0.5
         assert shared.a(k, s, j, prime) == MomentTable().a(k, s, j, prime), (k, s, j, prime)
+
+
+def test_no_module_holds_an_engine():
+    # an engine instance at module level would be state shared by every caller
+    for info in pkgutil.iter_modules(nicom.__path__):
+        module = importlib.import_module(f"nicom.{info.name}")
+        held = [name for name, value in vars(module).items()
+                if isinstance(value, (MomentTable, BruteEngine))]
+        assert not held, (info.name, held)
 
 
 def test_recursive_matches_closed_forms_at_k_2000():

@@ -1,17 +1,27 @@
 import random
+import sys
+import threading
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
+from nicom.closed_forms import theorem1_rhs
 from nicom.fib_lucas import fib
-from nicom.qratio import (
-    nicomachus_check,
-    phi_interval,
-    q_diff,
-    q_value,
-    sqrt5_interval,
-)
+from nicom.qratio import nicomachus_check, q_diff, q_value
+
+
+def sqrt5_interval(digits):
+    """Rational bracket lo < sqrt(5) < hi, accurate to ~``digits`` decimals."""
+    scale = 10**digits
+    r = isqrt(5 * scale * scale)
+    return Fraction(r, scale), Fraction(r + 1, scale)
+
+
+def phi_interval(digits):
+    """Rational bracket lo < phi < hi, accurate to ~``digits`` decimals."""
+    lo, hi = sqrt5_interval(digits)
+    return (1 + lo) / 2, (1 + hi) / 2
 
 
 def test_q_value_examples():
@@ -42,6 +52,34 @@ def test_q_diff_examples():
     assert q_diff(4) == Fraction(27, 28)
     assert q_diff(6) == Fraction(244, 245)
     assert q_diff(3) == 1
+
+
+def test_q_diff_from_threads():
+    # each call fills its own table, so a thread switch in the middle of a
+    # fill cannot leave another thread's columns half extended
+    rng = random.Random(7)
+    indices = [rng.sample(range(3, 201), 20) for _ in range(4)]
+    results = [None] * len(indices)
+    start = threading.Barrier(len(indices))
+
+    def run(i):
+        start.wait()
+        results[i] = [q_diff(K) for K in indices[i]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(indices))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    for Ks, values in zip(indices, results):
+        assert values is not None  # the thread raised
+        wrong = [K for K, v in zip(Ks, values) if v != theorem1_rhs(K)]
+        assert not wrong, wrong
 
 
 def test_q_diff_rejects_small_indices():

@@ -6,6 +6,7 @@ import pytest
 
 from nicom import closed_forms as cf
 from nicom.cli import canonical_json
+from nicom.moment_sums import MomentTable
 from nicom.verify_suite import CLAIMS, prove_claim, verify_claim
 
 PROVABLE_CLAIMS = [claim for claim, entry in CLAIMS.items() if entry.prove]
@@ -52,6 +53,24 @@ def test_ranges_match_the_benchmark_workloads():
     spec.loader.exec_module(workloads)
     assert {c: (e.first, e.kmax) for c, e in CLAIMS.items()} == workloads.DEFAULT_RANGES
     assert {c: (e.first, e.deep_kmax) for c, e in CLAIMS.items()} == workloads.DEEP_RANGES
+
+
+def test_theorem1_sweep_fills_one_table(monkeypatch):
+    tables = []
+    init = MomentTable.__init__
+
+    def counted(self):
+        init(self)
+        tables.append(self)
+
+    monkeypatch.setattr(MomentTable, "__init__", counted)
+    assert verify_claim("theorem1", k_max=60, engines=("recursive",)).passed
+    monkeypatch.undo()
+    cold = MomentTable()
+    cold.a(60, 3, 0, False)
+    cold.a(60, 3, 0, True)
+    assert len(tables) == 1
+    assert len(tables[0]) == len(cold)
 
 
 def test_lemma2_brute_and_closed():
