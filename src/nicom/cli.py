@@ -80,11 +80,8 @@ def _cmd_verify(args) -> int:
         print(canonical_json(report.to_dict()))
     elif args.format == "csv":
         rows = [["claim", "k", "lhs", "rhs", "equal"]]
-        rows += [
-            [report.claim, r.index, exact_str(r.lhs), exact_str(r.rhs), str(r.equal).lower()]
-            for r in report.rows
-            if not r.skipped
-        ]
+        rows += [[report.claim, r.index, exact_str(r.lhs), exact_str(r.rhs), str(r.equal).lower()]
+                 for r in report.rows]
         _print_csv(rows)
     else:
         lo, hi = report.range
@@ -93,7 +90,7 @@ def _cmd_verify(args) -> int:
         for f in report.failures:
             print(f"  FAIL at {f['index']}: {f['lhs']} != {f['rhs']}")
         if report.skipped:
-            print(f"  skipped (guard): {report.skipped}")
+            print("  skipped (guard): {}..{}".format(*report.skipped))
     if report.verdict == "inconclusive":
         return EXIT_GUARD
     return EXIT_OK if report.passed else EXIT_FAIL

@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 from itertools import repeat
 from math import comb
-from operator import itemgetter, mul
+from operator import mul
 from typing import Iterable, NamedTuple
 
 from .beatty_floor import epsilon, phi_floors
@@ -44,25 +44,27 @@ def brute_guard() -> int:
 class MomentTable:
     """Memoized recursive engine for A(k, s, j) and A'(k, s, j).
 
-    Splitting 1 <= n < F_k at n = F_{k-1} gives, with step = F_k:
+    Splitting 1 <= n < F_k at n = F_{k-1} leaves the block n = F_{k-1} + n',
+    0 <= n' < F_{k-2}, where floor(phi*n) = F_k + g(n'), g(n') = floor(phi*n')
+    for n' >= 1 and g(0) = -eps_{k-1}, as floor(phi*F_{k-1}) = F_k - eps_{k-1}.
+    The moments of g over the block are B(k-2, s, j) = A(k-2, s, j) +
+    [j = 0] (-eps_{k-1})^s, with 0^0 = 1, so with step = F_k
 
-        A(k, s, j) = A(k-1, s, j) + F_{k-1}^j * (step - eps_{k-1})^s
-            + sum_{l,i} C(j,l) C(s,i) F_{k-1}^l step^i A(k-2, s-i, j-l),
+        A(k, s, j) = A(k-1, s, j)
+            + sum_l C(j,l) F_{k-1}^l sum_i C(s,i) step^i B(k-2, s-i, j-l),
 
-    because floor(phi*F_{k-1}) = F_k - eps_{k-1} and
-    floor(phi*(F_{k-1} + n')) = F_k + floor(phi*n') for 1 <= n' < F_{k-2}.
-    The primed sums A'(k, s, j) = sum n^j * floor(phi^2*n)^s follow the same
-    step with A' in place of A and step = F_{k+1}, since floor(phi^2*n) =
-    n + floor(phi*n).  Each moment (s, j, prime) is one column, a list
-    indexed by k; a miss extends only the columns of its downset
-    {(s', j', prime): s' <= s, j' <= j}, each from where it stopped, so
-    every cell is computed once.  Not internally synchronized: confine an
-    instance to one thread.
+    both sums evaluated by Horner's rule, in F_{k-1} and in step.  The primed
+    sums A'(k, s, j) = sum n^j * floor(phi^2*n)^s follow the same step with A'
+    in place of A and step = F_{k+1}, since floor(phi^2*n) = n + floor(phi*n).
+    Each moment (s, j, prime) is one column, a list indexed by k; a miss
+    extends only the columns of its downset {(s', j', prime): s' <= s,
+    j' <= j}, each from where it stopped, so every cell is computed once.
+    Not internally synchronized: confine an instance to one thread.
     """
 
     def __init__(self) -> None:
         self._cols: dict[tuple[int, int, bool], list[int]] = {}
-        # (s_max, j_max, prime) -> a fill's lists; they hold columns, which only grow
+        # (s_max, j_max, prime) -> a fill's columns and reads; the columns only grow
         self._plans: dict[tuple[int, int, bool], tuple] = {}
 
     def __len__(self) -> int:
@@ -86,55 +88,56 @@ class MomentTable:
     def _fill(self, k_max: int, s_max: int, j_max: int, prime: bool) -> None:
         """Extend every column (s, j, prime), s <= s_max and j <= j_max, to k_max.
 
-        A column only ever grows together with its downset, so no column is
-        longer than one below it: the last column of the fill is the
-        shortest, and so is the last column of each row.
+        The cells at k - 2 and k - 1 are held in two flat rows, (s, j) at
+        s * (j_max + 1) + j.  A column only ever grows together with its
+        downset, so none is longer than one below it: (s_max, j) is the
+        shortest with its j.  A longer column is read at k, not recomputed.
         """
         plan = self._plans.get((s_max, j_max, prime))
         if plan is None:
-            cols = [[self._cols.setdefault((s, j, prime), [0, 0, 0]) for j in range(j_max + 1)]
-                    for s in range(s_max + 1)]
-            # below[s][j]: the columns (s - i, j), i = 0..s, that row s reads at k - 2
-            below = [[[cols[s - i][j] for i in range(s + 1)] for j in range(j_max + 1)]
-                     for s in range(s_max + 1)]
-            binom = [[comb(n, i) for i in range(n + 1)] for n in range(max(s_max, j_max) + 1)]
-            plan = self._plans[s_max, j_max, prime] = cols, below, binom
-        cols, below, binom = plan
-        k0 = len(cols[-1][-1])
-        # F_{k-1} and F_k from the (0, 0) column, the longest one:
-        # A(k, 0, 0) = A'(k, 0, 0) = F_k - 1
-        count = cols[0][0]
-        f_prev = count[k0 - 1] + 1
-        f_cur = f_prev + count[k0 - 2] + 1
+            w = j_max + 1
+            cols = [self._cols.setdefault((s, j, prime), [0, 0, 0])
+                    for s in range(s_max + 1) for j in range(w)]
+            # (position, (-eps)^s) of the cells j = 0, indexed by eps
+            bounds = [(0, 1)], [(s * w, (-1) ** s) for s in range(s_max + 1)]
+            # Horner sums: a leading position, then (coefficient, position) pairs.
+            # n' -> F_{k-1} + n' makes (s, j) sum_l C(j,l) F_{k-1}^l (s, j-l), in place
+            # with j descending, and only while the column (s_max, j) needs it
+            shifts = [(s * w + j, cols[s_max * w + j], s * w,
+                       [(comb(j, l), s * w + j - l) for l in range(j - 1, -1, -1)])
+                      for j in range(j_max, 0, -1) for s in range(s_max + 1)]
+            # cell (s, j) adds sum_i C(s,i) step^i (s-i, j) of the shifted block
+            reads = [(j, [(comb(s, i), (s - i) * w + j) for i in range(s - 1, -1, -1)])
+                     for s in range(s_max + 1) for j in range(w)]
+            plan = self._plans[s_max, j_max, prime] = cols, bounds, shifts, reads
+        cols, bounds, shifts, reads = plan
+        k0 = len(cols[-1])
+        # F_{k-1}, F_k from the longest column: A(k, 0, 0) = A'(k, 0, 0) = F_k - 1
+        f_prev = cols[0][k0 - 1] + 1
+        f_cur = f_prev + cols[0][k0 - 2] + 1
+        older = [col[k0 - 2] for col in cols]
+        old = [col[k0 - 1] for col in cols]
         for k in range(k0, k_max + 1):
-            # a step reads only cells at k - 1 and k - 2, so the columns
-            # may be extended in any order
             step = f_prev + f_cur if prime else f_cur
-            step_pow = _powers(step, s_max)
-            bound_pow = _powers(step - epsilon(k - 1), s_max)
-            fm1_pow = _powers(f_prev, j_max)
-            at = itemgetter(k - 2)
-            for s, row in enumerate(cols):
-                if len(row[-1]) > k:
-                    continue
-                # inner[j] = sum_i C(s,i) step^i A(k-2, s-i, j), shared by every column j' >= j
-                inner = [sum(map(mul, binom[s], map(mul, step_pow, map(at, sub))))
-                         for sub in below[s]]
-                for j, col in enumerate(row):
-                    if len(col) == k:
-                        tail = inner[j]
-                        for l in range(1, j + 1):
-                            tail += binom[j][l] * fm1_pow[l] * inner[j - l]
-                        col.append(col[k - 1] + fm1_pow[j] * bound_pow[s] + tail)
+            block = older  # turned into B(k-2) in place: the row at k - 2 is not read again
+            for p, term in bounds[epsilon(k - 1)]:
+                block[p] += term
+            for p, top, first, terms in shifts:
+                if len(top) == k:
+                    u = block[first]
+                    for c, q in terms:
+                        u = u * f_prev + c * block[q]
+                    block[p] = u
+            new = []
+            for col, (first, terms), below in zip(cols, reads, old):
+                if len(col) == k:
+                    u = block[first]
+                    for c, q in terms:
+                        u = u * step + c * block[q]
+                    col.append(below + u)
+                new.append(col[k])
+            older, old = old, new
             f_prev, f_cur = f_cur, f_prev + f_cur
-
-
-def _powers(x: int, n: int) -> list[int]:
-    """[x^0, x^1, ..., x^n]."""
-    out = [1]
-    for _ in range(n):
-        out.append(out[-1] * x)
-    return out
 
 
 class Moment(NamedTuple):

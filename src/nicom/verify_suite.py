@@ -34,15 +34,14 @@ class IndexResult:
     """One compared pair at one index.
 
     ``lhs`` and ``rhs`` hold the exact values compared (int, Fraction or
-    bool), or None on a row the guard skipped; they turn into decimal text
-    only where they are printed.
+    bool); they turn into decimal text only where they are printed.
     """
 
     index: int
     lhs: object
     rhs: object
     equal: bool
-    skipped: bool = False
+    skipped: bool = False  # always False, as a guard trip adds no row; perfbench's tracer reads it
 
 
 @dataclass
@@ -52,7 +51,7 @@ class ClaimReport:
     engines: tuple[str, ...]
     verdict: str
     failures: list[dict]
-    skipped: list[int]
+    skipped: list[int]  # [first, last] index the brute-force guard cut short, or []
     rows: list[IndexResult] = field(repr=False, default_factory=list)
 
     @property
@@ -251,7 +250,7 @@ def verify_claim(
     nonzero = False  # some checked row has a nonzero side
     # an engine that tripped the brute-force guard would trip at every later
     # index too, as each brute row's m (F_k - 1, F_2k - 1 or m) grows with the
-    # index: its rows are not called again, and the later indices are skipped
+    # index: it is not called again, and the sweep ends once all have tripped
     tripped: set[str] = set()
     for idx in range(lo, k_max + 1):
         closed = entry.rhs(idx)
@@ -269,8 +268,9 @@ def verify_claim(
                     failures.append({"index": idx, "lhs": exact_str(lhs),
                                      "rhs": exact_str(rhs)})
         if tripped:
-            skipped.append(idx)
-            rows.append(IndexResult(idx, None, None, True, skipped=True))
+            skipped = skipped or [idx, k_max]
+            if tripped.issuperset(engines):
+                break
     if failures:
         verdict = "fail"
     elif not nonzero:

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -135,7 +136,7 @@ def test_guard_that_leaves_only_empty_sums_is_inconclusive(monkeypatch):
     report = verify_suite.verify_claim("lemma3", engines=("brute",))
     assert report.verdict == "inconclusive"
     assert not report.passed
-    assert report.skipped == list(range(3, 19))
+    assert report.skipped == [3, 18]
     assert report.to_dict()["verdict"] == "inconclusive"
     # with nothing skipped, comparing only the empty sums is inconclusive too
     report = verify_suite.verify_claim("lemma3", k_max=2, engines=("brute",))
@@ -146,12 +147,11 @@ def test_guard_trip_skips_only_the_brute_rows(monkeypatch):
     monkeypatch.setenv("NICOM_BRUTE_GUARD", "200")  # F_13 - 1 = 232 trips it
     reports = [verify_suite.verify_claim("theorem1", k_max=16, engines=engines)
                for engines in [("brute", "recursive"), ("recursive", "brute")]]
-    checked = [sorted((r.index, r.lhs) for r in report.rows if not r.skipped)
-               for report in reports]
+    checked = [sorted((r.index, r.lhs) for r in report.rows) for report in reports]
     assert checked[0] == checked[1]
     # both engines at K = 3..12, the recursive one alone at K = 13..16
     assert [K for K, _ in checked[0]] == sorted(2 * [*range(3, 13)]) + [13, 14, 15, 16]
-    assert all(report.passed and report.skipped == [13, 14, 15, 16] for report in reports)
+    assert all(report.passed and report.skipped == [13, 16] for report in reports)
 
 
 @pytest.mark.parametrize("claim, k_max, engines", [
@@ -176,7 +176,19 @@ def test_guard_trips_once_per_run(monkeypatch, claim, k_max, engines):
     report = verify_suite.verify_claim(claim, k_max=k_max, engines=engines)
     assert report.passed
     assert len(trips) == 1, trips
-    assert report.skipped == list(range(report.skipped[0], k_max + 1))
+    assert len(report.skipped) == 2 and report.skipped[1] == k_max
+
+
+def test_sweep_ends_once_every_engine_has_tripped(monkeypatch):
+    monkeypatch.setenv("NICOM_BRUTE_GUARD", "1000")
+    indices = []
+    rhs = verify_suite.CLAIMS["nicomachus"].rhs
+    monkeypatch.setitem(verify_suite.CLAIMS, "nicomachus", replace(
+        verify_suite.CLAIMS["nicomachus"], rhs=lambda m: indices.append(m) or rhs(m)))
+    report = verify_suite.verify_claim("nicomachus", k_max=200000)
+    assert (report.verdict, report.skipped) == ("pass", [1001, 200000])
+    assert [r.index for r in report.rows] == list(range(1, 1001))
+    assert indices == list(range(1, 1002))  # the trip at 1001 ends the sweep
 
 
 def test_theorem6_brute_sweep_sums_each_term_once(monkeypatch):

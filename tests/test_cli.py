@@ -246,6 +246,18 @@ def test_verify_nicomachus_sums_each_term_once(capsys, monkeypatch):
     assert [e.terms for e in engines] == [1000]
 
 
+def test_verify_reports_skipped_indices_as_one_range(capsys, monkeypatch):
+    monkeypatch.setenv("NICOM_BRUTE_GUARD", "1000")
+    argv = ("verify", "--claim", "nicomachus", "--kmax", "200000")
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert out.splitlines()[1] == "  skipped (guard): 1001..200000"
+    assert len(out) < 1024
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert json.loads(out)["skipped"] == [1001, 200000]
+    assert len(out) < 1024
+
+
 def test_verify_left_inconclusive_by_the_guard(capsys, monkeypatch):
     monkeypatch.setenv("NICOM_BRUTE_GUARD", "0")
     code, out, _ = run(capsys, "verify", "--claim", "lemma3", "--engines", "brute")

@@ -1,6 +1,7 @@
 import importlib
 import pkgutil
 import random
+from math import comb
 
 import pytest
 
@@ -169,9 +170,56 @@ def test_fill_order_does_not_matter():
     # a miss extends columns of different lengths, each from where it stopped
     rng = random.Random(7)
     shared = MomentTable()
-    for _ in range(60):
-        k, s, j, prime = rng.randrange(1, 90), rng.randrange(4), rng.randrange(3), rng.random() < 0.5
+    for _ in range(300):
+        k, s, j = rng.randrange(1, 150), rng.randrange(4), rng.randrange(4)
+        prime = rng.random() < 0.5
         assert shared.a(k, s, j, prime) == MomentTable().a(k, s, j, prime), (k, s, j, prime)
+    # and every column is a cold fill's as a whole, so a wrong cell no request read shows too
+    for (s, j, prime), col in shared._cols.items():
+        cold = MomentTable()
+        cold.a(len(col) - 1, s, j, prime)
+        assert cold._cols[s, j, prime] == col, (s, j, prime)
+
+
+def unfolded_columns(k_max, n_max, prime):
+    """Independent oracle: the step with the boundary term n = F_{k-1} kept apart.
+
+    A(k, s, j) = A(k-1, s, j) + F_{k-1}^j * floor(alpha*F_{k-1})^s
+        + sum_{l,i} C(j,l) C(s,i) F_{k-1}^l step^i A(k-2, s-i, j-l),
+    step = F_{k+1} if prime else F_k, with every power formed explicitly;
+    the columns (s, j), s + j <= n_max, as lists indexed by k.
+    """
+    floor = floor_phi2 if prime else floor_phi
+    cols = {(s, j): [0, 0, 0] for s in range(n_max + 1) for j in range(n_max + 1 - s)}
+    for k in range(3, k_max + 1):
+        f = fib(k - 1)
+        step = fib(k + 1) if prime else fib(k)
+        for (s, j), col in cols.items():
+            block = sum(comb(j, l) * comb(s, i) * f**l * step**i * cols[s - i, j - l][k - 2]
+                        for l in range(j + 1) for i in range(s + 1))
+            col.append(col[k - 1] + f**j * floor(f) ** s + block)
+    return cols
+
+
+@pytest.mark.parametrize("prime", [False, True])
+def test_folded_step_matches_unfolded_oracle(prime):
+    K = 300
+    table = MomentTable()
+    for (s, j), col in unfolded_columns(K, 5, prime).items():
+        assert [table.a(k, s, j, prime) for k in range(1, K + 1)] == col[1:], (s, j)
+
+
+@pytest.mark.parametrize("k0", [40, 41])  # g(0) = -eps_{k0-1}: 0 at even k0, -1 at odd k0
+@pytest.mark.parametrize("prime", [False, True])
+def test_resumed_fill_matches_cold_fill(k0, prime):
+    K = 120
+    resumed = MomentTable()
+    resumed.a(k0 - 1, 3, 2, prime)
+    assert len(resumed._cols[3, 2, prime]) == k0  # the next fill starts at k0
+    resumed.a(K, 3, 2, prime)
+    cold = MomentTable()
+    cold.a(K, 3, 2, prime)
+    assert resumed._cols == cold._cols
 
 
 def test_no_module_holds_an_engine():

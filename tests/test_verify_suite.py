@@ -97,9 +97,9 @@ def test_deep_extends_case4l_range():
 
 def test_guard_exceeded_marks_skips():
     report = verify_claim("lemma2", k_max=35, engines=("brute",))
-    assert report.skipped  # F_31 - 1 exceeds the 10^6 term guard
+    assert report.skipped == [31, 35]  # F_31 - 1 exceeds the 10^6 term guard
     assert report.passed  # skipped indices are not failures
-    assert all(i > 30 for i in report.skipped)
+    assert not any(r.skipped for r in report.rows)  # a trip adds no row
 
 
 def test_report_dict_schema():
