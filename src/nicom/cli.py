@@ -46,15 +46,7 @@ def _compute_value(sum_kind: str, k: int, s: int, j: int, engine: str) -> int:
         return BruteEngine().sums(fib(k) - 1, [Moment(s, j, prime)])[0]
     if engine == "rec":
         return MomentTable().a(k, s, j, prime)
-    if j != 0:
-        raise UsageError("closed engine supports --j 0 only")
-    if s == 0:
-        return fib(k) - 1
-    if s == 1:
-        return cf.lemma2_a_prime(k) if prime else cf.lemma2_a(k)
-    if s == 3:
-        return cf.lemma4_a_prime3(k) if prime else cf.lemma3_a3(k)
-    raise UsageError(f"closed engine supports --s in {{0, 1, 3}} for {sum_kind}")
+    return cf.moment(k, s, j, prime)
 
 
 def _cmd_compute(args) -> int:

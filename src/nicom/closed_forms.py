@@ -94,6 +94,22 @@ def lemma4_a_prime3(k: int) -> int:
     return _a3_prime(k, _moment_run(k))
 
 
+def moment(k: int, s: int, j: int = 0, prime: bool = False) -> int:
+    """The closed engine: A(k, s, j), or A'(k, s, j) with ``prime``.
+
+    It covers j = 0 and s in {0, 1, 3} (F_k - 1, Lemma 2, Lemmas 3 and 4) and
+    looks each evaluator up when it runs, so a rebinding of one reaches it.
+    """
+    if j != 0 or s not in (0, 1, 3):
+        raise ValueError(f"closed engine supports j = 0 and s in {{0, 1, 3}}, "
+                         f"got s = {s}, j = {j}")
+    if s == 0:
+        return _moment_run(k)[1] - 1  # F_k - 1
+    if s == 1:
+        return lemma2_a_prime(k) if prime else lemma2_a(k)
+    return lemma4_a_prime3(k) if prime else lemma3_a3(k)
+
+
 def theorem1_num_den(K: int) -> tuple[int, int]:
     """Numerator and denominator of the defect 1 - Q-difference at m = F_K - 1.
 
@@ -156,7 +172,7 @@ def theorem6_rhs(k: int) -> int:
     return _exact_div(num, 2)
 
 
-def theorem1_identity_sides(K: int) -> tuple[int, int]:
+def theorem1_identity_sides(K: int, a=None) -> tuple[int, int]:
     """Both sides of the cross-multiplied, denominator-free Q-difference identity.
 
     With num/den = theorem1_num_den(K), A1 = A(K,1), A3 = A(K,3) and the
@@ -166,12 +182,15 @@ def theorem1_identity_sides(K: int) -> tuple[int, int]:
         den * (A'3 * A1^2 - A3 * A'1^2) = A1^2 * A'1^2 * (den - num).
 
     Returns (left side, right side) as exact integers; they are equal iff
-    the closed-form Q-difference is correct at K.  The four moments share
-    one Fibonacci run at K, and num/den takes one near K/2.
+    the closed-form Q-difference is correct at K.  The moments come from an
+    engine's ``a``, or else one Fibonacci run at K; num/den takes one near K/2.
     """
     num, den = theorem1_num_den(K)
-    f = _moment_run(K)
-    a1, a1p, a3, a3p = _a1(f), _a1_prime(f), _a3(K, f), _a3_prime(K, f)
+    if a is None:
+        f = _moment_run(K)
+        a1, a1p, a3, a3p = _a1(f), _a1_prime(f), _a3(K, f), _a3_prime(K, f)
+    else:
+        a1, a1p, a3, a3p = (a(K, s, 0, prime) for s in (1, 3) for prime in (False, True))
     lhs = den * (a3p * a1 * a1 - a3 * a1p * a1p)
     rhs = a1 * a1 * a1p * a1p * (den - num)
     return lhs, rhs

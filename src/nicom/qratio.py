@@ -20,8 +20,8 @@ from .moment_sums import BruteEngine, Moment, MomentTable
 PHI = "phi"
 PHI2 = "phi2"
 _ALPHAS = (PHI, PHI2)
-# the (cube sum, plain sum) moments of each alpha for the brute engine
-_BRUTE_MOMENTS = {a: (Moment(3, prime=a == PHI2), Moment(1, prime=a == PHI2)) for a in _ALPHAS}
+# the (cube sum, plain sum) moments of each alpha
+_MOMENTS = {a: (Moment(3, prime=a == PHI2), Moment(1, prime=a == PHI2)) for a in _ALPHAS}
 _NICOMACHUS_MOMENTS = (Moment(0, 3), Moment(0, 1))  # sum n^3, sum n
 
 
@@ -33,14 +33,21 @@ def _fib_index_of(m: int) -> int | None:
     return k if f - 1 == m else None
 
 
-def _sums_at_fib_index(alpha: str, K: int, engine: str, table: MomentTable) -> tuple[int, int]:
-    """(cube sum, plain sum) over n = 1..F_K-1: closed forms or the recursive engine."""
-    if engine == "closed":
-        if alpha == PHI:
-            return closed_forms.lemma3_a3(K), closed_forms.lemma2_a(K)
-        return closed_forms.lemma4_a_prime3(K), closed_forms.lemma2_a_prime(K)
-    prime = alpha == PHI2
-    return table.a(K, 3, 0, prime), table.a(K, 1, 0, prime)
+def _sums(moments: tuple[Moment, ...], engine: str, K: int | None, m: int | None,
+          brute: BruteEngine | None, table: MomentTable | None) -> list[int]:
+    """The sums of ``moments`` from one engine; m is F_K - 1 when K is given.
+
+    The brute engine, or any engine when K is None, sums up to m (or F_K - 1
+    when m is None); the closed and recursive engines read the sums at K
+    through their ``a``.
+    """
+    if engine not in ("auto", "brute", "recursive", "closed"):
+        raise ValueError(f"unknown engine {engine!r}")
+    if engine == "brute" or K is None:
+        return (brute or BruteEngine()).sums(fib(K) - 1 if m is None else m, moments)
+    table = MomentTable() if table is None else table  # "is None": an empty table is falsy
+    a = closed_forms.moment if engine == "closed" else table.a
+    return [a(K, s, j, prime) for s, j, prime in moments]
 
 
 def q_value(alpha: str, m: int, engine: str = "auto", brute: BruteEngine | None = None) -> Fraction:
@@ -49,15 +56,10 @@ def q_value(alpha: str, m: int, engine: str = "auto", brute: BruteEngine | None 
         raise ValueError(f"alpha must be one of {_ALPHAS}, got {alpha!r}")
     if m < 1:
         raise ValueError(f"Q undefined at m = {m}")
-    if engine not in ("auto", "brute", "recursive", "closed"):
-        raise ValueError(f"unknown engine {engine!r}")
     K = None if engine == "brute" else _fib_index_of(m)
     if K is None and engine in ("recursive", "closed"):
         raise ValueError(f"engine {engine!r} needs m of the form F_K - 1, got m = {m}")
-    if K is None:
-        cubes, plain = (brute or BruteEngine()).sums(m, _BRUTE_MOMENTS[alpha])
-    else:
-        cubes, plain = _sums_at_fib_index(alpha, K, engine, MomentTable())
+    cubes, plain = _sums(_MOMENTS[alpha], engine, K, m, brute, None)
     return Fraction(cubes, plain * plain)
 
 
@@ -66,14 +68,7 @@ def q_diff(K: int, engine: str = "auto", brute: BruteEngine | None = None,
     """Q(phi^2, F_K - 1) - Q(phi, F_K - 1), exact, for K >= 3, from ``table`` or ``brute``."""
     if K < 3:
         raise ValueError(f"q_diff needs K >= 3 (so m = F_K - 1 >= 1), got {K}")
-    if engine == "brute":
-        moments = _BRUTE_MOMENTS[PHI2] + _BRUTE_MOMENTS[PHI]
-        c2, p2, c1, p1 = (brute or BruteEngine()).sums(fib(K) - 1, moments)
-    else:
-        # "is None", not "or": an empty table has len 0 and is falsy
-        table = MomentTable() if table is None else table
-        c2, p2 = _sums_at_fib_index(PHI2, K, engine, table)
-        c1, p1 = _sums_at_fib_index(PHI, K, engine, table)
+    c2, p2, c1, p1 = _sums(_MOMENTS[PHI2] + _MOMENTS[PHI], engine, K, None, brute, table)
     return Fraction(c2, p2 * p2) - Fraction(c1, p1 * p1)
 
 

@@ -94,9 +94,8 @@ class Claim:
     prove: Callable[[MomentTable], list[tuple]] | None = None
 
 
-def _lemma(kmax: int, moments: list[Moment], closed: list[Callable[[int], int]],
-           spec: RootSetSpec, split: bool = False) -> Claim:
-    """A lemma: each of ``moments`` at k equals its closed form, k -> value.
+def _lemma(kmax: int, moments: list[Moment], spec: RootSetSpec, split: bool = False) -> Claim:
+    """A lemma: each of ``moments`` at k equals its closed form ``cf.moment``.
 
     The brute and recursive engines each compare their sums with the closed
     forms; the closed engine is the right-hand side itself and adds no row.
@@ -110,18 +109,17 @@ def _lemma(kmax: int, moments: list[Moment], closed: list[Callable[[int], int]],
         return zip([table.a(k, *mo) for mo in moments], rhs)
 
     def prove(table):
-        def job(name, mo, f, at):
-            return name, lambda k: table.a(at(k), *mo), lambda k: f(at(k)), spec
+        def job(name, mo, at):
+            return name, lambda k: table.a(at(k), *mo), lambda k: cf.moment(at(k), *mo), spec
 
         if split:
-            (mo,), (f,) = moments, closed
-            return [job("even", mo, f, lambda k: 2 * k), job("odd", mo, f, lambda k: 2 * k - 1)]
-        return [job("Aprime" if mo.prime else "A", mo, f, lambda k: k)
-                for mo, f in zip(moments, closed)]
+            (mo,) = moments
+            return [job("even", mo, lambda k: 2 * k), job("odd", mo, lambda k: 2 * k - 1)]
+        return [job("Aprime" if mo.prime else "A", mo, lambda k: k) for mo in moments]
 
     rows = {"brute": brute_rows, "recursive": recursive_rows, "closed": lambda *_: ()}
     return Claim(1, kmax, kmax, rows, tuple(rows),
-                 rhs=lambda k: [f(k) for f in closed], prove=prove)
+                 rhs=lambda k: [cf.moment(k, *mo) for mo in moments], prove=prove)
 
 
 def _q_diff_rows(engine: str) -> Rows:
@@ -163,16 +161,12 @@ def _theorem6_brute(k, rhs, table, brute):
 
 
 def _theorem6_closed(k, rhs, table, brute):
-    return [(lcm(cf.lemma2_a(2 * k), cf.lemma2_a_prime(2 * k)), rhs)]
+    return [(lcm(cf.moment(2 * k, 1), cf.moment(2 * k, 1, 0, True)), rhs)]
 
 
 def _case4l_recursive(l, rhs, table, brute):
     """The denominator-free identity at K = 4l with the recurrence engine's moments."""
-    K = 4 * l
-    num, den = cf.theorem1_num_den(K)
-    a1, a1p = table.a(K, 1, 0), table.a(K, 1, 0, True)
-    a3, a3p = table.a(K, 3, 0), table.a(K, 3, 0, True)
-    return [(den * (a3p * a1 * a1 - a3 * a1p * a1p), a1 * a1 * a1p * a1p * (den - num))]
+    return [cf.theorem1_identity_sides(4 * l, table.a)]
 
 
 def _case4l_closed(l, rhs, table, brute):
@@ -195,15 +189,11 @@ def _fact_rows(l, rhs, table, brute):
 # rebinding of a closed form reaches every claim that reads it.
 CLAIMS: dict[str, Claim] = {
     # the first moments certify on the 10-element signed root set
-    "lemma2": _lemma(10, [Moment(1), Moment(1, prime=True)],
-                     [lambda k: cf.lemma2_a(k), lambda k: cf.lemma2_a_prime(k)],
-                     RootSetSpec(SIGNED_PHI_POWERS, 2)),
+    "lemma2": _lemma(10, [Moment(1), Moment(1, prime=True)], RootSetSpec(SIGNED_PHI_POWERS, 2)),
     # the third moments split by parity, 9 indices per class by default, and
     # certify on the 9-element even-power set
-    "lemma3": _lemma(18, [Moment(3)], [lambda k: cf.lemma3_a3(k)],
-                     RootSetSpec(EVEN_PHI_POWERS, 4), split=True),
-    "lemma4": _lemma(18, [Moment(3, prime=True)], [lambda k: cf.lemma4_a_prime3(k)],
-                     RootSetSpec(EVEN_PHI_POWERS, 4), split=True),
+    "lemma3": _lemma(18, [Moment(3)], RootSetSpec(EVEN_PHI_POWERS, 4), split=True),
+    "lemma4": _lemma(18, [Moment(3, prime=True)], RootSetSpec(EVEN_PHI_POWERS, 4), split=True),
     "theorem1": Claim(3, 30, 100, {e: _q_diff_rows(e) for e in ("brute", "recursive", "closed")},
                       ("recursive", "closed"), lambda K: cf.theorem1_rhs(K), _theorem1_jobs),
     "theorem6": Claim(1, 60, 60, {"brute": _theorem6_brute, "closed": _theorem6_closed},
@@ -223,10 +213,11 @@ def verify_claim(
 ) -> ClaimReport:
     """Check one claim index by index; exact equality at every index.
 
-    An engine the claim does not support is a ValueError.  The verdict is
-    "fail" on any unequal row, "inconclusive" when no row checked has a
-    nonzero side (no row at all, only the empty sums at k <= 2, or only
-    those the brute-force guard left), and "pass" otherwise.
+    An engine the claim does not support, or one listed twice, is a
+    ValueError.  The verdict is "fail" on any unequal row, "inconclusive"
+    when no row checked has a nonzero side (no row at all, only the empty
+    sums at k <= 2, or only those the brute-force guard left), and "pass"
+    otherwise.
     """
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; known: {', '.join(CLAIMS)}")
@@ -239,6 +230,8 @@ def verify_claim(
         if eng not in entry.rows:
             raise ValueError(f"unknown engine {eng!r} for {claim}; "
                              f"supported: {', '.join(entry.rows)}")
+        if engines.count(eng) > 1:
+            raise ValueError(f"engine {eng!r} is listed more than once for {claim}")
     if k_max < lo:
         raise ValueError(f"{claim}: empty index range {lo}..{k_max}; nothing to check")
 

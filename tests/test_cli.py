@@ -306,6 +306,12 @@ def test_verify_with_an_unsupported_engine_is_a_usage_error(capsys, argv, suppor
     assert err.strip().endswith(f"supported: {supported}")
 
 
+def test_verify_with_a_repeated_engine_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--claim", "lemma2", "--engines", "brute,brute")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: engine 'brute' is listed more than once for lemma2\n"
+
+
 def test_claim_choices_come_from_the_registry(capsys, monkeypatch):
     entry = verify_suite.CLAIMS["lemma2"]
     monkeypatch.setitem(verify_suite.CLAIMS, "lemma2-copy", entry)

@@ -5,7 +5,7 @@ import pytest
 
 from nicom import closed_forms as cf
 from nicom.fib_lucas import fib
-from nicom.moment_sums import BruteEngine, Moment
+from nicom.moment_sums import BruteEngine, Moment, MomentTable
 from nicom.qratio import q_diff
 
 
@@ -52,6 +52,24 @@ def test_index_guards():
                cf.theorem6_rhs):
         with pytest.raises(ValueError):
             fn(0)
+
+
+def test_moment_matches_the_recurrence_engine():
+    table = MomentTable()
+    for k in range(1, 301):
+        for s in (0, 1, 3):
+            for prime in (False, True):
+                assert cf.moment(k, s, 0, prime) == table.a(k, s, 0, prime), (k, s, prime)
+
+
+@pytest.mark.parametrize("prime", [False, True])
+def test_moment_rejects_what_it_does_not_cover(prime):
+    for s, j in ((2, 0), (1, 1), (4, 0)):
+        with pytest.raises(ValueError, match="closed engine supports j = 0 and s in"):
+            cf.moment(5, s, j, prime)
+    for s in (0, 1, 3):
+        with pytest.raises(ValueError, match="index must be >= 1"):
+            cf.moment(0, s, 0, prime)
 
 
 def test_theorem1_rhs_examples():

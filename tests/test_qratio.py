@@ -88,6 +88,14 @@ def test_q_diff_rejects_small_indices():
             q_diff(K)
 
 
+@pytest.mark.parametrize("engine", ["clsoed", "rec", ""])
+def test_q_value_and_q_diff_reject_an_unknown_engine(engine):
+    with pytest.raises(ValueError, match=f"unknown engine {engine!r}"):
+        q_diff(10, engine=engine)
+    with pytest.raises(ValueError, match=f"unknown engine {engine!r}"):
+        q_value("phi", fib(10) - 1, engine=engine)
+
+
 def test_nicomachus():
     assert nicomachus_check(1)
     assert nicomachus_check(3)
