@@ -16,13 +16,11 @@ from .moment_sums import BruteEngine, BruteForceGuardError, Moment, MomentTable
 from .qratio import nicomachus_check, q_diff, q_value
 from .recurrence_prover import (
     Certificate,
-    GoldenNumber,
     IntPolynomial,
     RootSetSpec,
     annihilates,
     certify_identity,
     char_poly,
-    golden_power,
 )
 from .verify_suite import ClaimReport, prove_claim, verify_claim
 

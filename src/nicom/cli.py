@@ -64,7 +64,7 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    engines = tuple(args.engines.split(",")) if args.engines else None
+    engines = tuple(args.engines.split(",")) if args.engines is not None else None
     report = verify_suite.verify_claim(
         args.claim, k_max=args.kmax, engines=engines, deep=args.deep
     )

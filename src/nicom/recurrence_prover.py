@@ -5,9 +5,11 @@ simple and lie in a known finite set of golden-ratio powers are identical
 as soon as they agree on d consecutive terms, where d is the size of the
 root set.  This module supplies
 
-* exact arithmetic in Z[phi] (numbers a + b*phi, phi^2 = phi + 1),
-* characteristic polynomials expanded from symbolic root-set specs
-  (the expansions are Galois-stable, so coefficients land in Z),
+* root sets of signed golden-ratio powers, each root sign*phi^l held as
+  the pair (sign, l),
+* their characteristic polynomials, expanded over Z: a root sign*phi^l
+  and its conjugate sign*(-1)^l*phi^(-l) are the two roots of the integer
+  quadratic x^2 - sign*L_l*x + (-1)^l,
 * an annihilation check (does a polynomial, read as a shift recurrence,
   kill a window of terms?), and
 * ``certify_identity``, which packages the d initial agreements plus
@@ -19,7 +21,9 @@ The containment of the roots in the specified set is structural input
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+
+from .fib_lucas import lucas
 
 # Root-set shapes.  Bound B parameterizes each family:
 #   signed-phi-powers:    {+phi^l, -phi^l : |l| <= B}         (2(2B+1) roots)
@@ -40,51 +44,6 @@ _SHAPES = (
 
 
 @dataclass(frozen=True)
-class GoldenNumber:
-    """Element a + b*phi of the ring Z[phi]."""
-
-    a: int
-    b: int
-
-    def __add__(self, other: GoldenNumber) -> GoldenNumber:
-        return GoldenNumber(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: GoldenNumber) -> GoldenNumber:
-        return GoldenNumber(self.a - other.a, self.b - other.b)
-
-    def __neg__(self) -> GoldenNumber:
-        return GoldenNumber(-self.a, -self.b)
-
-    def __mul__(self, other: GoldenNumber) -> GoldenNumber:
-        # (a + b*phi)(c + d*phi) with phi^2 = phi + 1
-        a, b, c, d = self.a, self.b, other.a, other.b
-        return GoldenNumber(a * c + b * d, a * d + b * c + b * d)
-
-    @property
-    def is_integer(self) -> bool:
-        return self.b == 0
-
-
-GOLDEN_ZERO = GoldenNumber(0, 0)
-GOLDEN_ONE = GoldenNumber(1, 0)
-GOLDEN_PHI = GoldenNumber(0, 1)
-GOLDEN_PHI_INV = GoldenNumber(-1, 1)  # 1/phi = phi - 1
-
-
-def golden_power(l: int) -> GoldenNumber:
-    """Exact phi^l in Z[phi], any integer l (phi^-1 = phi - 1)."""
-    base = GOLDEN_PHI if l >= 0 else GOLDEN_PHI_INV
-    e = abs(l)
-    result = GOLDEN_ONE
-    while e:
-        if e & 1:
-            result = result * base
-        base = base * base
-        e >>= 1
-    return result
-
-
-@dataclass(frozen=True)
 class RootSetSpec:
     """Symbolic description of a finite set of golden-ratio-power roots."""
 
@@ -99,27 +58,20 @@ class RootSetSpec:
         if self.shape == TWICE_ODD_PHI_POWERS and self.bound % 2 == 0:
             raise ValueError("twice-odd-phi-powers needs an odd bound")
 
-    def roots(self) -> list[GoldenNumber]:
+    def roots(self) -> list[tuple[int, int]]:
+        """The roots as (sign, l) pairs, each standing for sign * phi^l."""
         b = self.bound
         if self.shape == SIGNED_PHI_POWERS:
-            out = []
-            for l in range(-b, b + 1):
-                p = golden_power(l)
-                out.extend((p, -p))
-            return out
+            return [(sign, l) for l in range(-b, b + 1) for sign in (1, -1)]
         if self.shape == EVEN_PHI_POWERS:
-            return [golden_power(2 * l) for l in range(-b, b + 1)]
+            return [(1, 2 * l) for l in range(-b, b + 1)]
         if self.shape == QUARTIC_PHI_POWERS:
-            return [golden_power(4 * l) for l in range(-b, b + 1)]
-        return [golden_power(2 * l) for l in range(-b, b + 1) if l % 2]
+            return [(1, 4 * l) for l in range(-b, b + 1)]
+        return [(1, 2 * l) for l in range(-b, b + 1) if l % 2]
 
     @property
     def cardinality(self) -> int:
-        if self.shape == SIGNED_PHI_POWERS:
-            return 2 * (2 * self.bound + 1)
-        if self.shape == TWICE_ODD_PHI_POWERS:
-            return self.bound + 1
-        return 2 * self.bound + 1
+        return len(self.roots())
 
 
 @dataclass(frozen=True)
@@ -138,26 +90,36 @@ class IntPolynomial:
 
 
 def char_poly(spec: RootSetSpec) -> IntPolynomial:
-    """Expand prod (x - alpha) over the spec's root set.
+    """Expand prod (x - alpha) over the spec's root set, in Z[x].
 
-    The families above are stable under the conjugation phi -> 1 - phi, so
-    every coefficient must have zero phi-part; a nonzero phi-part means an
-    internal bug and raises.
+    A root sign*phi^l with l > 0 gives the factor x^2 - sign*L_l*x + (-1)^l,
+    whose other root is its conjugate (sign*(-1)^l, -l), skipped when met;
+    a root sign*phi^0 gives x - sign.  A root whose conjugate is not in the
+    set would leave coefficients outside Z; that means an internal bug and
+    raises.
     """
-    coeffs: list[GoldenNumber] = [GOLDEN_ONE]
-    for root in spec.roots():
-        nxt = [GOLDEN_ZERO] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] = nxt[i + 1] + c
-            nxt[i] = nxt[i] - root * c
-        coeffs = nxt
-    for i, c in enumerate(coeffs):
-        if not c.is_integer:
+    roots = spec.roots()
+    present = set(roots)
+    coeffs = [1]
+    for sign, l in roots:
+        odd = l % 2
+        if (-sign if odd else sign, -l) not in present:
             raise ArithmeticError(
-                f"root set {spec} is not Galois-stable: coefficient {i} "
-                f"has phi-part {c.b}"
+                f"root set {spec} is not Galois-stable: the conjugate of "
+                f"{sign}*phi^{l} is missing"
             )
-    return IntPolynomial(tuple(c.a for c in coeffs))
+        if l > 0:
+            factor = (-1 if odd else 1, -sign * lucas(l), 1)
+        elif l == 0:
+            factor = (-sign, 1)
+        else:
+            continue
+        nxt = [0] * (len(coeffs) + len(factor) - 1)
+        for i, c in enumerate(coeffs):
+            for j, f in enumerate(factor):
+                nxt[i + j] += c * f
+        coeffs = nxt
+    return IntPolynomial(tuple(coeffs))
 
 
 def annihilates(p: IntPolynomial, terms: list[int]) -> bool:
@@ -203,16 +165,7 @@ class Certificate:
         return self.verdict == "certified"
 
     def to_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "shape": self.shape,
-            "bound": self.bound,
-            "degree": self.degree,
-            "agreed_terms": self.agreed_terms,
-            "window": self.window,
-            "verdict": self.verdict,
-            "root_containment": self.root_containment,
-        }
+        return asdict(self)
 
 
 def certify_identity(

@@ -298,6 +298,7 @@ def test_verify_theorem1_checks_every_default_engine(capsys, monkeypatch):
     (("nicomachus", "--engines", "closed", "--kmax", "10"), "brute"),
     (("fact-identities", "--engines", "brute"), "closed"),
     (("lemma2", "--engines", "brute,magic"), "brute, recursive, closed"),
+    (("lemma2", "--engines", ""), "brute, recursive, closed"),
 ])
 def test_verify_with_an_unsupported_engine_is_a_usage_error(capsys, argv, supported):
     code, out, err = run(capsys, "verify", "--claim", *argv)

@@ -2,47 +2,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nicom import closed_forms as cf
-from nicom.fib_lucas import fib
+from nicom.fib_lucas import fib, lucas
 from nicom.moment_sums import MomentTable
 from nicom.recurrence_prover import (
     EVEN_PHI_POWERS,
     QUARTIC_PHI_POWERS,
     SIGNED_PHI_POWERS,
     TWICE_ODD_PHI_POWERS,
-    GoldenNumber,
     IntPolynomial,
     RootSetSpec,
     annihilates,
     certify_identity,
     char_poly,
-    golden_power,
 )
-
-
-class TestGoldenNumber:
-    def test_defining_relation(self):
-        phi = GoldenNumber(0, 1)
-        assert phi * phi == GoldenNumber(1, 1)  # phi^2 = 1 + phi
-
-    def test_power_examples(self):
-        assert golden_power(2) == GoldenNumber(1, 1)
-        assert golden_power(0) == GoldenNumber(1, 0)
-        assert golden_power(-2) == GoldenNumber(2, -1)
-
-    def test_power_of_negative_exponent_inverts(self):
-        for l in range(-8, 9):
-            assert golden_power(l) * golden_power(-l) == GoldenNumber(1, 0)
-
-    def test_powers_carry_fibonacci_coefficients(self):
-        # phi^n = F_{n-1} + F_n * phi
-        for n in range(1, 30):
-            assert golden_power(n) == GoldenNumber(fib(n - 1), fib(n))
-
-    @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50),
-           st.integers(-50, 50))
-    def test_multiplication_commutes(self, a, b, c, d):
-        x, y = GoldenNumber(a, b), GoldenNumber(c, d)
-        assert x * y == y * x
 
 
 class TestRootSetSpec:
@@ -97,6 +69,52 @@ class TestCharPoly:
             assert coeffs == tuple(reversed(coeffs)) or coeffs == tuple(
                 -c for c in reversed(coeffs)
             )
+
+
+def trace(sign, l, count):
+    """sign^k * L_{lk}, k = 1..count: the power sums of sign*phi^l and its conjugate."""
+    return [sign ** k * lucas(l * k) for k in range(1, count + 1)]
+
+
+class TestCharPolyRoots:
+    # the four bounds the claims use, and a few small ones
+    @pytest.mark.parametrize("shape, bound", [
+        (SIGNED_PHI_POWERS, 2),
+        (EVEN_PHI_POWERS, 4),
+        (QUARTIC_PHI_POWERS, 10),
+        (TWICE_ODD_PHI_POWERS, 21),
+        *((shape, b) for shape in (SIGNED_PHI_POWERS, EVEN_PHI_POWERS, QUARTIC_PHI_POWERS)
+          for b in (0, 1, 3)),
+        (TWICE_ODD_PHI_POWERS, 1),
+        (TWICE_ODD_PHI_POWERS, 3),
+    ])
+    def test_every_root_is_a_root(self, shape, bound):
+        spec = RootSetSpec(shape, bound)
+        p = char_poly(spec)
+        for sign, l in spec.roots():
+            if l >= 0:
+                assert annihilates(p, trace(sign, l, p.degree + 5)), (sign, l)
+
+    @pytest.mark.parametrize("shape, bound, sign, l", [
+        (SIGNED_PHI_POWERS, 2, 1, 3),
+        (SIGNED_PHI_POWERS, 2, -1, 3),
+        (EVEN_PHI_POWERS, 4, 1, 10),
+        (EVEN_PHI_POWERS, 4, 1, 1),
+        (EVEN_PHI_POWERS, 4, -1, 2),
+        (QUARTIC_PHI_POWERS, 10, 1, 44),
+        (QUARTIC_PHI_POWERS, 10, 1, 2),
+        (TWICE_ODD_PHI_POWERS, 21, 1, 4),
+        (TWICE_ODD_PHI_POWERS, 21, 1, 0),
+        (TWICE_ODD_PHI_POWERS, 21, 1, 46),
+    ])
+    def test_a_root_just_outside_is_not(self, shape, bound, sign, l):
+        p = char_poly(RootSetSpec(shape, bound))
+        assert not annihilates(p, trace(sign, l, p.degree + 5))
+
+    def test_a_root_without_its_conjugate_raises(self, monkeypatch):
+        monkeypatch.setattr(RootSetSpec, "roots", lambda self: [(1, 1)])
+        with pytest.raises(ArithmeticError):
+            char_poly(RootSetSpec(SIGNED_PHI_POWERS, 0))
 
 
 class TestAnnihilates:
