@@ -2,6 +2,7 @@
 
 from .beatty_floor import epsilon, floor_phi, floor_phi2
 from .closed_forms import (
+    ClosedEngine,
     DegenerateIndexError,
     case4l_sides,
     lemma2_a,

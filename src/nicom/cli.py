@@ -18,8 +18,7 @@ from time import perf_counter
 from . import closed_forms as cf
 from . import verify_suite
 from .decimal_text import decimal_str, exact_str
-from .fib_lucas import fib
-from .moment_sums import BruteEngine, BruteForceGuardError, Moment, MomentTable
+from .moment_sums import BruteForceGuardError, Moment
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -42,11 +41,8 @@ def _compute_value(sum_kind: str, k: int, s: int, j: int, engine: str) -> int:
     prime = sum_kind == "Aprime"
     if prime and j != 0:
         raise UsageError("--j applies to --sum A only")
-    if engine == "brute":
-        return BruteEngine().sums(fib(k) - 1, [Moment(s, j, prime)])[0]
-    if engine == "rec":
-        return MomentTable().a(k, s, j, prime)
-    return cf.moment(k, s, j, prime)
+    engine = cf.make_engine("recursive" if engine == "rec" else engine)
+    return engine.at(k, [Moment(s, j, prime)])[0]
 
 
 def _cmd_compute(args) -> int:
@@ -152,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, default=None)
     p.add_argument("--engines", default=None,
                    help="comma-separated subset of the engines the claim supports "
-                        "(brute,recursive,closed); another engine is a usage error")
+                        f"({','.join(cf.ENGINES)}); another engine is a usage error")
     p.add_argument("--deep", action="store_true",
                    help="extend default ranges (theorem1/case4l to 100)")
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")

@@ -7,13 +7,18 @@ reads every F it needs from one ``fib_run`` of consecutive Fibonacci
 numbers, and every L from L_n = F_{n-1} + F_{n+1} or, for the doubled
 indices, L_{2n} = L_n^2 - 2(-1)^n.  All divisions are exact and asserted; a
 remainder would mean a transcription bug, not a rounding issue.
+
+``ClosedEngine`` serves the moments they cover as ``at(k, moments)``, and
+``ENGINES`` registers it by name next to the two engines of ``moment_sums``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterable
 
 from .fib_lucas import fib_run
+from .moment_sums import BruteEngine, Moment, MomentTable
 
 
 class DegenerateIndexError(ValueError):
@@ -37,12 +42,12 @@ def _moment_run(k: int) -> list[int]:
     return fib_run(k - 1, 6)
 
 
-def _a1(f: list[int]) -> int:
+def _a1(k: int, f: list[int]) -> int:
     _, f0, f1, _, _, _ = f
     return _exact_div((f1 - 1) * (f0 - 1), 2)
 
 
-def _a1_prime(f: list[int]) -> int:
+def _a1_prime(k: int, f: list[int]) -> int:
     _, f0, _, f2, _, _ = f
     return _exact_div((f2 - 1) * (f0 - 1), 2)
 
@@ -65,14 +70,20 @@ def _a3_prime(k: int, f: list[int]) -> int:
     return _exact_div((f0 - 1) * (f2 - 1) * tail, 20)
 
 
+# (s, prime) -> evaluator(k, _moment_run(k)): the moments with j = 0 the closed engine covers
+_EVALUATORS = {(0, False): lambda k, f: f[1] - 1, (1, False): _a1, (1, True): _a1_prime,
+               (3, False): _a3, (3, True): _a3_prime}
+_EVALUATORS[0, True] = _EVALUATORS[0, False]  # A'(k, 0) = A(k, 0) = F_k - 1
+
+
 def lemma2_a(k: int) -> int:
     """First moment A(k, 1) = (F_{k+1} - 1)(F_k - 1) / 2."""
-    return _a1(_moment_run(k))
+    return _a1(k, _moment_run(k))
 
 
 def lemma2_a_prime(k: int) -> int:
     """First moment A'(k, 1) = (F_{k+2} - 1)(F_k - 1) / 2."""
-    return _a1_prime(_moment_run(k))
+    return _a1_prime(k, _moment_run(k))
 
 
 def lemma3_a3(k: int) -> int:
@@ -94,20 +105,44 @@ def lemma4_a_prime3(k: int) -> int:
     return _a3_prime(k, _moment_run(k))
 
 
-def moment(k: int, s: int, j: int = 0, prime: bool = False) -> int:
-    """The closed engine: A(k, s, j), or A'(k, s, j) with ``prime``.
+class ClosedEngine:
+    """The closed engine: F_k - 1 and Lemmas 2-4 as moment sums at m = F_k - 1.
 
-    It covers j = 0 and s in {0, 1, 3} (F_k - 1, Lemma 2, Lemmas 3 and 4) and
-    looks each evaluator up when it runs, so a rebinding of one reaches it.
+    It covers j = 0 and s in {0, 1, 3}, and reads every moment of a call
+    from one ``_moment_run(k)``.  Stateless.
     """
-    if j != 0 or s not in (0, 1, 3):
-        raise ValueError(f"closed engine supports j = 0 and s in {{0, 1, 3}}, "
-                         f"got s = {s}, j = {j}")
-    if s == 0:
-        return _moment_run(k)[1] - 1  # F_k - 1
-    if s == 1:
-        return lemma2_a_prime(k) if prime else lemma2_a(k)
-    return lemma4_a_prime3(k) if prime else lemma3_a3(k)
+
+    def at(self, k: int, moments: Iterable[Moment]) -> list[int]:
+        """A(k, s, j), or A'(k, s, j) for a primed moment, for each of ``moments``."""
+        moments = list(moments)
+        for s, j, prime in moments:
+            if j != 0 or (s, prime) not in _EVALUATORS:
+                raise ValueError(f"closed engine supports j = 0 and s in {{0, 1, 3}}, "
+                                 f"got s = {s}, j = {j}")
+        f = _moment_run(k)
+        return [_EVALUATORS[s, prime](k, f) for s, _, prime in moments]
+
+
+def moment(k: int, s: int, j: int = 0, prime: bool = False) -> int:
+    """The closed engine's A(k, s, j), or A'(k, s, j) with ``prime``."""
+    return ClosedEngine().at(k, [Moment(s, j, prime)])[0]
+
+
+# Every engine answers at(k, moments); the one place an engine name is read.
+ENGINES = {"brute": BruteEngine, "recursive": MomentTable, "closed": ClosedEngine}
+
+
+def make_engine(engine, supported: Iterable[str] = ENGINES, context: str = ""):
+    """A new engine named ``engine``, one of ``supported``; an engine passes through.
+
+    ``context``, such as " for lemma2", follows the name in the error.
+    """
+    if isinstance(engine, str):
+        if engine not in supported:
+            raise ValueError(f"unknown engine {engine!r}{context}; "
+                             f"supported: {', '.join(supported)}")
+        engine = ENGINES[engine]()
+    return engine
 
 
 def theorem1_num_den(K: int) -> tuple[int, int]:
@@ -172,7 +207,10 @@ def theorem6_rhs(k: int) -> int:
     return _exact_div(num, 2)
 
 
-def theorem1_identity_sides(K: int, a=None) -> tuple[int, int]:
+_IDENTITY_MOMENTS = (Moment(1), Moment(1, prime=True), Moment(3), Moment(3, prime=True))
+
+
+def theorem1_identity_sides(K: int, engine=None) -> tuple[int, int]:
     """Both sides of the cross-multiplied, denominator-free Q-difference identity.
 
     With num/den = theorem1_num_den(K), A1 = A(K,1), A3 = A(K,3) and the
@@ -182,15 +220,12 @@ def theorem1_identity_sides(K: int, a=None) -> tuple[int, int]:
         den * (A'3 * A1^2 - A3 * A'1^2) = A1^2 * A'1^2 * (den - num).
 
     Returns (left side, right side) as exact integers; they are equal iff
-    the closed-form Q-difference is correct at K.  The moments come from an
-    engine's ``a``, or else one Fibonacci run at K; num/den takes one near K/2.
+    the closed-form Q-difference is correct at K.  The moments come from one
+    ``engine.at`` call (closed by default), num/den from one run near K/2.
     """
     num, den = theorem1_num_den(K)
-    if a is None:
-        f = _moment_run(K)
-        a1, a1p, a3, a3p = _a1(f), _a1_prime(f), _a3(K, f), _a3_prime(K, f)
-    else:
-        a1, a1p, a3, a3p = (a(K, s, 0, prime) for s in (1, 3) for prime in (False, True))
+    engine = ClosedEngine() if engine is None else engine
+    a1, a1p, a3, a3p = engine.at(K, _IDENTITY_MOMENTS)
     lhs = den * (a3p * a1 * a1 - a3 * a1p * a1p)
     rhs = a1 * a1 * a1p * a1p * (den - num)
     return lhs, rhs

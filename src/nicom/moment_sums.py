@@ -1,17 +1,17 @@
 """The moment sums A(k, s, j) = sum_{n=1}^{F_k - 1} n^j * floor(phi*n)^s.
 
-Two engines are provided, each with one entry point:
+Every engine answers ``at(k, moments)``: the sums of a list of ``Moment``s
+at m = F_k - 1.  Two live here; the closed forms and the registry of all
+three by name live in ``closed_forms``.
 
-* ``BruteEngine.sums(m, moments)`` evaluates the defining sums over
-  n = 1..m term by term in one resumable pass (guarded, since the range
-  F_k - 1 grows exponentially in k);
-* ``MomentTable.a(k, s, j, prime)`` reduces A(k, s, j) to values at k-1
-  and k-2, one step per k, which makes indices like k = 1000 (where the
-  sum has ~10^208 terms) computable in milliseconds.
+* ``BruteEngine`` sums term by term in one resumable pass, guarded as F_k - 1
+  grows exponentially in k; its ``sums(m, moments)`` takes any m;
+* ``MomentTable`` reduces A(k, s, j) to values at k-1 and k-2, one step per
+  k, which makes indices like k = 1000 (~10^208 terms) computable in
+  milliseconds; its ``a(k, s, j, prime)`` reads one moment.
 
-A ``Moment(s, j, prime)`` with ``prime`` set, and ``MomentTable.a`` with
-``prime`` set, give A'(k, s, j) = sum n^j * floor(phi^2*n)^s, which follows
-the same reduction with F_{k+1} in place of F_k.
+A primed ``Moment`` gives A'(k, s, j) = sum n^j * floor(phi^2*n)^s, which
+follows the same reduction with F_{k+1} in place of F_k.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from operator import mul
 from typing import Iterable, NamedTuple
 
 from .beatty_floor import epsilon, phi_floors
+from .fib_lucas import fib
 
 DEFAULT_BRUTE_GUARD = 10**6
 GUARD_ENV_VAR = "NICOM_BRUTE_GUARD"
@@ -84,6 +85,10 @@ class MomentTable:
             self._fill(k, s, j, prime)
             col = self._cols[(s, j, prime)]
         return col[k]
+
+    def at(self, k: int, moments: Iterable[Moment]) -> list[int]:
+        """A(k, s, j), or A'(k, s, j) for a primed moment, for each of ``moments``."""
+        return [self.a(k, s, j, prime) for s, j, prime in moments]
 
     def _fill(self, k_max: int, s_max: int, j_max: int, prime: bool) -> None:
         """Extend every column (s, j, prime), s <= s_max and j <= j_max, to k_max.
@@ -183,6 +188,10 @@ class BruteEngine:
             self._n, self._sums = 0, dict.fromkeys([*self._sums, *moments], 0)
         self._advance(m)
         return [self._sums[mo] for mo in moments]
+
+    def at(self, k: int, moments: Iterable[Moment]) -> list[int]:
+        """The sums over n = 1..F_k - 1: ``sums(F_k - 1, moments)``."""
+        return self.sums(fib(k) - 1, moments)
 
     def _advance(self, m: int) -> None:
         """Add the terms n = self._n + 1 .. m to every running sum."""

@@ -4,18 +4,20 @@ Q(alpha, m) = (sum of floor(alpha*n)^3) / (sum of floor(alpha*n))^2 over
 n = 1..m, for alpha in {phi, phi^2}.  Values are ``fractions.Fraction``
 instances, so they are always reduced with a positive denominator.
 
-For m of the form F_K - 1 the sums route through the recursive moment
-engine (or closed forms on request), any other m through the guarded brute
-engine.  The module holds no engine; a sweep passes its own to ``q_diff``.
+For m of the form F_K - 1 the sums come from any engine's ``at(K, ...)``,
+the recursive engine by default; any other m needs the brute engine's
+``sums(m, ...)``.  The module holds no engine: ``engine`` is a registered
+name (``closed_forms.ENGINES``) or an engine, so a sweep passes its own.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import log2
 
-from . import closed_forms
-from .fib_lucas import fib
-from .moment_sums import BruteEngine, Moment, MomentTable
+from .closed_forms import make_engine
+from .fib_lucas import fib_run
+from .moment_sums import BruteEngine, Moment
 
 PHI = "phi"
 PHI2 = "phi2"
@@ -26,49 +28,37 @@ _NICOMACHUS_MOMENTS = (Moment(0, 3), Moment(0, 1))  # sum n^3, sum n
 
 
 def _fib_index_of(m: int) -> int | None:
-    """Return K >= 3 with F_K - 1 == m, or None; walks F_K by addition."""
-    k, f, g = 3, 2, 3  # K, F_K, F_{K+1}
-    while f - 1 < m:
-        k, f, g = k + 1, g, f + g
-    return k if f - 1 == m else None
+    """Return K >= 3 with F_K - 1 == m, or None, from one fast doubling."""
+    # log2 F_K = K log2(phi) - log2(sqrt 5) + o(1), so the F_K of bit length b have
+    # K in [x, x + 1/log2(phi)), x = (b - 1 + log2(sqrt 5)) / log2(phi): at most two
+    # indices, both in floor(x) .. floor(x) + 2
+    lo = max(3, int((m.bit_length() - 1 + log2(5) / 2) / log2((1 + 5**0.5) / 2)))
+    run = fib_run(lo, 3)
+    return lo + run.index(m + 1) if m + 1 in run else None
 
 
-def _sums(moments: tuple[Moment, ...], engine: str, K: int | None, m: int | None,
-          brute: BruteEngine | None, table: MomentTable | None) -> list[int]:
-    """The sums of ``moments`` from one engine; m is F_K - 1 when K is given.
-
-    The brute engine, or any engine when K is None, sums up to m (or F_K - 1
-    when m is None); the closed and recursive engines read the sums at K
-    through their ``a``.
-    """
-    if engine not in ("auto", "brute", "recursive", "closed"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if engine == "brute" or K is None:
-        return (brute or BruteEngine()).sums(fib(K) - 1 if m is None else m, moments)
-    table = MomentTable() if table is None else table  # "is None": an empty table is falsy
-    a = closed_forms.moment if engine == "closed" else table.a
-    return [a(K, s, j, prime) for s, j, prime in moments]
-
-
-def q_value(alpha: str, m: int, engine: str = "auto", brute: BruteEngine | None = None) -> Fraction:
-    """Exact Q(alpha, m); alpha is "phi" or "phi2"."""
+def q_value(alpha: str, m: int, engine="auto") -> Fraction:
+    """Exact Q(alpha, m) for alpha "phi" or "phi2"; "auto" is recursive at F_K - 1, else brute."""
     if alpha not in _ALPHAS:
         raise ValueError(f"alpha must be one of {_ALPHAS}, got {alpha!r}")
     if m < 1:
         raise ValueError(f"Q undefined at m = {m}")
-    K = None if engine == "brute" else _fib_index_of(m)
-    if K is None and engine in ("recursive", "closed"):
+    K = _fib_index_of(m)
+    if engine == "auto":
+        engine = "brute" if K is None else "recursive"
+    built = make_engine(engine)
+    if K is None and not isinstance(built, BruteEngine):
         raise ValueError(f"engine {engine!r} needs m of the form F_K - 1, got m = {m}")
-    cubes, plain = _sums(_MOMENTS[alpha], engine, K, m, brute, None)
+    moments = _MOMENTS[alpha]
+    cubes, plain = built.sums(m, moments) if K is None else built.at(K, moments)
     return Fraction(cubes, plain * plain)
 
 
-def q_diff(K: int, engine: str = "auto", brute: BruteEngine | None = None,
-           table: MomentTable | None = None) -> Fraction:
-    """Q(phi^2, F_K - 1) - Q(phi, F_K - 1), exact, for K >= 3, from ``table`` or ``brute``."""
+def q_diff(K: int, engine="recursive") -> Fraction:
+    """Q(phi^2, F_K - 1) - Q(phi, F_K - 1), exact, for K >= 3, from one ``at`` call."""
     if K < 3:
         raise ValueError(f"q_diff needs K >= 3 (so m = F_K - 1 >= 1), got {K}")
-    c2, p2, c1, p1 = _sums(_MOMENTS[PHI2] + _MOMENTS[PHI], engine, K, None, brute, table)
+    c2, p2, c1, p1 = make_engine(engine).at(K, _MOMENTS[PHI2] + _MOMENTS[PHI])
     return Fraction(c2, p2 * p2) - Fraction(c1, p1 * p1)
 
 

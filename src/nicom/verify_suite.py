@@ -1,10 +1,11 @@
 """End-to-end verification and certification of the moment-sum identities.
 
 Each claim of the paper is one ``Claim`` in ``CLAIMS``: its index ranges,
-one row generator per engine it supports, its closed right-hand side and,
-for lemma2/3/4 and theorem1, its certification jobs.  ``verify_claim``
-evaluates a claim index by index with the requested engines and reports
-exact equality; ``prove_claim`` runs the finite recurrence certification.
+the engines it supports, one row generator that reads any of them through
+``at(k, moments)``, its closed right-hand side and, for lemma2/3/4 and
+theorem1, its certification jobs.  ``verify_claim`` evaluates a claim index
+by index with the requested engines and reports exact equality;
+``prove_claim`` runs the finite recurrence certification.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from . import closed_forms as cf
 from . import qratio
 from .decimal_text import exact_str
 from .fib_lucas import fib, fib_minus_one_factors, lucas
-from .moment_sums import BruteEngine, BruteForceGuardError, Moment, MomentTable
+from .moment_sums import BruteForceGuardError, Moment, MomentTable
 from .recurrence_prover import (
     QUARTIC_PHI_POWERS,
     SIGNED_PHI_POWERS,
@@ -69,44 +70,37 @@ class ClaimReport:
         }
 
 
-# rows(index, closed right-hand side, table, brute engine) -> (lhs, rhs) pairs
-Rows = Callable[[int, object, MomentTable, BruteEngine], Iterable[tuple]]
-
-
 @dataclass(frozen=True)
 class Claim:
     """One claim: the indices it is checked at, its engines, its certification.
 
     At each index, ``rhs(index)`` evaluates the closed right-hand side once,
-    and each requested engine's ``rows[engine]`` yields the pairs it
-    compares there.  The keys of ``rows`` are the engines the claim
-    supports, ``engines`` the ones it runs by default.  ``prove(table)``
-    lists the (name, lhs, rhs, spec) certification jobs, or is None for a
-    claim without a root-set spec.
+    and ``rows`` yields the pairs each requested engine compares there.
+    ``supported`` names the engines the claim runs on, ``engines`` the ones
+    it runs by default.  ``prove(table)`` lists the (name, lhs, rhs, spec)
+    certification jobs, or is None for a claim without a root-set spec.
     """
 
     first: int  # first index
     kmax: int  # last index by default
     deep_kmax: int  # last index with --deep
-    rows: dict[str, Rows]
+    rows: Callable[[int, object, object], Iterable[tuple]]  # (index, rhs, engine) -> pairs
+    supported: tuple[str, ...]
     engines: tuple[str, ...]
     rhs: Callable[[int], object] = lambda index: None
     prove: Callable[[MomentTable], list[tuple]] | None = None
 
 
 def _lemma(kmax: int, moments: list[Moment], spec: RootSetSpec, split: bool = False) -> Claim:
-    """A lemma: each of ``moments`` at k equals its closed form ``cf.moment``.
+    """A lemma: each of ``moments`` at k equals its closed form.
 
     The brute and recursive engines each compare their sums with the closed
     forms; the closed engine is the right-hand side itself and adds no row.
     Certification takes each moment as one sequence in k, or with ``split``
     as its even and odd subsequences k -> 2k, 2k - 1.
     """
-    def brute_rows(k, rhs, table, brute):
-        return zip(brute.sums(fib(k) - 1, moments), rhs)
-
-    def recursive_rows(k, rhs, table, brute):
-        return zip([table.a(k, *mo) for mo in moments], rhs)
+    def rows(k, rhs, engine):
+        return () if isinstance(engine, cf.ClosedEngine) else zip(engine.at(k, moments), rhs)
 
     def prove(table):
         def job(name, mo, at):
@@ -117,17 +111,9 @@ def _lemma(kmax: int, moments: list[Moment], spec: RootSetSpec, split: bool = Fa
             return [job("even", mo, lambda k: 2 * k), job("odd", mo, lambda k: 2 * k - 1)]
         return [job("Aprime" if mo.prime else "A", mo, lambda k: k) for mo in moments]
 
-    rows = {"brute": brute_rows, "recursive": recursive_rows, "closed": lambda *_: ()}
-    return Claim(1, kmax, kmax, rows, tuple(rows),
-                 rhs=lambda k: [cf.moment(k, *mo) for mo in moments], prove=prove)
-
-
-def _q_diff_rows(engine: str) -> Rows:
-    """Q(phi^2, F_K - 1) - Q(phi, F_K - 1) on one engine against the closed value."""
-    def rows(K, rhs, table, brute):
-        return [(qratio.q_diff(K, engine=engine, brute=brute, table=table), rhs)]
-
-    return rows
+    supported = tuple(cf.ENGINES)
+    return Claim(1, kmax, kmax, rows, supported, supported,
+                 rhs=lambda k: cf.ClosedEngine().at(k, moments), prove=prove)
 
 
 def _theorem1_jobs(table: MomentTable) -> list[tuple]:
@@ -156,37 +142,18 @@ def _theorem1_jobs(table: MomentTable) -> list[tuple]:
             for r in range(4)]
 
 
-def _theorem6_brute(k, rhs, table, brute):
-    return [(lcm(*brute.sums(fib(2 * k) - 1, [Moment(1), Moment(1, prime=True)])), rhs)]
-
-
-def _theorem6_closed(k, rhs, table, brute):
-    return [(lcm(cf.moment(2 * k, 1), cf.moment(2 * k, 1, 0, True)), rhs)]
-
-
-def _case4l_recursive(l, rhs, table, brute):
-    """The denominator-free identity at K = 4l with the recurrence engine's moments."""
-    return [cf.theorem1_identity_sides(4 * l, table.a)]
-
-
-def _case4l_closed(l, rhs, table, brute):
-    return [cf.case4l_sides(l)]
-
-
-def _nicomachus_brute(m, rhs, table, brute):
-    return [(qratio.nicomachus_check(m, brute), True)]
-
-
-def _fact_rows(l, rhs, table, brute):
+def _fact_rows(l, rhs, engine):
     for n in range(4 * l, 4 * l + 4):
         f, lu = fib_minus_one_factors(n)
         yield f * lu, fib(n) - 1
     yield gcd(lucas(2 * l + 1), lucas(2 * l + 2)), 1
 
 
-# Claim(first, kmax, deep_kmax, rows, default engines, rhs, prove).  Rows and
-# right-hand sides look the closed forms up in ``cf`` when they run, so a
-# rebinding of a closed form reaches every claim that reads it.
+_THEOREM6_MOMENTS = (Moment(1), Moment(1, prime=True))  # A(2k, 1), A'(2k, 1)
+
+# Claim(first, kmax, deep_kmax, rows, supported engines, default engines, rhs,
+# prove).  Rows and right-hand sides look the closed forms up in ``cf`` when
+# they run, so a rebinding of a closed form reaches every claim that reads it.
 CLAIMS: dict[str, Claim] = {
     # the first moments certify on the 10-element signed root set
     "lemma2": _lemma(10, [Moment(1), Moment(1, prime=True)], RootSetSpec(SIGNED_PHI_POWERS, 2)),
@@ -194,14 +161,20 @@ CLAIMS: dict[str, Claim] = {
     # certify on the 9-element even-power set
     "lemma3": _lemma(18, [Moment(3)], RootSetSpec(EVEN_PHI_POWERS, 4), split=True),
     "lemma4": _lemma(18, [Moment(3, prime=True)], RootSetSpec(EVEN_PHI_POWERS, 4), split=True),
-    "theorem1": Claim(3, 30, 100, {e: _q_diff_rows(e) for e in ("brute", "recursive", "closed")},
-                      ("recursive", "closed"), lambda K: cf.theorem1_rhs(K), _theorem1_jobs),
-    "theorem6": Claim(1, 60, 60, {"brute": _theorem6_brute, "closed": _theorem6_closed},
-                      ("closed",), lambda k: cf.theorem6_rhs(k)),
-    "case4l": Claim(1, 21, 100, {"recursive": _case4l_recursive, "closed": _case4l_closed},
-                    ("closed",)),
-    "nicomachus": Claim(1, 1000, 1000, {"brute": _nicomachus_brute}, ("brute",)),
-    "fact-identities": Claim(1, 50, 50, {"closed": _fact_rows}, ("closed",)),
+    # Q(phi^2, F_K - 1) - Q(phi, F_K - 1) on each engine against the closed value
+    "theorem1": Claim(3, 30, 100, lambda K, rhs, engine: [(qratio.q_diff(K, engine), rhs)],
+                      ("brute", "recursive", "closed"), ("recursive", "closed"),
+                      lambda K: cf.theorem1_rhs(K), _theorem1_jobs),
+    "theorem6": Claim(1, 60, 60,
+                      lambda k, rhs, engine: [(lcm(*engine.at(2 * k, _THEOREM6_MOMENTS)), rhs)],
+                      ("brute", "closed"), ("closed",), lambda k: cf.theorem6_rhs(k)),
+    # the denominator-free identity at K = 4l with each engine's moments
+    "case4l": Claim(1, 21, 100, lambda l, rhs, engine: [cf.theorem1_identity_sides(4 * l, engine)],
+                    ("recursive", "closed"), ("closed",)),
+    "nicomachus": Claim(1, 1000, 1000,
+                        lambda m, rhs, engine: [(qratio.nicomachus_check(m, engine), True)],
+                        ("brute",), ("brute",)),
+    "fact-identities": Claim(1, 50, 50, _fact_rows, ("closed",), ("closed",)),
 }
 
 
@@ -226,17 +199,14 @@ def verify_claim(
     if k_max is None:
         k_max = entry.deep_kmax if deep else entry.kmax
     engines = entry.engines if engines is None else tuple(engines)
+    live = {}  # name -> engine, one per requested name, until it trips the guard
     for eng in engines:
-        if eng not in entry.rows:
-            raise ValueError(f"unknown engine {eng!r} for {claim}; "
-                             f"supported: {', '.join(entry.rows)}")
+        live[eng] = cf.make_engine(eng, entry.supported, f" for {claim}")
         if engines.count(eng) > 1:
             raise ValueError(f"engine {eng!r} is listed more than once for {claim}")
     if k_max < lo:
         raise ValueError(f"{claim}: empty index range {lo}..{k_max}; nothing to check")
 
-    table = MomentTable()
-    brute = BruteEngine()
     rows: list[IndexResult] = []
     failures: list[dict] = []
     skipped: list[int] = []
@@ -244,14 +214,14 @@ def verify_claim(
     # an engine that tripped the brute-force guard would trip at every later
     # index too, as each brute row's m (F_k - 1, F_2k - 1 or m) grows with the
     # index: it is not called again, and the sweep ends once all have tripped
-    tripped: set[str] = set()
     for idx in range(lo, k_max + 1):
         closed = entry.rhs(idx)
-        for eng in [e for e in engines if e not in tripped]:
+        for eng, engine in list(live.items()):
             try:
-                pairs = list(entry.rows[eng](idx, closed, table, brute))
+                pairs = list(entry.rows(idx, closed, engine))
             except BruteForceGuardError:
-                tripped.add(eng)
+                del live[eng]
+                skipped = skipped or [idx, k_max]
                 continue
             for lhs, rhs in pairs:
                 nonzero = nonzero or lhs != 0 or rhs != 0
@@ -260,10 +230,8 @@ def verify_claim(
                 if not equal:
                     failures.append({"index": idx, "lhs": exact_str(lhs),
                                      "rhs": exact_str(rhs)})
-        if tripped:
-            skipped = skipped or [idx, k_max]
-            if tripped.issuperset(engines):
-                break
+        if not live:
+            break
     if failures:
         verdict = "fail"
     elif not nonzero:

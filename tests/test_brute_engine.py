@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from nicom import moment_sums, verify_suite
+from nicom import closed_forms, moment_sums, verify_suite
 from nicom.beatty_floor import floor_phi, floor_phi2, phi_floors
 from nicom.fib_lucas import fib
 from nicom.moment_sums import BruteEngine, BruteForceGuardError, Moment, MomentTable
@@ -35,7 +35,7 @@ def test_q_value_off_fibonacci_indices():
         for alpha, prime in (("phi", False), ("phi2", True)):
             want = Fraction(literal(m, 3, prime=prime), literal(m, 1, prime=prime) ** 2)
             assert q_value(alpha, m) == want, (alpha, m)
-            assert q_value(alpha, m, brute=engine) == want, (alpha, m)
+            assert q_value(alpha, m, engine=engine) == want, (alpha, m)
     with pytest.raises(ValueError, match="F_K - 1"):
         q_value("phi", 5, engine="recursive")
 
@@ -43,7 +43,7 @@ def test_q_value_off_fibonacci_indices():
 def test_q_diff_shares_one_pass():
     engine = BruteEngine()
     for K in range(3, 16):
-        assert q_diff(K, engine="brute", brute=engine) == q_diff(K, engine="closed"), K
+        assert q_diff(K, engine) == q_diff(K, engine="closed"), K
     assert engine.terms == fib(15) - 1
 
 
@@ -115,7 +115,7 @@ def _count_terms(monkeypatch, claim, k_max, engines):
             super().__init__(*args, **kwargs)
             engines_built.append(self)
 
-    monkeypatch.setattr(verify_suite, "BruteEngine", Counted)
+    monkeypatch.setitem(closed_forms.ENGINES, "brute", Counted)
     assert verify_suite.verify_claim(claim, k_max=k_max, engines=engines).passed
     assert len(engines_built) == 1
     return engines_built[0].terms

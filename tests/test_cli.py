@@ -13,7 +13,7 @@ from nicom import closed_forms as cf
 from nicom import verify_suite
 from nicom.cli import EXIT_FAIL, EXIT_GUARD, EXIT_OK, EXIT_USAGE, canonical_json, main
 from nicom.decimal_text import decimal_str, exact_str
-from nicom.moment_sums import BruteEngine
+from nicom.moment_sums import BruteEngine, Moment
 
 
 def run(capsys, *argv):
@@ -239,7 +239,7 @@ def test_verify_nicomachus_sums_each_term_once(capsys, monkeypatch):
             super().__init__(*args, **kwargs)
             engines.append(self)
 
-    monkeypatch.setattr(verify_suite, "BruteEngine", Counted)
+    monkeypatch.setitem(cf.ENGINES, "brute", Counted)
     code, out, _ = run(capsys, "verify", "--claim", "nicomachus", "--kmax", "1000")
     assert code == EXIT_OK
     assert out.startswith("nicomachus: pass")
@@ -282,8 +282,14 @@ def test_verify_of_only_empty_sums_is_inconclusive(capsys, argv):
 
 
 def test_verify_theorem1_checks_every_default_engine(capsys, monkeypatch):
-    a_prime3 = cf.lemma4_a_prime3
-    monkeypatch.setattr(cf, "lemma4_a_prime3", lambda k: a_prime3(k) + 1)
+    at = cf.ClosedEngine.at
+
+    def off_by_one(self, k, moments):
+        """The closed engine with A'(k, 3) one too large."""
+        moments = list(moments)
+        return [v + (mo == Moment(3, prime=True)) for mo, v in zip(moments, at(self, k, moments))]
+
+    monkeypatch.setattr(cf.ClosedEngine, "at", off_by_one)
     code, out, _ = run(capsys, "verify", "--claim", "theorem1")
     assert code == EXIT_FAIL
     assert out.startswith("theorem1: fail (indices 3..30, engines recursive,closed)")
@@ -342,8 +348,10 @@ def test_k_below_one_is_a_usage_error(capsys, engine):
 BIG =10**5000 + 7  # past the interpreter's default digit limit
 
 
-def big_rows(k, rhs, table, brute):
-    """Rows that pass 4300 digits: one equal pair, two unequal ones."""
+def big_rows(k, rhs, engine):
+    """On the brute engine, rows that pass 4300 digits: one equal pair, two unequal ones."""
+    if not isinstance(engine, BruteEngine):
+        return
     yield BIG * k, BIG * k
     yield BIG * k, BIG * k + 1
     yield Fraction(BIG, 3 * k), Fraction(1, 3)
@@ -357,10 +365,9 @@ def big_row_text(k):
 
 
 def patch_big_rows(monkeypatch):
-    """lemma2's brute engine yields big_rows; its other engines yield nothing."""
+    """lemma2's rows are big_rows."""
     entry = verify_suite.CLAIMS["lemma2"]
-    rows = {**dict.fromkeys(entry.rows, lambda *_: ()), "brute": big_rows}
-    monkeypatch.setitem(verify_suite.CLAIMS, "lemma2", replace(entry, rows=rows))
+    monkeypatch.setitem(verify_suite.CLAIMS, "lemma2", replace(entry, rows=big_rows))
 
 
 def test_verify_csv_rows_are_exact_beyond_the_digit_limit(capsys, monkeypatch):

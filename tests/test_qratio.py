@@ -6,9 +6,11 @@ from math import gcd, isqrt
 
 import pytest
 
+from nicom import fib_lucas
 from nicom.closed_forms import theorem1_rhs
 from nicom.fib_lucas import fib
-from nicom.qratio import nicomachus_check, q_diff, q_value
+from nicom.moment_sums import BruteForceGuardError
+from nicom.qratio import _fib_index_of, nicomachus_check, q_diff, q_value
 
 
 def sqrt5_interval(digits):
@@ -141,3 +143,24 @@ def test_q_converges_to_phi():
 
 def test_q_diff_convergence_rate():
     assert abs(q_diff(20) - 1) < Fraction(1, 10**8)
+
+
+def test_fib_index_of_agrees_with_a_walk_over_the_fibonacci_numbers():
+    index_of, f, g = {}, 2, 3  # F_K - 1 -> K, walked by addition from K = 3
+    for K in range(3, 2003):
+        index_of[f - 1] = K
+        f, g = g, f + g
+    ms = [*range(10**4), *(fib(K) - 1 + d for K in range(1, 2001) for d in (-1, 0, 1))]
+    for m in ms:
+        if m >= 0:
+            assert _fib_index_of(m) == index_of.get(m), m
+
+
+def test_q_value_far_past_the_guard_makes_one_doubling(monkeypatch):
+    doublings = []
+    pair = fib_lucas._fib_pair
+    monkeypatch.setattr(fib_lucas, "_fib_pair", lambda n: doublings.append(n) or pair(n))
+    m = 10**200000  # 200,001 digits, not of the form F_K - 1
+    with pytest.raises(BruteForceGuardError, match="over 10\\^30 terms"):
+        q_value("phi", m)
+    assert len(doublings) <= 2

@@ -1,12 +1,13 @@
 import importlib.util
 import json
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
 from nicom import closed_forms as cf
 from nicom.cli import canonical_json
-from nicom.moment_sums import MomentTable
+from nicom.moment_sums import Moment, MomentTable
 from nicom.verify_suite import CLAIMS, prove_claim, verify_claim
 
 PROVABLE_CLAIMS = [claim for claim, entry in CLAIMS.items() if entry.prove]
@@ -26,7 +27,7 @@ def test_unknown_claim_rejected():
 
 
 @pytest.mark.parametrize("claim, engine", [
-    (claim, engine) for claim, entry in CLAIMS.items() for engine in entry.rows])
+    (claim, engine) for claim, entry in CLAIMS.items() for engine in entry.supported])
 def test_every_supported_engine_checks_the_claim_alone(claim, engine):
     k_max = min(CLAIMS[claim].kmax, 12)
     report = verify_claim(claim, k_max=k_max, engines=(engine,))
@@ -149,19 +150,25 @@ def test_prove_degrees():
 
 @pytest.mark.parametrize("claim, names, closed_indices", [
     ("lemma2", ["lemma2/A", "lemma2/Aprime"],
-     {"lemma2_a": range(1, 31), "lemma2_a_prime": range(1, 31)}),
+     {Moment(1): range(1, 31), Moment(1, prime=True): range(1, 31)}),
     # k -> 2k and k -> 2k - 1 over 27 terms each: every index 1..54 once
-    ("lemma3", ["lemma3/even", "lemma3/odd"], {"lemma3_a3": range(1, 55)}),
-    ("lemma4", ["lemma4/even", "lemma4/odd"], {"lemma4_a_prime3": range(1, 55)}),
+    ("lemma3", ["lemma3/even", "lemma3/odd"], {Moment(3): range(1, 55)}),
+    ("lemma4", ["lemma4/even", "lemma4/odd"], {Moment(3, prime=True): range(1, 55)}),
 ])
 def test_lemma_certificates_cover_each_index_once(monkeypatch, claim, names, closed_indices):
-    calls = {name: [] for name in ("lemma2_a", "lemma2_a_prime", "lemma3_a3", "lemma4_a_prime3")}
-    for name, seen in calls.items():
-        f = getattr(cf, name)
-        monkeypatch.setattr(cf, name, lambda k, f=f, seen=seen: seen.append(k) or f(k))
+    calls = defaultdict(list)  # moment -> the indices the closed engine evaluated it at
+    at = cf.ClosedEngine.at
+
+    def counted(self, k, moments):
+        moments = list(moments)
+        for mo in moments:
+            calls[mo].append(k)
+        return at(self, k, moments)
+
+    monkeypatch.setattr(cf.ClosedEngine, "at", counted)
     assert [c.claim for c in prove_claim(claim)] == names
-    assert {name: sorted(ks) for name, ks in calls.items() if ks} == {
-        name: list(ks) for name, ks in closed_indices.items()}
+    assert {mo: sorted(ks) for mo, ks in calls.items()} == {
+        mo: list(ks) for mo, ks in closed_indices.items()}
 
 
 def test_prove_custom_window():
