@@ -4,7 +4,6 @@ from .beatty_floor import epsilon, floor_phi, floor_phi2
 from .closed_forms import (
     ClosedEngine,
     DegenerateIndexError,
-    case4l_sides,
     lemma2_a,
     lemma2_a_prime,
     lemma3_a3,

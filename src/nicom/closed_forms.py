@@ -123,11 +123,6 @@ class ClosedEngine:
         return [_EVALUATORS[s, prime](k, f) for s, _, prime in moments]
 
 
-def moment(k: int, s: int, j: int = 0, prime: bool = False) -> int:
-    """The closed engine's A(k, s, j), or A'(k, s, j) with ``prime``."""
-    return ClosedEngine().at(k, [Moment(s, j, prime)])[0]
-
-
 # Every engine answers at(k, moments); the one place an engine name is read.
 ENGINES = {"brute": BruteEngine, "recursive": MomentTable, "closed": ClosedEngine}
 
@@ -210,7 +205,7 @@ def theorem6_rhs(k: int) -> int:
 _IDENTITY_MOMENTS = (Moment(1), Moment(1, prime=True), Moment(3), Moment(3, prime=True))
 
 
-def theorem1_identity_sides(K: int, engine=None) -> tuple[int, int]:
+def theorem1_identity_sides(K: int, engine="closed") -> tuple[int, int]:
     """Both sides of the cross-multiplied, denominator-free Q-difference identity.
 
     With num/den = theorem1_num_den(K), A1 = A(K,1), A3 = A(K,3) and the
@@ -221,22 +216,12 @@ def theorem1_identity_sides(K: int, engine=None) -> tuple[int, int]:
 
     Returns (left side, right side) as exact integers; they are equal iff
     the closed-form Q-difference is correct at K.  The moments come from one
-    ``engine.at`` call (closed by default), num/den from one run near K/2.
+    ``at`` call of ``engine``, a registered name or an engine, num/den from
+    one run near K/2.
     """
     num, den = theorem1_num_den(K)
-    engine = ClosedEngine() if engine is None else engine
-    a1, a1p, a3, a3p = engine.at(K, _IDENTITY_MOMENTS)
+    a1, a1p, a3, a3p = make_engine(engine).at(K, _IDENTITY_MOMENTS)
     lhs = den * (a3p * a1 * a1 - a3 * a1p * a1p)
     rhs = a1 * a1 * a1p * a1p * (den - num)
     return lhs, rhs
 
-
-def case4l_sides(l: int) -> tuple[int, int]:
-    """The denominator-free identity at K = 4l (the index-divisible-by-4 family).
-
-    Returns (left side, right side); here den = F_{2l+1}^2 L_{2l+2} L_{2l-1}
-    and num = 1.
-    """
-    if l < 1:
-        raise ValueError(f"index must be >= 1, got {l}")
-    return theorem1_identity_sides(4 * l)

@@ -167,19 +167,20 @@ class BruteEngine:
     closed forms; confine an instance to one thread.
     """
 
-    def __init__(self, guard: int | None = None) -> None:
-        if guard is not None and guard < 0:
-            raise ValueError(f"brute-force guard must be nonnegative, got {guard}")
-        self.guard = guard  # None: read NICOM_BRUTE_GUARD at each request
+    def __init__(self) -> None:
         self.terms = self._n = 0  # the running sums cover n = 1 .. self._n
         self._sums: dict[Moment, int] = {}
 
     def sums(self, m: int, moments: Iterable[Moment]) -> list[int]:
-        """sum_{n=1}^{m} n^j * floor(alpha*n)^s for each requested moment."""
+        """sum_{n=1}^{m} n^j * floor(alpha*n)^s for each requested moment.
+
+        Past ``brute_guard()``, read at each request, it raises
+        BruteForceGuardError before any term is summed.
+        """
         moments = list(moments)
         if m < 0 or any(mo.s < 0 or mo.j < 0 for mo in moments):
             raise ValueError(f"need m >= 0 and nonnegative powers, got m={m}, {moments}")
-        limit = brute_guard() if self.guard is None else self.guard
+        limit = brute_guard()
         if m > limit:
             terms = m if m < 10**30 else "over 10^30"  # no decimal text of a huge m
             raise BruteForceGuardError(f"the literal sum has {terms} terms, too large for brute "

@@ -62,13 +62,14 @@ def q_diff(K: int, engine="recursive") -> Fraction:
     return Fraction(c2, p2 * p2) - Fraction(c1, p1 * p1)
 
 
-def nicomachus_check(m: int, brute: BruteEngine | None = None) -> bool:
+def nicomachus_check(m: int, engine="brute") -> bool:
     """True iff the cube sum up to m equals the squared plain sum.
 
-    The sums come from the guarded brute engine; a sweep in m passes one in,
-    so that it makes one summation pass.
+    The sums come from the guarded brute engine's ``sums(m, ...)``: ``engine``
+    is "brute" or a brute engine, which a sweep in m passes in, so that it
+    makes one summation pass.
     """
     if m < 1:
         raise ValueError(f"index must be >= 1, got {m}")
-    cubes, plain = (brute or BruteEngine()).sums(m, _NICOMACHUS_MOMENTS)
+    cubes, plain = make_engine(engine, ("brute",)).sums(m, _NICOMACHUS_MOMENTS)
     return cubes == plain * plain

@@ -12,7 +12,8 @@ root set.  This module supplies
   quadratic x^2 - sign*L_l*x + (-1)^l,
 * an annihilation check (does a polynomial, read as a shift recurrence,
   kill a window of terms?), and
-* ``certify_identity``, which packages the d initial agreements plus
+* ``certify_identity``, which reads the two sequences as one sequence of
+  (lhs, rhs) pairs and packages the d initial agreements plus
   corroborating annihilation windows into a Certificate.
 
 The containment of the roots in the specified set is structural input
@@ -170,17 +171,16 @@ class Certificate:
 
 def certify_identity(
     claim: str,
-    lhs,
-    rhs,
+    sides,
     spec: RootSetSpec,
     extra_window: int | None = None,
 ) -> Certificate:
     """Certify that two integer sequences (indexed 1, 2, ...) are identical.
 
-    ``lhs`` and ``rhs`` are callables index -> int.  With d the degree of
-    the spec's characteristic polynomial, the check is: term agreement for
-    i = 1..d, then annihilation of both term lists over d + extra_window
-    terms.  ``extra_window`` defaults to 2d.
+    ``sides`` maps an index i to the pair (lhs_i, rhs_i) and is called once
+    per index.  With d the degree of the spec's characteristic polynomial,
+    the check is: term agreement for i = 1..d, then annihilation of both
+    term lists over d + extra_window terms.  ``extra_window`` defaults to 2d.
     """
     p = char_poly(spec)
     d = p.degree
@@ -189,8 +189,7 @@ def certify_identity(
         raise ValueError("extra_window must be at least 1")
     total = d + window
 
-    lhs_terms = [lhs(i) for i in range(1, total + 1)]
-    rhs_terms = [rhs(i) for i in range(1, total + 1)]
+    lhs_terms, rhs_terms = zip(*(sides(i) for i in range(1, total + 1)))
 
     def cert(verdict: str, agreed: int) -> Certificate:
         return Certificate(

@@ -77,8 +77,9 @@ class Claim:
     At each index, ``rhs(index)`` evaluates the closed right-hand side once,
     and ``rows`` yields the pairs each requested engine compares there.
     ``supported`` names the engines the claim runs on, ``engines`` the ones
-    it runs by default.  ``prove(table)`` lists the (name, lhs, rhs, spec)
-    certification jobs, or is None for a claim without a root-set spec.
+    it runs by default.  ``prove`` is None for a claim without a root-set
+    spec; otherwise ``prove()`` lists the (name, sides, spec) certification
+    jobs, where ``sides(i)`` is the pair (lhs_i, rhs_i) at index i.
     """
 
     first: int  # first index
@@ -88,7 +89,7 @@ class Claim:
     supported: tuple[str, ...]
     engines: tuple[str, ...]
     rhs: Callable[[int], object] = lambda index: None
-    prove: Callable[[MomentTable], list[tuple]] | None = None
+    prove: Callable[[], list[tuple]] | None = None
 
 
 def _lemma(kmax: int, moments: list[Moment], spec: RootSetSpec, split: bool = False) -> Claim:
@@ -97,14 +98,18 @@ def _lemma(kmax: int, moments: list[Moment], spec: RootSetSpec, split: bool = Fa
     The brute and recursive engines each compare their sums with the closed
     forms; the closed engine is the right-hand side itself and adds no row.
     Certification takes each moment as one sequence in k, or with ``split``
-    as its even and odd subsequences k -> 2k, 2k - 1.
+    as its even and odd subsequences k -> 2k, 2k - 1; each term pairs the
+    recursive engine's sum with the closed engine's, one engine of each per
+    prove run.
     """
     def rows(k, rhs, engine):
         return () if isinstance(engine, cf.ClosedEngine) else zip(engine.at(k, moments), rhs)
 
-    def prove(table):
+    def prove():
+        table, closed = MomentTable(), cf.ClosedEngine()
+
         def job(name, mo, at):
-            return name, lambda k: table.a(at(k), *mo), lambda k: cf.moment(at(k), *mo), spec
+            return name, lambda k: (table.at(at(k), [mo])[0], closed.at(at(k), [mo])[0]), spec
 
         if split:
             (mo,) = moments
@@ -116,30 +121,17 @@ def _lemma(kmax: int, moments: list[Moment], spec: RootSetSpec, split: bool = Fa
                  rhs=lambda k: cf.ClosedEngine().at(k, moments), prove=prove)
 
 
-def _theorem1_jobs(table: MomentTable) -> list[tuple]:
+def _theorem1_jobs() -> list[tuple]:
     """The denominator-free Q-difference identity, split modulo 4.
 
     The even residues need the 21-element set {phi^(4l): |l| <= 10}, the
     odd residues the 22-element set {phi^(2l): l odd, |l| <= 21} (their
-    characteristic roots sit at odd multiples of phi^2).  ``sides`` maps K
-    to both sides and lives as long as these jobs, so the two sequences of a
-    residue evaluate the identity once per K.
+    characteristic roots sit at odd multiples of phi^2).
     """
-    sides: dict[int, tuple[int, int]] = {}
-
-    def side(residue: int, which: int) -> Callable[[int], int]:
-        def gen(l: int) -> int:
-            K = 4 * l + residue
-            if K not in sides:
-                sides[K] = cf.theorem1_identity_sides(K)
-            return sides[K][which]
-
-        return gen
-
     quartic10 = RootSetSpec(QUARTIC_PHI_POWERS, 10)
     twice_odd21 = RootSetSpec(TWICE_ODD_PHI_POWERS, 21)
-    return [(f"mod4={r}", side(r, 0), side(r, 1), twice_odd21 if r % 2 else quartic10)
-            for r in range(4)]
+    return [(f"mod4={r}", lambda l, r=r: cf.theorem1_identity_sides(4 * l + r),
+             twice_odd21 if r % 2 else quartic10) for r in range(4)]
 
 
 def _fact_rows(l, rhs, engine):
@@ -263,6 +255,6 @@ def prove_claim(claim: str, extra_window: int | None = None) -> list[Certificate
             f"provable claims: {', '.join(provable)}"
         )
     return [
-        certify_identity(f"{claim}/{name}", lhs, rhs, spec, extra_window)
-        for name, lhs, rhs, spec in entry.prove(MomentTable())
+        certify_identity(f"{claim}/{name}", sides, spec, extra_window)
+        for name, sides, spec in entry.prove()
     ]

@@ -90,7 +90,7 @@ def test_criterion_4_denominator_free_identity():
     with criterion(4, "denominator-free identity, l=1..21 and deep l=1..100"):
         start = time.perf_counter()
         for l in range(1, 22):
-            lhs, rhs = cf.case4l_sides(l)
+            lhs, rhs = cf.theorem1_identity_sides(4 * l)
             assert lhs == rhs
         report = verify_claim("case4l", deep=True)
         assert report.passed and report.range == (1, 100)
@@ -140,8 +140,7 @@ def test_criterion_6_proof_certificates():
         table = MomentTable()
         broken = certify_identity(
             "first-moment-broken",
-            lambda k: table.a(k, 1, 0),
-            lambda k: cf.lemma2_a(k) + (1 if k == 7 else 0),
+            lambda k: (table.a(k, 1, 0), cf.lemma2_a(k) + (1 if k == 7 else 0)),
             RootSetSpec(SIGNED_PHI_POWERS, 2),
         )
         assert not broken.certified

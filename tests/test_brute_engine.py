@@ -84,18 +84,21 @@ def test_floors_come_from_one_block_call(monkeypatch):
     assert engine.terms == 10000
 
 
-def test_guard_raises_before_any_term_is_summed():
-    engine = BruteEngine(guard=10)
+def test_guard_raises_before_any_term_is_summed(monkeypatch):
+    monkeypatch.setenv("NICOM_BRUTE_GUARD", "10")
+    engine = BruteEngine()
     assert engine.sums(10, [Moment(1)]) == [literal(10, 1)]
     with pytest.raises(BruteForceGuardError, match="guard 10"):
         engine.sums(11, [Moment(3)])
     assert engine.terms == 10
-    with pytest.raises(BruteForceGuardError):
-        BruteEngine(guard=0).sums(1, [Moment(1)])
-    with pytest.raises(ValueError):
-        BruteEngine(guard=-1)
     with pytest.raises(ValueError):
         engine.sums(-1, [Moment(1)])
+    monkeypatch.setenv("NICOM_BRUTE_GUARD", "0")
+    with pytest.raises(BruteForceGuardError):
+        BruteEngine().sums(1, [Moment(1)])
+    monkeypatch.setenv("NICOM_BRUTE_GUARD", "-1")
+    with pytest.raises(ValueError, match="NICOM_BRUTE_GUARD must be a nonnegative"):
+        BruteEngine().sums(1, [Moment(1)])
 
 
 def test_verify_lists_guarded_indices_as_skipped(monkeypatch):

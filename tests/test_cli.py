@@ -128,6 +128,52 @@ def test_prove_custom_window(capsys):
     assert all(c["window"] == 30 for c in json.loads(out))
 
 
+# (shape, bound, degree) of each certificate of each provable claim, by branch
+_SIGNED2, _EVEN4 = ("signed-phi-powers", 2, 10), ("even-phi-powers", 4, 9)
+_QUARTIC10, _TWICE_ODD21 = ("quartic-phi-powers", 10, 21), ("twice-odd-phi-powers", 21, 22)
+CERTIFICATES = {
+    "lemma2": {"A": _SIGNED2, "Aprime": _SIGNED2},
+    "lemma3": {"even": _EVEN4, "odd": _EVEN4},
+    "lemma4": {"even": _EVEN4, "odd": _EVEN4},
+    "theorem1": {"mod4=0": _QUARTIC10, "mod4=1": _TWICE_ODD21,
+                 "mod4=2": _QUARTIC10, "mod4=3": _TWICE_ODD21},
+}
+
+
+@pytest.mark.parametrize("window", [None, 1])
+@pytest.mark.parametrize("claim", list(CERTIFICATES))
+def test_prove_json_pins_every_certificate(capsys, claim, window):
+    argv = ["prove", "--claim", claim, "--format", "json"]
+    code, out, _ = run(capsys, *argv, *([] if window is None else ["--window", str(window)]))
+    assert code == EXIT_OK
+    assert json.loads(out) == [
+        {"claim": f"{claim}/{branch}", "shape": shape, "bound": bound, "degree": d,
+         "agreed_terms": d, "window": 2 * d if window is None else window,
+         "verdict": "certified", "root_containment": "structural (trusted input)"}
+        for branch, (shape, bound, d) in CERTIFICATES[claim].items()]
+
+
+def test_prove_refutes_a_right_side_one_too_large(capsys, monkeypatch):
+    entry = verify_suite.CLAIMS["lemma2"]
+
+    def prove():
+        (name, sides, spec), *rest = entry.prove()
+
+        def broken(i):
+            lhs, rhs = sides(i)
+            return lhs, rhs + (i == 4)
+
+        return [(name, broken, spec), *rest]
+
+    monkeypatch.setitem(verify_suite.CLAIMS, "lemma2", replace(entry, prove=prove))
+    code, out, _ = run(capsys, "prove", "--claim", "lemma2", "--format", "json")
+    assert code == EXIT_FAIL
+    first, second = json.loads(out)
+    assert (first["claim"], first["verdict"], first["agreed_terms"]) == (
+        "lemma2/A", "refuted at index 4", 3)
+    assert second["verdict"] == "certified"
+
+
 def test_bench_closed_far_beyond_brute(capsys):
     code, out, _ = run(capsys, "bench", "--k", "1000", "--s", "3",
                        "--engine", "closed")

@@ -59,17 +59,18 @@ def test_moment_matches_the_recurrence_engine():
     for k in range(1, 301):
         for s in (0, 1, 3):
             for prime in (False, True):
-                assert cf.moment(k, s, 0, prime) == table.a(k, s, 0, prime), (k, s, prime)
+                mo = [Moment(s, 0, prime)]
+                assert cf.ClosedEngine().at(k, mo) == table.at(k, mo), (k, s, prime)
 
 
 @pytest.mark.parametrize("prime", [False, True])
 def test_moment_rejects_what_it_does_not_cover(prime):
     for s, j in ((2, 0), (1, 1), (4, 0)):
         with pytest.raises(ValueError, match="closed engine supports j = 0 and s in"):
-            cf.moment(5, s, j, prime)
+            cf.ClosedEngine().at(5, [Moment(s, j, prime)])
     for s in (0, 1, 3):
         with pytest.raises(ValueError, match="index must be >= 1"):
-            cf.moment(0, s, 0, prime)
+            cf.ClosedEngine().at(0, [Moment(s, 0, prime)])
 
 
 def test_theorem1_rhs_examples():
@@ -105,12 +106,6 @@ def test_theorem6_cross_checked_against_brute():
     for k in range(1, 13):
         brute = lcm(brute_sum(2 * k, 1), brute_sum(2 * k, 1, prime=True))
         assert cf.theorem6_rhs(k) == brute, k
-
-
-def test_case4l_sides_equal():
-    for l in range(1, 22):
-        lhs, rhs = cf.case4l_sides(l)
-        assert lhs == rhs, l
 
 
 def test_identity_sides_equal_every_residue():

@@ -144,8 +144,7 @@ class TestCertify:
         table = self.table()
         cert = certify_identity(
             "first-moment",
-            lambda k: table.a(k, 1, 0),
-            cf.lemma2_a,
+            lambda k: (table.a(k, 1, 0), cf.lemma2_a(k)),
             RootSetSpec(SIGNED_PHI_POWERS, 2),
         )
         assert cert.certified
@@ -162,8 +161,7 @@ class TestCertify:
         for window in (25, 40, 60):
             cert = certify_identity(
                 "first-moment",
-                lambda k: table.a(k, 1, 0),
-                cf.lemma2_a,
+                lambda k: (table.a(k, 1, 0), cf.lemma2_a(k)),
                 RootSetSpec(SIGNED_PHI_POWERS, 2),
                 extra_window=window,
             )
@@ -173,8 +171,7 @@ class TestCertify:
         table = self.table()
         cert = certify_identity(
             "first-moment-broken",
-            lambda k: table.a(k, 1, 0),
-            lambda k: cf.lemma2_a(k) + (1 if k == 4 else 0),
+            lambda k: (table.a(k, 1, 0), cf.lemma2_a(k) + (1 if k == 4 else 0)),
             RootSetSpec(SIGNED_PHI_POWERS, 2),
         )
         assert not cert.certified
@@ -188,8 +185,8 @@ class TestCertify:
         spec = RootSetSpec(SIGNED_PHI_POWERS, 2)
         broken = [fib(k) + (k == 15) for k in range(1, 31)]
         assert not annihilates(char_poly(spec), broken)
-        for lhs, rhs in ((fib, lambda k: broken[k - 1]), (lambda k: broken[k - 1], fib)):
-            cert = certify_identity("fibonacci-broken", lhs, rhs, spec)
+        for sides in (lambda k: (fib(k), broken[k - 1]), lambda k: (broken[k - 1], fib(k))):
+            cert = certify_identity("fibonacci-broken", sides, spec)
             assert not cert.certified
             assert cert.agreed_terms == cert.degree == 10
             # the first window of 11 terms that holds k = 15 starts at k = 5
@@ -207,8 +204,7 @@ class TestCertify:
 
         cert = certify_identity(
             "third-moment-broken",
-            lambda k: broken(2 * k),
-            lambda k: cf.lemma4_a_prime3(2 * k),
+            lambda k: (broken(2 * k), cf.lemma4_a_prime3(2 * k)),
             RootSetSpec(EVEN_PHI_POWERS, 4),
         )
         assert not cert.certified
@@ -219,8 +215,7 @@ class TestCertify:
         table = self.table()
         cert = certify_identity(
             "first-moment",
-            lambda k: table.a(k, 1, 0),
-            cf.lemma2_a,
+            lambda k: (table.a(k, 1, 0), cf.lemma2_a(k)),
             RootSetSpec(SIGNED_PHI_POWERS, 2),
         )
         d = cert.to_dict()
