@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from time import perf_counter
@@ -26,10 +25,6 @@ EXIT_USAGE = 2
 EXIT_GUARD = 3
 
 
-class UsageError(Exception):
-    pass
-
-
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, fixed indentation."""
     return json.dumps(obj, indent=2, sort_keys=True)
@@ -37,10 +32,10 @@ def canonical_json(obj) -> str:
 
 def _compute_value(sum_kind: str, k: int, s: int, j: int, engine: str) -> int:
     if k < 1:
-        raise UsageError(f"--k must be >= 1, got {k}")
+        raise ValueError(f"--k must be >= 1, got {k}")
     prime = sum_kind == "Aprime"
     if prime and j != 0:
-        raise UsageError("--j applies to --sum A only")
+        raise ValueError("--j applies to --sum A only")
     engine = cf.make_engine("recursive" if engine == "rec" else engine)
     return engine.at(k, [Moment(s, j, prime)])[0]
 
@@ -121,10 +116,7 @@ def _cmd_bench(args) -> int:
 
 
 def _print_csv(rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
+    csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -182,7 +174,7 @@ def main(argv: list[str] | None = None) -> int:
     except BruteForceGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -4,9 +4,9 @@ Each evaluator expresses a moment sum (or a ratio built from moment sums)
 as a product of Fibonacci and Lucas numbers, so it is usable at indices
 far beyond brute-force range.  Each evaluator costs one fast doubling: it
 reads every F it needs from one ``fib_run`` of consecutive Fibonacci
-numbers, and every L from L_n = F_{n-1} + F_{n+1} or, for the doubled
-indices, L_{2n} = L_n^2 - 2(-1)^n.  All divisions are exact and asserted; a
-remainder would mean a transcription bug, not a rounding issue.
+numbers, and every L from L_n = F_{n-1} + F_{n+1} = 2F_{n+1} - F_n or, for
+the doubled indices, L_{2n} = L_n^2 - 2(-1)^n.  All divisions are exact and
+asserted; a remainder would mean a transcription bug, not a rounding issue.
 
 ``ClosedEngine`` serves the moments they cover as ``at(k, moments)``, and
 ``ENGINES`` registers it by name next to the two engines of ``moment_sums``.
@@ -144,39 +144,28 @@ def theorem1_num_den(K: int) -> tuple[int, int]:
     """Numerator and denominator of the defect 1 - Q-difference at m = F_K - 1.
 
     The branch depends on K mod 4 (write K = 2k or K = 2k - 1 and split on
-    the parity of k):
+    the parity of k), and every branch reads one run of F near k:
 
-        K = 2k,   k even:  (1,       F_{k+1}^2 L_{k+2} L_{k-1})
-        K = 2k,   k odd:   (1,       L_{k+1}^2 F_{k+2} F_{k-1})
-        K = 2k-1, k even:  (F_{k-2}, F_{k+1} F_k^2 L_{k-1}^2)
-        K = 2k-1, k odd:   (L_{k-2}, L_{k+1} L_k^2 F_{k-1}^2)
+        K = 2k,   k even (K = 0 mod 4):  (1,       F_{k+1}^2 L_{k+2} L_{k-1})
+        K = 2k,   k odd  (K = 2 mod 4):  (1,       L_{k+1}^2 F_{k+2} F_{k-1})
+        K = 2k-1, k even (K = 3 mod 4):  (F_{k-2}, F_{k+1} F_k^2 L_{k-1}^2)
+        K = 2k-1, k odd  (K = 1 mod 4):  (L_{k-2}, L_{k+1} L_k^2 F_{k-1}^2)
     """
     if K < 3:
         raise DegenerateIndexError(
             f"Q-difference closed form needs K >= 3 (m = F_K - 1 >= 1), got {K}"
         )
-    if K % 2 == 0:
-        k = K // 2
-        if k % 2 == 0:
-            fm2, _, f0, f1, _, f3 = fib_run(k - 2, 6)
-            num, den = 1, f1 * f1 * (f1 + f3) * (fm2 + f0)
-        else:
-            fm1, f0, _, f2 = fib_run(k - 1, 4)
-            l1 = f0 + f2
-            num, den = 1, l1 * l1 * f2 * fm1
-    else:
-        k = (K + 1) // 2
-        if k % 2 == 0:
-            fm2, _, f0, f1 = fib_run(k - 2, 4)
-            lm1 = fm2 + f0
-            num, den = fm2, f1 * f0 * f0 * lm1 * lm1
-        else:
-            fm3, fm2, fm1, f0, f1, f2 = fib_run(k - 3, 6)
-            l0 = fm1 + f1
-            num, den = fm3 + fm1, (f0 + f2) * l0 * l0 * fm1 * fm1  # num = L_{k-2}
-    if den == 0:
-        raise DegenerateIndexError(f"degenerate index K = {K}: zero denominator")
-    return num, den
+    k = (K + 1) // 2
+    fm2, fm1, f0, f1, f2, f3 = fib_run(k - 2, 6)
+    # L_{k+2} = f1 + f3, L_{k+1} = f0 + f2, L_k = fm1 + f1, L_{k-1} = fm2 + f0,
+    # L_{k-2} = 2 fm1 - fm2; with K >= 3 each factor of den is an F_j or L_j, j >= 1
+    if K % 4 == 0:
+        return 1, f1 * f1 * (f1 + f3) * (fm2 + f0)
+    if K % 4 == 2:
+        return 1, (f0 + f2) ** 2 * f2 * fm1
+    if K % 4 == 3:
+        return fm2, f1 * f0 * f0 * (fm2 + f0) ** 2
+    return 2 * fm1 - fm2, (f0 + f2) * (fm1 + f1) ** 2 * fm1 * fm1
 
 
 def theorem1_rhs(K: int) -> Fraction:
@@ -193,13 +182,11 @@ def theorem6_rhs(k: int) -> int:
     """
     if k < 1:
         raise ValueError(f"index must be >= 1, got {k}")
+    fm1, f0, f1, f2, f3 = fib_run(k - 1, 5)
+    # L_{k+2} = f1 + f3, L_{k+1} = f0 + f2, L_k = fm1 + f1, L_{k-1} = 2 f0 - fm1
     if k % 2 == 0:
-        fm2, _, f0, f1, f2, f3 = fib_run(k - 2, 6)
-        num = f1 * f0 * (f1 + f3) * (f0 + f2) * (fm2 + f0)
-    else:
-        fm1, f0, f1, f2 = fib_run(k - 1, 4)
-        num = f2 * f1 * fm1 * (f0 + f2) * (fm1 + f1)
-    return _exact_div(num, 2)
+        return _exact_div(f1 * f0 * (f1 + f3) * (f0 + f2) * (2 * f0 - fm1), 2)
+    return _exact_div(f2 * f1 * fm1 * (f0 + f2) * (fm1 + f1), 2)
 
 
 _IDENTITY_MOMENTS = (Moment(1), Moment(1, prime=True), Moment(3), Moment(3, prime=True))

@@ -26,22 +26,22 @@ from dataclasses import asdict, dataclass, field
 
 from .fib_lucas import lucas
 
-# Root-set shapes.  Bound B parameterizes each family:
-#   signed-phi-powers:    {+phi^l, -phi^l : |l| <= B}         (2(2B+1) roots)
-#   even-phi-powers:      {phi^(2l) : |l| <= B}               (2B+1 roots)
-#   quartic-phi-powers:   {phi^(4l) : |l| <= B}               (2B+1 roots)
-#   twice-odd-phi-powers: {phi^(2l) : l odd, |l| <= B}        (B+1 roots, B odd)
 SIGNED_PHI_POWERS = "signed-phi-powers"
 EVEN_PHI_POWERS = "even-phi-powers"
 QUARTIC_PHI_POWERS = "quartic-phi-powers"
 TWICE_ODD_PHI_POWERS = "twice-odd-phi-powers"
 
-_SHAPES = (
-    SIGNED_PHI_POWERS,
-    EVEN_PHI_POWERS,
-    QUARTIC_PHI_POWERS,
-    TWICE_ODD_PHI_POWERS,
-)
+# Root-set shapes: each maps its bound B to its roots as (sign, l) pairs.
+_SHAPES = {
+    # {+phi^l, -phi^l : |l| <= B}, 2(2B+1) roots
+    SIGNED_PHI_POWERS: lambda b: [(sign, l) for l in range(-b, b + 1) for sign in (1, -1)],
+    # {phi^(2l) : |l| <= B}, 2B+1 roots
+    EVEN_PHI_POWERS: lambda b: [(1, 2 * l) for l in range(-b, b + 1)],
+    # {phi^(4l) : |l| <= B}, 2B+1 roots
+    QUARTIC_PHI_POWERS: lambda b: [(1, 4 * l) for l in range(-b, b + 1)],
+    # {phi^(2l) : l odd, |l| <= B}, B+1 roots, B odd
+    TWICE_ODD_PHI_POWERS: lambda b: [(1, 2 * l) for l in range(-b, b + 1) if l % 2],
+}
 
 
 @dataclass(frozen=True)
@@ -61,14 +61,7 @@ class RootSetSpec:
 
     def roots(self) -> list[tuple[int, int]]:
         """The roots as (sign, l) pairs, each standing for sign * phi^l."""
-        b = self.bound
-        if self.shape == SIGNED_PHI_POWERS:
-            return [(sign, l) for l in range(-b, b + 1) for sign in (1, -1)]
-        if self.shape == EVEN_PHI_POWERS:
-            return [(1, 2 * l) for l in range(-b, b + 1)]
-        if self.shape == QUARTIC_PHI_POWERS:
-            return [(1, 4 * l) for l in range(-b, b + 1)]
-        return [(1, 2 * l) for l in range(-b, b + 1) if l % 2]
+        return _SHAPES[self.shape](self.bound)
 
     @property
     def cardinality(self) -> int:

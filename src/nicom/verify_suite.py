@@ -75,7 +75,9 @@ class Claim:
     """One claim: the indices it is checked at, its engines, its certification.
 
     At each index, ``rhs(index)`` evaluates the closed right-hand side once,
-    and ``rows`` yields the pairs each requested engine compares there.
+    and ``rows`` yields the pairs each requested engine compares there; an
+    engine that is the right-hand side, as the closed engine is in a lemma,
+    is not one the claim supports.
     ``supported`` names the engines the claim runs on, ``engines`` the ones
     it runs by default.  ``prove`` is None for a claim without a root-set
     spec; otherwise ``prove()`` lists the (name, sides, spec) certification
@@ -95,15 +97,15 @@ class Claim:
 def _lemma(kmax: int, moments: list[Moment], spec: RootSetSpec, split: bool = False) -> Claim:
     """A lemma: each of ``moments`` at k equals its closed form.
 
-    The brute and recursive engines each compare their sums with the closed
-    forms; the closed engine is the right-hand side itself and adds no row.
+    The closed forms are the right-hand side, read once per index, and the
+    brute and recursive engines each compare their sums with them.
     Certification takes each moment as one sequence in k, or with ``split``
     as its even and odd subsequences k -> 2k, 2k - 1; each term pairs the
     recursive engine's sum with the closed engine's, one engine of each per
     prove run.
     """
     def rows(k, rhs, engine):
-        return () if isinstance(engine, cf.ClosedEngine) else zip(engine.at(k, moments), rhs)
+        return zip(engine.at(k, moments), rhs)
 
     def prove():
         table, closed = MomentTable(), cf.ClosedEngine()
@@ -116,7 +118,7 @@ def _lemma(kmax: int, moments: list[Moment], spec: RootSetSpec, split: bool = Fa
             return [job("even", mo, lambda k: 2 * k), job("odd", mo, lambda k: 2 * k - 1)]
         return [job("Aprime" if mo.prime else "A", mo, lambda k: k) for mo in moments]
 
-    supported = tuple(cf.ENGINES)
+    supported = ("brute", "recursive")
     return Claim(1, kmax, kmax, rows, supported, supported,
                  rhs=lambda k: cf.ClosedEngine().at(k, moments), prove=prove)
 

@@ -93,7 +93,7 @@ def test_verify_json_round_trip(capsys):
 
 def test_verify_csv_rows(capsys):
     code, out, _ = run(capsys, "verify", "--claim", "lemma3", "--kmax", "12",
-                       "--engines", "brute,closed", "--format", "csv")
+                       "--engines", "brute,recursive", "--format", "csv")
     assert code == EXIT_OK
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["claim", "k", "lhs", "rhs", "equal"]
@@ -318,7 +318,7 @@ def test_verify_left_inconclusive_by_the_guard(capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ("lemma2", "--kmax", "2"),  # A(k, 1, 0) = 0 at k = 1, 2, on every engine
     ("lemma3", "--kmax", "2", "--engines", "brute"),
-    ("lemma4", "--engines", "closed"),  # the closed form alone has nothing to compare with
+    ("theorem6", "--kmax", "1"),  # LCM(A(2, 1), A'(2, 1)) = 0 = the closed form at k = 1
 ])
 def test_verify_of_only_empty_sums_is_inconclusive(capsys, argv):
     code, out, _ = run(capsys, "verify", "--claim", *argv)
@@ -349,8 +349,10 @@ def test_verify_theorem1_checks_every_default_engine(capsys, monkeypatch):
     (("case4l", "--engines", "brute"), "recursive, closed"),
     (("nicomachus", "--engines", "closed", "--kmax", "10"), "brute"),
     (("fact-identities", "--engines", "brute"), "closed"),
-    (("lemma2", "--engines", "brute,magic"), "brute, recursive, closed"),
-    (("lemma2", "--engines", ""), "brute, recursive, closed"),
+    (("theorem1", "--engines", "brute,magic"), "brute, recursive, closed"),
+    (("theorem1", "--engines", ""), "brute, recursive, closed"),
+    # a lemma's closed forms are its right-hand side, not an engine it compares
+    (("lemma4", "--engines", "closed"), "brute, recursive"),
 ])
 def test_verify_with_an_unsupported_engine_is_a_usage_error(capsys, argv, supported):
     code, out, err = run(capsys, "verify", "--claim", *argv)
@@ -370,7 +372,7 @@ def test_claim_choices_come_from_the_registry(capsys, monkeypatch):
     monkeypatch.setitem(verify_suite.CLAIMS, "lemma2-copy", entry)
     code, out, _ = run(capsys, "verify", "--claim", "lemma2-copy", "--kmax", "5")
     assert code == EXIT_OK
-    assert out.startswith("lemma2-copy: pass (indices 1..5, engines brute,recursive,closed)")
+    assert out.startswith("lemma2-copy: pass (indices 1..5, engines brute,recursive)")
     code, out, _ = run(capsys, "prove", "--claim", "lemma2-copy")
     assert code == EXIT_OK
     assert out.startswith("lemma2-copy/A: certified")
@@ -438,7 +440,7 @@ def test_verify_failures_report_decimal_strings(capsys, monkeypatch):
     expected = [{"index": k, "lhs": lhs, "rhs": rhs}
                 for k in (1, 2) for lhs, rhs, equal in big_row_text(k) if equal == "false"]
     assert json.loads(out)["failures"] == expected
-    assert text.splitlines() == ["lemma2: fail (indices 1..2, engines brute,recursive,closed)"] + [
+    assert text.splitlines() == ["lemma2: fail (indices 1..2, engines brute,recursive)"] + [
         f"  FAIL at {f['index']}: {f['lhs']} != {f['rhs']}" for f in expected]
 
 

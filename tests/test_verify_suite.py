@@ -33,12 +33,8 @@ def test_every_supported_engine_checks_the_claim_alone(claim, engine):
     report = verify_claim(claim, k_max=k_max, engines=(engine,))
     assert report.engines == (engine,)
     assert not report.skipped
-    if claim.startswith("lemma") and engine == "closed":
-        # the closed form is the lemma's right-hand side: nothing to compare it with
-        assert (report.verdict, report.rows) == ("inconclusive", [])
-    else:
-        assert report.passed, report.failures
-        assert {r.index for r in report.rows} == set(range(CLAIMS[claim].first, k_max + 1))
+    assert report.passed, report.failures
+    assert {r.index for r in report.rows} == set(range(CLAIMS[claim].first, k_max + 1))
 
 
 def test_unsupported_engine_names_the_supported_ones():
@@ -54,6 +50,23 @@ def test_ranges_match_the_benchmark_workloads():
     spec.loader.exec_module(workloads)
     assert {c: (e.first, e.kmax) for c, e in CLAIMS.items()} == workloads.DEFAULT_RANGES
     assert {c: (e.first, e.deep_kmax) for c, e in CLAIMS.items()} == workloads.DEEP_RANGES
+
+
+def test_readme_claims_table_matches_the_registry():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = {}
+    for line in readme.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 6 and cells[0].strip("`") in CLAIMS:
+            claim, first, kmax, deep_kmax, engines, provable = cells
+            names = engines.split(", ")
+            table[claim.strip("`")] = (
+                int(first), int(kmax), int(deep_kmax),
+                tuple(n.strip("*") for n in names),
+                tuple(n.strip("*") for n in names if n.startswith("**")),
+                provable.split(",")[0])
+    assert table == {c: (e.first, e.kmax, e.deep_kmax, e.supported, e.engines,
+                         "yes" if e.prove else "no") for c, e in CLAIMS.items()}
 
 
 def test_theorem1_sweep_fills_one_table(monkeypatch):
@@ -75,7 +88,8 @@ def test_theorem1_sweep_fills_one_table(monkeypatch):
 
 
 def test_lemma2_brute_and_closed():
-    report = verify_claim("lemma2", k_max=25, engines=("brute", "closed"))
+    """The brute sums against the closed right-hand side, to k = 25."""
+    report = verify_claim("lemma2", k_max=25, engines=("brute",))
     assert report.passed
     assert report.range == (1, 25)
     assert not report.skipped
