@@ -4,12 +4,18 @@ Exit codes: 0 success/pass, 1 verification failure or refutation,
 2 usage error, 3 resource guard exceeded, or a verify left inconclusive
 because it compared only empty sums.  JSON output renders big integers
 as decimal strings and rationals as "num/den" strings.
+
+``main`` parses with one parser, built on first use and kept for the
+process.  It holds no copy of the claim registry: ``verify_suite`` checks
+``--claim`` against ``CLAIMS`` as it stands at each call, and an unknown or
+unprovable claim exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from time import perf_counter
@@ -136,7 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compute)
 
     p = sub.add_parser("verify", help="check a claim index by index")
-    p.add_argument("--claim", choices=list(verify_suite.CLAIMS), required=True)
+    p.add_argument("--claim", required=True,
+                   help="a registered claim; another name is a usage error")
     p.add_argument("--kmax", type=int, default=None)
     p.add_argument("--engines", default=None,
                    help="comma-separated subset of the engines the claim supports "
@@ -148,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prove", help="finite recurrence certification of a claim")
     p.add_argument("--claim", required=True,
-                   choices=[c for c, claim in verify_suite.CLAIMS.items() if claim.prove])
+                   help="a claim with a registered root-set spec; another is a usage error")
     p.add_argument("--window", type=int, default=None,
                    help="corroboration window (default 2x the annihilator degree)")
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
@@ -163,10 +170,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -4,14 +4,34 @@ Since Python 3.11 (and in the 3.10 security releases), ``str`` of an int
 with more than ``sys.get_int_max_str_digits()`` digits (4300 by default)
 raises ValueError.  ``decimal_str`` never hands ``str`` more than
 ``_LEAF_DIGITS`` digits, below the smallest limit the interpreter accepts
-(640): it splits the value by the cached powers 10^(_LEAF_DIGITS * 2^i)
-and joins the zero-padded pieces.  The interpreter's limit is left alone.
+(640), and leaves the interpreter's limit alone.  It has two regimes:
+
+* up to ``_JOIN_BITS`` bits (about 14,800 digits) it splits the value by
+  the int powers 10^(_LEAF_DIGITS * 2^i) and joins the zero-padded
+  pieces.  Each ``divmod`` is quadratic, which is cheap at this size;
+* above it, it splits the value into binary halves at the widths
+  _LEAF_BITS * 2^i, down to leaves of at most ``_LEAF_BITS`` bits (about
+  4,900 digits), converts each leaf by the first regime into a
+  ``Decimal``, and joins the halves as ``lo + hi * 2^w`` in an exact
+  ``Decimal`` context.  libmpdec multiplies large operands by a
+  number-theoretic transform, so the whole is subquadratic.  This is the
+  method of CPython 3.12's ``_pylong.int_to_decimal_string``.  Below
+  ``_JOIN_BITS`` libmpdec's multiplies cost more than the divmods they
+  would replace.
+
+Both power caches, ``_POWERS`` and ``_JOINS``, hold one entry per width:
+O(log) entries in the largest value converted.
 """
 
 from __future__ import annotations
 
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, localcontext
+
 _LEAF_DIGITS = 512
 _POWERS = [10**_LEAF_DIGITS]  # _POWERS[i] = 10 ** (_LEAF_DIGITS * 2**i)
+_JOIN_BITS = 3 * 2**14  # above this size decimal_str joins Decimal halves
+_LEAF_BITS = 2**14
+_JOINS: list[Decimal] = []  # _JOINS[i] = Decimal(2 ** (_LEAF_BITS * 2**i))
 
 
 def _power(i: int) -> int:
@@ -28,12 +48,35 @@ def _padded(n: int, i: int) -> str:
     return _padded(hi, i - 1) + _padded(lo, i - 1)
 
 
+def _join(i: int) -> Decimal:
+    """2 ** (_LEAF_BITS * 2**i); only called in the exact context."""
+    while len(_JOINS) <= i:
+        _JOINS.append(_JOINS[-1] * _JOINS[-1] if _JOINS else Decimal(2) ** _LEAF_BITS)
+    return _JOINS[i]
+
+
+def _decimal(n: int) -> Decimal:
+    """Decimal(n) for 0 <= n, split at the largest width _LEAF_BITS * 2**i below its size."""
+    bits = n.bit_length()
+    if bits <= _LEAF_BITS:
+        return Decimal(decimal_str(n))
+    i = ((bits - 1) // _LEAF_BITS).bit_length() - 1
+    w = _LEAF_BITS << i  # w < bits <= 2w
+    hi = n >> w
+    return _decimal(n - (hi << w)) + _decimal(hi) * _join(i)
+
+
 def decimal_str(value: int) -> str:
     """str(value) for an int of any size, without the interpreter's digit limit."""
     if value < 0:
         return "-" + decimal_str(-value)
     if value < _POWERS[0]:
         return str(value)
+    if value.bit_length() > _JOIN_BITS:
+        with localcontext() as ctx:
+            ctx.prec, ctx.Emax, ctx.Emin = MAX_PREC, MAX_EMAX, MIN_EMIN
+            ctx.traps[Inexact] = True
+            return str(_decimal(value))
     i = 0
     while _power(i + 1) <= value:
         i += 1

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import decimal
 import io
 import json
 import random
@@ -10,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from nicom import closed_forms as cf
-from nicom import verify_suite
+from nicom import decimal_text, verify_suite
 from nicom.cli import EXIT_FAIL, EXIT_GUARD, EXIT_OK, EXIT_USAGE, canonical_json, main
 from nicom.decimal_text import decimal_str, exact_str
 from nicom.moment_sums import BruteEngine, Moment
@@ -220,11 +221,51 @@ def test_decimal_str_matches_str():
     rng = random.Random(5)
     values = [0, 7, -7, True, 10**511, 10**512, 10**512 - 1, 10**1024 + 1]
     values += [rng.randrange(10**d) * rng.choice((1, -1)) for d in (600, 4301, 9000, 40000)]
+    # both sides of the Decimal join threshold T and of the join's leaf width
+    with int_digit_limit(0):
+        n = len(str(2**decimal_text._JOIN_BITS)) - 1  # 10^n <= 2^T < 10^(n+1)
+    edges = [10**n, 10**n - 1, 10 ** (n + 1), 10 ** (n + 1) - 1]
+    for t in (decimal_text._JOIN_BITS, decimal_text._LEAF_BITS):
+        edges += [2 ** (t - 1), 2**t - 1, 2**t, 2**t + 1]
+    values += edges + [-v for v in edges]
     with int_digit_limit(0):
         for v in values:
             assert decimal_str(v) == str(v)
             assert exact_str(Fraction(v, 3)) == str(Fraction(v, 3))
     assert exact_str(True) == "True"
+
+
+def from_digits(text):
+    """int(text) for a digit string of any size, never parsing more than 512 digits at once."""
+    if len(text) <= 512:
+        return int(text)
+    half = len(text) // 2
+    return from_digits(text[:half]) * 10 ** (len(text) - half) + from_digits(text[half:])
+
+
+def test_decimal_str_of_hundreds_of_thousands_of_digits():
+    rng = random.Random(6)
+    for digits, limit in ((300_001, 4300), (100_000, 640)):  # 640: the smallest limit accepted
+        text = str(rng.randrange(1, 10)) + "".join(rng.choices("0123456789", k=digits - 1))
+        with int_digit_limit(limit):
+            value = from_digits(text)
+            assert decimal_str(value) == text
+            assert decimal_str(-value) == "-" + text
+
+
+def test_decimal_str_power_caches_stay_logarithmic():
+    value = 10**1_000_000 - 1
+    assert decimal_str(value) == "9" * 1_000_000
+    # each cache entry is the square of the one before, and the cache stops at
+    # the largest width the value splits at
+    joins, powers = decimal_text._JOINS, decimal_text._POWERS
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        assert all(b == a * a for a, b in zip(joins, joins[1:]))
+    assert all(b == a * a for a, b in zip(powers, powers[1:]))
+    assert len(joins) == ((value.bit_length() - 1) // decimal_text._LEAF_BITS).bit_length()
+    # the int powers serve the divmod regime only, below the join threshold
+    assert powers[-2].bit_length() <= decimal_text._JOIN_BITS
 
 
 def test_compute_beyond_the_digit_limit(capsys):
@@ -378,6 +419,39 @@ def test_claim_choices_come_from_the_registry(capsys, monkeypatch):
     assert out.startswith("lemma2-copy/A: certified")
     monkeypatch.setitem(verify_suite.CLAIMS, "lemma2-copy", replace(entry, prove=None))
     assert run(capsys, "prove", "--claim", "lemma2-copy")[0] == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv, registry_text", [
+    (("verify", "--claim", "nope"), "known: lemma2, lemma3, lemma4, theorem1, theorem6, case4l, "
+                                    "nicomachus, fact-identities"),
+    (("prove", "--claim", "nicomachus"), "provable claims: lemma2, lemma3, lemma4, theorem1"),
+])
+def test_unknown_or_unprovable_claim_is_a_usage_error(capsys, argv, registry_text):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert registry_text in err
+
+
+def test_reusing_the_parser_leaks_no_state(capsys):
+    compute = ("compute", "--sum", "A", "--k", "10", "--s", "1")
+    code, out, _ = run(capsys, *compute, "--j", "2", "--format", "json")
+    assert (code, json.loads(out)["j"]) == (EXIT_OK, 2)
+    code, out, _ = run(capsys, *compute)
+    assert (code, out) == (EXIT_OK, f"{cf.make_engine('recursive').at(10, [Moment(1)])[0]}\n")
+
+    theorem1 = verify_suite.CLAIMS["theorem1"]
+    code, out, _ = run(capsys, "verify", "--claim", "theorem1", "--deep", "--format", "json")
+    assert (code, json.loads(out)["range"]) == (EXIT_OK, [3, theorem1.deep_kmax])
+    code, out, _ = run(capsys, "verify", "--claim", "theorem1", "--format", "json")
+    assert (code, json.loads(out)["range"]) == (EXIT_OK, [3, theorem1.kmax])
+
+    assert run(capsys, *compute, "--format", "xml")[0] == EXIT_USAGE
+    code, out, _ = run(capsys, *compute)
+    assert (code, out.strip().isdigit()) == (EXIT_OK, True)
+
+    first = run(capsys, "--help")
+    assert first[0] == EXIT_OK and first[1].startswith("usage: nicom")
+    assert run(capsys, "--help") == first
 
 
 @pytest.mark.parametrize("engine", ["brute", "rec", "closed"])
