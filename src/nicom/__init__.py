@@ -3,7 +3,6 @@
 from .beatty_floor import epsilon, floor_phi, floor_phi2
 from .closed_forms import (
     ClosedEngine,
-    DegenerateIndexError,
     lemma2_a,
     lemma2_a_prime,
     lemma3_a3,

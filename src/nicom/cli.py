@@ -20,10 +20,9 @@ import json
 import sys
 from time import perf_counter
 
-from . import closed_forms as cf
 from . import verify_suite
 from .decimal_text import decimal_str, exact_str
-from .moment_sums import BruteForceGuardError, Moment
+from .moment_sums import ENGINES, BruteForceGuardError, Moment, make_engine
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -42,7 +41,7 @@ def _compute_value(sum_kind: str, k: int, s: int, j: int, engine: str) -> int:
     prime = sum_kind == "Aprime"
     if prime and j != 0:
         raise ValueError("--j applies to --sum A only")
-    engine = cf.make_engine("recursive" if engine == "rec" else engine)
+    engine = make_engine("recursive" if engine == "rec" else engine)
     return engine.at(k, [Moment(s, j, prime)])[0]
 
 
@@ -147,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, default=None)
     p.add_argument("--engines", default=None,
                    help="comma-separated subset of the engines the claim supports "
-                        f"({','.join(cf.ENGINES)}); another engine is a usage error")
+                        f"({','.join(ENGINES)}); another engine is a usage error")
     p.add_argument("--deep", action="store_true",
                    help="extend default ranges (theorem1/case4l to 100)")
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")

@@ -8,8 +8,9 @@ numbers, and every L from L_n = F_{n-1} + F_{n+1} = 2F_{n+1} - F_n or, for
 the doubled indices, L_{2n} = L_n^2 - 2(-1)^n.  All divisions are exact and
 asserted; a remainder would mean a transcription bug, not a rounding issue.
 
-``ClosedEngine`` serves the moments they cover as ``at(k, moments)``, and
-``ENGINES`` registers it by name next to the two engines of ``moment_sums``.
+``ClosedEngine`` serves the moments they cover as ``at(k, moments)``; the
+engine registry ``moment_sums.ENGINES`` names it next to the other two.
+The module is a leaf: it reads ``fib_lucas`` and no other part of nicom.
 """
 
 from __future__ import annotations
@@ -18,11 +19,6 @@ from fractions import Fraction
 from typing import Iterable
 
 from .fib_lucas import fib_run
-from .moment_sums import BruteEngine, Moment, MomentTable
-
-
-class DegenerateIndexError(ValueError):
-    """A formula was requested at an index where a denominator vanishes."""
 
 
 def _exact_div(n: int, d: int) -> int:
@@ -108,11 +104,12 @@ def lemma4_a_prime3(k: int) -> int:
 class ClosedEngine:
     """The closed engine: F_k - 1 and Lemmas 2-4 as moment sums at m = F_k - 1.
 
-    It covers j = 0 and s in {0, 1, 3}, and reads every moment of a call
-    from one ``_moment_run(k)``.  Stateless.
+    It covers j = 0 and s in {0, 1, 3} of the (s, j, prime) triples, such
+    as ``moment_sums.Moment``, and reads every moment of a call from one
+    ``_moment_run(k)``.  Stateless.
     """
 
-    def at(self, k: int, moments: Iterable[Moment]) -> list[int]:
+    def at(self, k: int, moments: Iterable[tuple[int, int, bool]]) -> list[int]:
         """A(k, s, j), or A'(k, s, j) for a primed moment, for each of ``moments``."""
         moments = list(moments)
         for s, j, prime in moments:
@@ -121,23 +118,6 @@ class ClosedEngine:
                                  f"got s = {s}, j = {j}")
         f = _moment_run(k)
         return [_EVALUATORS[s, prime](k, f) for s, _, prime in moments]
-
-
-# Every engine answers at(k, moments); the one place an engine name is read.
-ENGINES = {"brute": BruteEngine, "recursive": MomentTable, "closed": ClosedEngine}
-
-
-def make_engine(engine, supported: Iterable[str] = ENGINES, context: str = ""):
-    """A new engine named ``engine``, one of ``supported``; an engine passes through.
-
-    ``context``, such as " for lemma2", follows the name in the error.
-    """
-    if isinstance(engine, str):
-        if engine not in supported:
-            raise ValueError(f"unknown engine {engine!r}{context}; "
-                             f"supported: {', '.join(supported)}")
-        engine = ENGINES[engine]()
-    return engine
 
 
 def theorem1_num_den(K: int) -> tuple[int, int]:
@@ -152,9 +132,7 @@ def theorem1_num_den(K: int) -> tuple[int, int]:
         K = 2k-1, k odd  (K = 1 mod 4):  (L_{k-2}, L_{k+1} L_k^2 F_{k-1}^2)
     """
     if K < 3:
-        raise DegenerateIndexError(
-            f"Q-difference closed form needs K >= 3 (m = F_K - 1 >= 1), got {K}"
-        )
+        raise ValueError(f"Q-difference closed form needs K >= 3 (m = F_K - 1 >= 1), got {K}")
     k = (K + 1) // 2
     fm2, fm1, f0, f1, f2, f3 = fib_run(k - 2, 6)
     # L_{k+2} = f1 + f3, L_{k+1} = f0 + f2, L_k = fm1 + f1, L_{k-1} = fm2 + f0,
@@ -187,28 +165,3 @@ def theorem6_rhs(k: int) -> int:
     if k % 2 == 0:
         return _exact_div(f1 * f0 * (f1 + f3) * (f0 + f2) * (2 * f0 - fm1), 2)
     return _exact_div(f2 * f1 * fm1 * (f0 + f2) * (fm1 + f1), 2)
-
-
-_IDENTITY_MOMENTS = (Moment(1), Moment(1, prime=True), Moment(3), Moment(3, prime=True))
-
-
-def theorem1_identity_sides(K: int, engine="closed") -> tuple[int, int]:
-    """Both sides of the cross-multiplied, denominator-free Q-difference identity.
-
-    With num/den = theorem1_num_den(K), A1 = A(K,1), A3 = A(K,3) and the
-    primed analogues, the rational identity
-    A'3/A'1^2 - A3/A1^2 = 1 - num/den cross-multiplies to
-
-        den * (A'3 * A1^2 - A3 * A'1^2) = A1^2 * A'1^2 * (den - num).
-
-    Returns (left side, right side) as exact integers; they are equal iff
-    the closed-form Q-difference is correct at K.  The moments come from one
-    ``at`` call of ``engine``, a registered name or an engine, num/den from
-    one run near K/2.
-    """
-    num, den = theorem1_num_den(K)
-    a1, a1p, a3, a3p = make_engine(engine).at(K, _IDENTITY_MOMENTS)
-    lhs = den * (a3p * a1 * a1 - a3 * a1p * a1p)
-    rhs = a1 * a1 * a1p * a1p * (den - num)
-    return lhs, rhs
-

@@ -1,8 +1,8 @@
 """The moment sums A(k, s, j) = sum_{n=1}^{F_k - 1} n^j * floor(phi*n)^s.
 
 Every engine answers ``at(k, moments)``: the sums of a list of ``Moment``s
-at m = F_k - 1.  Two live here; the closed forms and the registry of all
-three by name live in ``closed_forms``.
+at m = F_k - 1.  Two live here, the closed engine in ``closed_forms``; the
+registry ``ENGINES`` names all three, and ``make_engine`` builds one by name.
 
 * ``BruteEngine`` sums term by term in one resumable pass, guarded as F_k - 1
   grows exponentially in k; its ``sums(m, moments)`` takes any m;
@@ -23,6 +23,7 @@ from operator import mul
 from typing import Iterable, NamedTuple
 
 from .beatty_floor import epsilon, phi_floors
+from .closed_forms import ClosedEngine
 from .fib_lucas import fib
 
 DEFAULT_BRUTE_GUARD = 10**6
@@ -209,3 +210,21 @@ class BruteEngine:
                 self._sums[mo] += sum(terms)
             self.terms += len(ns)
         self._n = m
+
+
+# Every engine answers at(k, moments); the one place an engine name is read.
+ENGINES = {"brute": BruteEngine, "recursive": MomentTable, "closed": ClosedEngine}
+
+
+def make_engine(engine, supported: Iterable[str] = ENGINES, context: str = ""):
+    """A new engine named ``engine``, one of ``supported``; an engine of theirs passes through.
+
+    ``context``, such as " for lemma2", follows the name, or the class name
+    of an engine object, in the error.
+    """
+    if isinstance(engine, tuple(ENGINES[name] for name in supported)):
+        return engine
+    if isinstance(engine, str) and engine in supported:
+        return ENGINES[engine]()
+    name = repr(engine) if isinstance(engine, str) else type(engine).__name__
+    raise ValueError(f"unknown engine {name}{context}; supported: {', '.join(supported)}")

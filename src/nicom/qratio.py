@@ -7,7 +7,8 @@ instances, so they are always reduced with a positive denominator.
 For m of the form F_K - 1 the sums come from any engine's ``at(K, ...)``,
 the recursive engine by default; any other m needs the brute engine's
 ``sums(m, ...)``.  The module holds no engine: ``engine`` is a registered
-name (``closed_forms.ENGINES``) or an engine, so a sweep passes its own.
+name (``moment_sums.ENGINES``) or an engine, so a sweep passes its own.
+``q_diff`` and ``theorem1_identity_sides`` read one Q-difference N/D.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import log2
 
-from .closed_forms import make_engine
+from .closed_forms import theorem1_num_den
 from .fib_lucas import fib_run
-from .moment_sums import BruteEngine, Moment
+from .moment_sums import Moment, make_engine
 
 PHI = "phi"
 PHI2 = "phi2"
@@ -46,20 +47,41 @@ def q_value(alpha: str, m: int, engine="auto") -> Fraction:
     K = _fib_index_of(m)
     if engine == "auto":
         engine = "brute" if K is None else "recursive"
-    built = make_engine(engine)
-    if K is None and not isinstance(built, BruteEngine):
-        raise ValueError(f"engine {engine!r} needs m of the form F_K - 1, got m = {m}")
+    if K is None:
+        engine = make_engine(engine, ("brute",), " at m not of the form F_K - 1")
     moments = _MOMENTS[alpha]
-    cubes, plain = built.sums(m, moments) if K is None else built.at(K, moments)
+    cubes, plain = engine.sums(m, moments) if K is None else make_engine(engine).at(K, moments)
     return Fraction(cubes, plain * plain)
+
+
+def _q_diff_parts(K: int, engine) -> tuple[int, int]:
+    """(N, D), unreduced, with N/D = Q(phi^2, F_K - 1) - Q(phi, F_K - 1), from one ``at`` call.
+
+    With c, p the cube and plain sums: N = c2 p1^2 - c1 p2^2, D = p1^2 p2^2.
+    """
+    if K < 3:
+        raise ValueError(f"q_diff needs K >= 3 (so m = F_K - 1 >= 1), got {K}")
+    c2, p2, c1, p1 = make_engine(engine).at(K, _MOMENTS[PHI2] + _MOMENTS[PHI])
+    p1, p2 = p1 * p1, p2 * p2  # squared plain sums
+    return c2 * p1 - c1 * p2, p1 * p2
 
 
 def q_diff(K: int, engine="recursive") -> Fraction:
     """Q(phi^2, F_K - 1) - Q(phi, F_K - 1), exact, for K >= 3, from one ``at`` call."""
-    if K < 3:
-        raise ValueError(f"q_diff needs K >= 3 (so m = F_K - 1 >= 1), got {K}")
-    c2, p2, c1, p1 = make_engine(engine).at(K, _MOMENTS[PHI2] + _MOMENTS[PHI])
-    return Fraction(c2, p2 * p2) - Fraction(c1, p1 * p1)
+    return Fraction(*_q_diff_parts(K, engine))
+
+
+def theorem1_identity_sides(K: int, engine="closed") -> tuple[int, int]:
+    """Theorem 1 cross-multiplied: (den * N, D * (den - num)), exact integers.
+
+    num/den is theorem1_num_den(K) and N/D the Q-difference of ``_q_diff_parts``;
+    the sides are equal iff N/D = 1 - num/den, the closed value, at K.  The
+    moments come from one ``at`` call of ``engine``, a registered name or an
+    engine, num/den from one run near K/2.
+    """
+    num, den = theorem1_num_den(K)
+    n, d = _q_diff_parts(K, engine)
+    return den * n, d * (den - num)
 
 
 def nicomachus_check(m: int, engine="brute") -> bool:

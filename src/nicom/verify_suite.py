@@ -18,7 +18,7 @@ from . import closed_forms as cf
 from . import qratio
 from .decimal_text import exact_str
 from .fib_lucas import fib, fib_minus_one_factors, lucas
-from .moment_sums import BruteForceGuardError, Moment, MomentTable
+from .moment_sums import BruteForceGuardError, Moment, MomentTable, make_engine
 from .recurrence_prover import (
     QUARTIC_PHI_POWERS,
     SIGNED_PHI_POWERS,
@@ -132,7 +132,7 @@ def _theorem1_jobs() -> list[tuple]:
     """
     quartic10 = RootSetSpec(QUARTIC_PHI_POWERS, 10)
     twice_odd21 = RootSetSpec(TWICE_ODD_PHI_POWERS, 21)
-    return [(f"mod4={r}", lambda l, r=r: cf.theorem1_identity_sides(4 * l + r),
+    return [(f"mod4={r}", lambda l, r=r: qratio.theorem1_identity_sides(4 * l + r),
              twice_odd21 if r % 2 else quartic10) for r in range(4)]
 
 
@@ -146,8 +146,8 @@ def _fact_rows(l, rhs, engine):
 _THEOREM6_MOMENTS = (Moment(1), Moment(1, prime=True))  # A(2k, 1), A'(2k, 1)
 
 # Claim(first, kmax, deep_kmax, rows, supported engines, default engines, rhs,
-# prove).  Rows and right-hand sides look the closed forms up in ``cf`` when
-# they run, so a rebinding of a closed form reaches every claim that reads it.
+# prove).  Rows and right-hand sides look the closed forms up in ``cf`` and
+# ``qratio`` when they run, so a rebinding of one reaches every claim that reads it.
 CLAIMS: dict[str, Claim] = {
     # the first moments certify on the 10-element signed root set
     "lemma2": _lemma(10, [Moment(1), Moment(1, prime=True)], RootSetSpec(SIGNED_PHI_POWERS, 2)),
@@ -163,7 +163,8 @@ CLAIMS: dict[str, Claim] = {
                       lambda k, rhs, engine: [(lcm(*engine.at(2 * k, _THEOREM6_MOMENTS)), rhs)],
                       ("brute", "closed"), ("closed",), lambda k: cf.theorem6_rhs(k)),
     # the denominator-free identity at K = 4l with each engine's moments
-    "case4l": Claim(1, 21, 100, lambda l, rhs, engine: [cf.theorem1_identity_sides(4 * l, engine)],
+    "case4l": Claim(1, 21, 100,
+                    lambda l, rhs, engine: [qratio.theorem1_identity_sides(4 * l, engine)],
                     ("recursive", "closed"), ("closed",)),
     "nicomachus": Claim(1, 1000, 1000,
                         lambda m, rhs, engine: [(qratio.nicomachus_check(m, engine), True)],
@@ -195,7 +196,7 @@ def verify_claim(
     engines = entry.engines if engines is None else tuple(engines)
     live = {}  # name -> engine, one per requested name, until it trips the guard
     for eng in engines:
-        live[eng] = cf.make_engine(eng, entry.supported, f" for {claim}")
+        live[eng] = make_engine(eng, entry.supported, f" for {claim}")
         if engines.count(eng) > 1:
             raise ValueError(f"engine {eng!r} is listed more than once for {claim}")
     if k_max < lo:

@@ -15,7 +15,7 @@ from nicom import closed_forms as cf
 from nicom.beatty_floor import epsilon, floor_phi, floor_phi2
 from nicom.fib_lucas import fib, fib_minus_one_factors, lucas
 from nicom.moment_sums import BruteEngine, Moment, MomentTable
-from nicom.qratio import q_diff, q_value
+from nicom.qratio import q_diff, q_value, theorem1_identity_sides
 from nicom.recurrence_prover import (
     SIGNED_PHI_POWERS,
     RootSetSpec,
@@ -90,7 +90,7 @@ def test_criterion_4_denominator_free_identity():
     with criterion(4, "denominator-free identity, l=1..21 and deep l=1..100"):
         start = time.perf_counter()
         for l in range(1, 22):
-            lhs, rhs = cf.theorem1_identity_sides(4 * l)
+            lhs, rhs = theorem1_identity_sides(4 * l)
             assert lhs == rhs
         report = verify_claim("case4l", deep=True)
         assert report.passed and report.range == (1, 100)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from nicom import closed_forms, moment_sums, verify_suite
+from nicom import moment_sums, verify_suite
 from nicom.beatty_floor import floor_phi, floor_phi2, phi_floors
 from nicom.fib_lucas import fib
 from nicom.moment_sums import BruteEngine, BruteForceGuardError, Moment, MomentTable
@@ -118,7 +118,7 @@ def _count_terms(monkeypatch, claim, k_max, engines):
             super().__init__(*args, **kwargs)
             engines_built.append(self)
 
-    monkeypatch.setitem(closed_forms.ENGINES, "brute", Counted)
+    monkeypatch.setitem(moment_sums.ENGINES, "brute", Counted)
     assert verify_suite.verify_claim(claim, k_max=k_max, engines=engines).passed
     assert len(engines_built) == 1
     return engines_built[0].terms

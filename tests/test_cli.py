@@ -11,10 +11,10 @@ from fractions import Fraction
 import pytest
 
 from nicom import closed_forms as cf
-from nicom import decimal_text, verify_suite
+from nicom import decimal_text, moment_sums, qratio, verify_suite
 from nicom.cli import EXIT_FAIL, EXIT_GUARD, EXIT_OK, EXIT_USAGE, canonical_json, main
 from nicom.decimal_text import decimal_str, exact_str
-from nicom.moment_sums import BruteEngine, Moment
+from nicom.moment_sums import BruteEngine, Moment, make_engine
 
 
 def run(capsys, *argv):
@@ -326,7 +326,7 @@ def test_verify_nicomachus_sums_each_term_once(capsys, monkeypatch):
             super().__init__(*args, **kwargs)
             engines.append(self)
 
-    monkeypatch.setitem(cf.ENGINES, "brute", Counted)
+    monkeypatch.setitem(moment_sums.ENGINES, "brute", Counted)
     code, out, _ = run(capsys, "verify", "--claim", "nicomachus", "--kmax", "1000")
     assert code == EXIT_OK
     assert out.startswith("nicomachus: pass")
@@ -437,7 +437,7 @@ def test_reusing_the_parser_leaks_no_state(capsys):
     code, out, _ = run(capsys, *compute, "--j", "2", "--format", "json")
     assert (code, json.loads(out)["j"]) == (EXIT_OK, 2)
     code, out, _ = run(capsys, *compute)
-    assert (code, out) == (EXIT_OK, f"{cf.make_engine('recursive').at(10, [Moment(1)])[0]}\n")
+    assert (code, out) == (EXIT_OK, f"{make_engine('recursive').at(10, [Moment(1)])[0]}\n")
 
     theorem1 = verify_suite.CLAIMS["theorem1"]
     code, out, _ = run(capsys, "verify", "--claim", "theorem1", "--deep", "--format", "json")
@@ -520,13 +520,13 @@ def test_verify_failures_report_decimal_strings(capsys, monkeypatch):
 
 def test_prove_theorem1_evaluates_each_identity_once(capsys, monkeypatch):
     calls = []
-    sides = cf.theorem1_identity_sides
+    sides = qratio.theorem1_identity_sides
 
     def counted(K):
         calls.append(K)
         return sides(K)
 
-    monkeypatch.setattr(cf, "theorem1_identity_sides", counted)
+    monkeypatch.setattr(qratio, "theorem1_identity_sides", counted)
     code, _, _ = run(capsys, "prove", "--claim", "theorem1")
     assert code == EXIT_OK
     # the default windows hold 63, 66, 63 and 66 terms per side (residues 0..3)

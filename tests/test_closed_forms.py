@@ -1,12 +1,14 @@
+import ast
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 
 from nicom import closed_forms as cf
 from nicom.fib_lucas import fib
 from nicom.moment_sums import BruteEngine, Moment, MomentTable
-from nicom.qratio import q_diff
+from nicom.qratio import q_diff, theorem1_identity_sides
 
 
 def brute_sum(k, s, prime=False):
@@ -81,7 +83,7 @@ def test_theorem1_rhs_examples():
 
 def test_theorem1_rhs_rejects_degenerate():
     for K in (0, 1, 2):
-        with pytest.raises(cf.DegenerateIndexError):
+        with pytest.raises(ValueError):
             cf.theorem1_rhs(K)
 
 
@@ -110,7 +112,7 @@ def test_theorem6_cross_checked_against_brute():
 
 def test_identity_sides_equal_every_residue():
     for K in range(3, 104):
-        lhs, rhs = cf.theorem1_identity_sides(K)
+        lhs, rhs = theorem1_identity_sides(K)
         assert lhs == rhs, K
 
 
@@ -191,7 +193,7 @@ def test_theorem1_forms_match_the_paper_on_iterated_lists():
     # K up to 1200 covers both parities of k in both parities of K
     for K in range(3, ORACLE_MAX + 1):
         assert cf.theorem1_num_den(K) == oracle_num_den(K), K
-        assert cf.theorem1_identity_sides(K) == oracle_sides(K), K
+        assert theorem1_identity_sides(K) == oracle_sides(K), K
 
 
 def test_edge_indices_where_the_run_starts_at_f0():
@@ -206,5 +208,17 @@ def test_edge_indices_where_the_run_starts_at_f0():
     assert cf.theorem1_num_den(3) == oracle_num_den(3) == (0, 2)
     assert cf.theorem1_num_den(4) == oracle_num_den(4) == (1, 28)
     assert cf.theorem1_num_den(5) == oracle_num_den(5) == (1, 112)
-    assert cf.theorem1_identity_sides(3) == oracle_sides(3) == (8, 8)
-    assert cf.theorem1_identity_sides(4) == oracle_sides(4) == (21168, 21168)
+    assert theorem1_identity_sides(3) == oracle_sides(3) == (8, 8)
+    assert theorem1_identity_sides(4) == oracle_sides(4) == (21168, 21168)
+
+
+def test_closed_forms_is_a_leaf_of_formulas():
+    from_nicom = set()  # a relative or absolute import from nicom, by module name
+    for node in ast.walk(ast.parse(Path(cf.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("nicom")):
+            from_nicom.add(node.module)
+        elif isinstance(node, ast.Import):
+            from_nicom |= {alias.name for alias in node.names if alias.name.startswith("nicom")}
+    assert from_nicom == {"fib_lucas"}
+    for name in ("ENGINES", "make_engine", "theorem1_identity_sides"):
+        assert not hasattr(cf, name), name

@@ -4,8 +4,8 @@ import pytest
 
 from nicom import closed_forms as cf
 from nicom.fib_lucas import fib_run
-from nicom.moment_sums import BruteEngine, Moment
-from nicom.qratio import q_diff
+from nicom.moment_sums import ENGINES, BruteEngine, Moment, make_engine
+from nicom.qratio import q_diff, theorem1_identity_sides
 from nicom.verify_suite import CLAIMS
 
 # every moment with s + j <= 4, plain and primed
@@ -14,11 +14,11 @@ MOMENTS = [Moment(s, j, prime) for prime in (False, True) for s in range(5) for 
 COVERED = {"closed": [mo for mo in MOMENTS if mo.j == 0 and mo.s in (0, 1, 3)]}
 
 
-@pytest.mark.parametrize("name", list(cf.ENGINES))
+@pytest.mark.parametrize("name", list(ENGINES))
 def test_every_engine_agrees_with_the_literal_sums(name):
     moments = COVERED.get(name, MOMENTS)
     assert len(moments) > 1
-    engine, literal = cf.make_engine(name), BruteEngine()
+    engine, literal = make_engine(name), BruteEngine()
     for k in range(1, 21):
         assert engine.at(k, moments) == literal.at(k, moments), (name, k)
 
@@ -46,7 +46,7 @@ def test_one_fibonacci_run_per_closed_call(runs, K):
     assert lhs == rhs
     assert runs[1:] == [2 * K - 1]  # runs[0] is theorem6_rhs's, near K
     runs.clear()
-    lhs, rhs = cf.theorem1_identity_sides(K)
+    lhs, rhs = theorem1_identity_sides(K)
     assert lhs == rhs
     # one run at K for the four moments, one near K/2 for num/den
     assert len(runs) == 2 and runs[1] == K - 1 and runs[0] < K // 2

@@ -9,8 +9,14 @@ import pytest
 from nicom import fib_lucas
 from nicom.closed_forms import theorem1_rhs
 from nicom.fib_lucas import fib
-from nicom.moment_sums import BruteForceGuardError
-from nicom.qratio import _fib_index_of, nicomachus_check, q_diff, q_value
+from nicom.moment_sums import BruteForceGuardError, Moment, MomentTable, make_engine
+from nicom.qratio import (
+    _fib_index_of,
+    nicomachus_check,
+    q_diff,
+    q_value,
+    theorem1_identity_sides,
+)
 
 
 def sqrt5_interval(digits):
@@ -54,6 +60,41 @@ def test_q_diff_examples():
     assert q_diff(4) == Fraction(27, 28)
     assert q_diff(6) == Fraction(244, 245)
     assert q_diff(3) == 1
+
+
+@pytest.mark.parametrize("engine, kmax", [("recursive", 200), ("closed", 200), ("brute", 22)])
+def test_q_diff_is_the_difference_of_the_two_ratios(engine, kmax):
+    e = make_engine(engine)
+    for K in range(3, kmax + 1):
+        c2, p2 = e.at(K, [Moment(3, prime=True), Moment(1, prime=True)])
+        c1, p1 = e.at(K, [Moment(3), Moment(1)])
+        assert q_diff(K, e) == Fraction(c2, p2**2) - Fraction(c1, p1**2), (engine, K)
+
+
+def test_identity_sides_make_one_at_call(monkeypatch):
+    calls = []
+    at = MomentTable.at
+
+    def counted(self, k, moments):
+        calls.append(k)
+        return at(self, k, moments)
+
+    monkeypatch.setattr(MomentTable, "at", counted)
+    lhs, rhs = theorem1_identity_sides(40, MomentTable())
+    assert lhs == rhs
+    assert calls == [40]
+
+
+def test_an_unregistered_engine_object_is_an_unknown_engine():
+    with pytest.raises(ValueError, match="unknown engine MomentTable; supported: brute") as exc:
+        nicomachus_check(5, MomentTable())
+    assert "0x" not in str(exc.value)
+    with pytest.raises(ValueError, match="unknown engine MomentTable at m not of the form "
+                                         "F_K - 1; supported: brute") as exc:
+        q_value("phi", 5, engine=MomentTable())
+    assert "0x" not in str(exc.value)
+    with pytest.raises(ValueError, match="unknown engine object; supported: brute, recursive"):
+        q_diff(10, object())
 
 
 def test_q_diff_from_threads():
