@@ -8,7 +8,8 @@ registry ``ENGINES`` names all three, and ``make_engine`` builds one by name.
   grows exponentially in k; its ``sums(m, moments)`` takes any m;
 * ``MomentTable`` reduces A(k, s, j) to values at k-1 and k-2, one step per
   k, which makes indices like k = 1000 (~10^208 terms) computable in
-  milliseconds; its ``a(k, s, j, prime)`` reads one moment.
+  milliseconds, in memory linear in k; its ``a(k, s, j, prime)`` reads one
+  moment.
 
 A primed ``Moment`` gives A'(k, s, j) = sum n^j * floor(phi^2*n)^s, which
 follows the same reduction with F_{k+1} in place of F_k.
@@ -22,7 +23,7 @@ from math import comb
 from operator import mul
 from typing import Iterable, NamedTuple
 
-from .beatty_floor import epsilon, phi_floors
+from .beatty_floor import phi_floors
 from .closed_forms import ClosedEngine
 from .fib_lucas import fib
 
@@ -44,7 +45,7 @@ def brute_guard() -> int:
 
 
 class MomentTable:
-    """Memoized recursive engine for A(k, s, j) and A'(k, s, j).
+    """Recursive engine for A(k, s, j) and A'(k, s, j), in memory linear in k.
 
     Splitting 1 <= n < F_k at n = F_{k-1} leaves the block n = F_{k-1} + n',
     0 <= n' < F_{k-2}, where floor(phi*n) = F_k + g(n'), g(n') = floor(phi*n')
@@ -58,20 +59,21 @@ class MomentTable:
     both sums evaluated by Horner's rule, in F_{k-1} and in step.  The primed
     sums A'(k, s, j) = sum n^j * floor(phi^2*n)^s follow the same step with A'
     in place of A and step = F_{k+1}, since floor(phi^2*n) = n + floor(phi*n).
-    Each moment (s, j, prime) is one column, a list indexed by k; a miss
-    extends only the columns of its downset {(s', j', prime): s' <= s,
-    j' <= j}, each from where it stopped, so every cell is computed once.
-    Not internally synchronized: confine an instance to one thread.
+    A fill plan (s_max, j_max, prime) steps the moments (s, j, prime), s <= s_max
+    and j <= j_max, together, and the table keeps only its rows at k - 1 and k.
+    A read is served by a covering plan that holds its k, else advances a
+    covering plan behind k; a read behind every covering plan refills the
+    moment's own from k = 3.  ``len(table)`` counts the cells computed, a
+    refilled cell again.  Not internally synchronized: confine to one thread.
     """
 
     def __init__(self) -> None:
-        self._cols: dict[tuple[int, int, bool], list[int]] = {}
-        # (s_max, j_max, prime) -> a fill's columns and reads; the columns only grow
-        self._plans: dict[tuple[int, int, bool], tuple] = {}
+        self._cells = 0
+        # (s_max, j_max, prime) -> frontier [k, row at k - 1, row at k, F_{k-1}, F_k, reads]
+        self._plans: dict[tuple[int, int, bool], list] = {}
 
     def __len__(self) -> int:
-        # every column starts with the empty sums at k = 0, 1, 2
-        return sum(len(col) - 3 for col in self._cols.values())
+        return self._cells
 
     def a(self, k: int, s: int, j: int = 0, prime: bool = False) -> int:
         """sum_{n=1}^{F_k - 1} n^j * floor(alpha*n)^s, alpha = phi^2 if ``prime`` else phi."""
@@ -81,69 +83,67 @@ class MomentTable:
             raise ValueError(f"moment powers must be nonnegative, got s={s}, j={j}")
         if k <= 2:
             return 0  # empty sums: F_1 - 1 = F_2 - 1 = 0
-        col = self._cols.get((s, j, prime))
-        if col is None or len(col) <= k:
-            self._fill(k, s, j, prime)
-            col = self._cols[(s, j, prime)]
-        return col[k]
+        behind = s, j, prime  # a covering plan that has not passed k, else the moment's own
+        for plan, front in self._plans.items():
+            if plan[2] == prime and s <= plan[0] and j <= plan[1]:
+                if front[0] - 1 <= k <= front[0]:
+                    return front[k - front[0] + 2][s * (plan[1] + 1) + j]
+                if front[0] < k:
+                    behind = plan
+        return self._fill(behind, k)[s * (behind[1] + 1) + j]
 
     def at(self, k: int, moments: Iterable[Moment]) -> list[int]:
         """A(k, s, j), or A'(k, s, j) for a primed moment, for each of ``moments``."""
-        return [self.a(k, s, j, prime) for s, j, prime in moments]
+        moments = list(moments)
+        sums = [0] * len(moments)
+        # a covering moment is read first, so the plans filled do not depend on the order
+        for i in sorted(range(len(moments)), key=moments.__getitem__, reverse=True):
+            s, j, prime = moments[i]
+            sums[i] = self.a(k, s, j, prime)
+        return sums
 
-    def _fill(self, k_max: int, s_max: int, j_max: int, prime: bool) -> None:
-        """Extend every column (s, j, prime), s <= s_max and j <= j_max, to k_max.
+    def _fill(self, plan: tuple[int, int, bool], k_max: int) -> list[int]:
+        """Step the frontier of ``plan`` to k_max; a new plan, or one past k_max, starts at k = 2.
 
-        The cells at k - 2 and k - 1 are held in two flat rows, (s, j) at
-        s * (j_max + 1) + j.  A column only ever grows together with its
-        downset, so none is longer than one below it: (s_max, j) is the
-        shortest with its j.  A longer column is read at k, not recomputed.
+        A row holds cell (s, j) at s * (j_max + 1) + j.
         """
-        plan = self._plans.get((s_max, j_max, prime))
-        if plan is None:
+        s_max, j_max, prime = plan
+        front = self._plans.get(plan)
+        if front is None or front[0] > k_max:
             w = j_max + 1
-            cols = [self._cols.setdefault((s, j, prime), [0, 0, 0])
-                    for s in range(s_max + 1) for j in range(w)]
             # (position, (-eps)^s) of the cells j = 0, indexed by eps
             bounds = [(0, 1)], [(s * w, (-1) ** s) for s in range(s_max + 1)]
-            # Horner sums: a leading position, then (coefficient, position) pairs.
-            # n' -> F_{k-1} + n' makes (s, j) sum_l C(j,l) F_{k-1}^l (s, j-l), in place
-            # with j descending, and only while the column (s_max, j) needs it
-            shifts = [(s * w + j, cols[s_max * w + j], s * w,
-                       [(comb(j, l), s * w + j - l) for l in range(j - 1, -1, -1)])
+            # Horner sums: a leading position, then (coefficient, position) pairs. n' ->
+            # F_{k-1} + n' makes (s, j) sum_l C(j,l) F_{k-1}^l (s, j-l), in place, j descending
+            shifts = [(s * w + j, s * w, [(comb(j, t), s * w + t) for t in range(1, j + 1)])
                       for j in range(j_max, 0, -1) for s in range(s_max + 1)]
-            # cell (s, j) adds sum_i C(s,i) step^i (s-i, j) of the shifted block
-            reads = [(j, [(comb(s, i), (s - i) * w + j) for i in range(s - 1, -1, -1)])
-                     for s in range(s_max + 1) for j in range(w)]
-            plan = self._plans[s_max, j_max, prime] = cols, bounds, shifts, reads
-        cols, bounds, shifts, reads = plan
-        k0 = len(cols[-1])
-        # F_{k-1}, F_k from the longest column: A(k, 0, 0) = A'(k, 0, 0) = F_k - 1
-        f_prev = cols[0][k0 - 1] + 1
-        f_cur = f_prev + cols[0][k0 - 2] + 1
-        older = [col[k0 - 2] for col in cols]
-        old = [col[k0 - 1] for col in cols]
-        for k in range(k0, k_max + 1):
+            # cell (s, j) adds sum_i C(s,i) step^i (s-i, j) of the block, in place, s descending
+            reads = [(s * w + j, j, [(comb(s, t), t * w + j) for t in range(1, s + 1)])
+                     for s in range(s_max, -1, -1) for j in range(w)]
+            zeros = [0] * (s_max + 1) * w  # the rows at k = 1, 2 hold empty sums
+            front = self._plans[plan] = [2, zeros, zeros, 1, 1, (bounds, shifts, reads)]
+        k0, older, old, f_prev, f_cur, (bounds, shifts, reads) = front
+        older, old = older[:], old[:]  # so an interrupted fill leaves the frontier as it was
+        for k in range(k0 + 1, k_max + 1):
+            f_prev, f_cur = f_cur, f_prev + f_cur  # F_{k-1}, F_k
             step = f_prev + f_cur if prime else f_cur
-            block = older  # turned into B(k-2) in place: the row at k - 2 is not read again
-            for p, term in bounds[epsilon(k - 1)]:
+            block = older  # the row at k - 2 becomes B(k-2), then the row at k
+            for p, term in bounds[k & 1]:  # eps_{k-1} = k & 1
                 block[p] += term
-            for p, top, first, terms in shifts:
-                if len(top) == k:
-                    u = block[first]
-                    for c, q in terms:
-                        u = u * f_prev + c * block[q]
-                    block[p] = u
-            new = []
-            for col, (first, terms), below in zip(cols, reads, old):
-                if len(col) == k:
-                    u = block[first]
-                    for c, q in terms:
-                        u = u * step + c * block[q]
-                    col.append(below + u)
-                new.append(col[k])
-            older, old = old, new
-            f_prev, f_cur = f_cur, f_prev + f_cur
+            for p, first, terms in shifts:
+                u = block[first]
+                for c, q in terms:
+                    u = u * f_prev + c * block[q]
+                block[p] = u
+            for p, first, terms in reads:
+                u = block[first]
+                for c, q in terms:
+                    u = u * step + c * block[q]
+                block[p] = old[p] + u
+            older, old = old, block
+        front[:5] = k_max, older, old, f_prev, f_cur
+        self._cells += len(old) * (k_max - k0)
+        return old
 
 
 class Moment(NamedTuple):

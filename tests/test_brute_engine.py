@@ -69,6 +69,17 @@ def test_resume_then_add_a_moment_mid_stream():
     assert engine.sums(0, [Moment(3)]) == [0]
 
 
+def test_repeated_request_sums_nothing():
+    engine = BruteEngine()
+    assert engine.sums(100, [Moment(1), Moment(3)]) == [literal(100, 1), literal(100, 3)]
+    assert engine.sums(100, [Moment(3)]) == [literal(100, 3)]
+    assert engine.terms == 100
+    engine = BruteEngine()
+    assert engine.at(12, [Moment(3, 1)]) == [literal(fib(12) - 1, 3, 1)]
+    assert engine.sums(fib(12) - 1, [Moment(3, 1)]) == [literal(fib(12) - 1, 3, 1)]
+    assert engine.terms == fib(12) - 1
+
+
 def test_floors_come_from_one_block_call(monkeypatch):
     blocks = []
 

@@ -1,9 +1,12 @@
 import importlib
 import pkgutil
 import random
+import tracemalloc
+from itertools import permutations
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nicom
 from nicom import closed_forms as cf
@@ -141,18 +144,22 @@ def test_columns_match_literal_sums():
 
 
 def test_cold_fill_creates_only_the_downset():
+    # a cold read makes one plan, the moment's own, whose rows hold its downset
     K = 40
     table = MomentTable()
     table.a(K, 3, 0)
-    assert set(table._cols) == {(s, 0, False) for s in range(4)}
+    assert set(table._plans) == {(3, 0, False)}
+    assert [len(row) for row in table._plans[3, 0, False][1:3]] == [4, 4]
     assert len(table) == 4 * (K - 2)
     table = MomentTable()
     table.a(K, 3, 0, True)
-    assert set(table._cols) == {(s, 0, True) for s in range(4)}
+    assert set(table._plans) == {(3, 0, True)}
+    table.a(K, 1, 0, True)  # covered by (3, 0, True) at K: a hit
+    table.a(K - 1, 2, 0, True)
+    assert len(table) == 4 * (K - 2)
     table.a(K, 1, 2, True)
-    assert set(table._cols) == {(s, 0, True) for s in range(4)} | {(s, j, True)
-                                                                   for s in range(2)
-                                                                   for j in (1, 2)}
+    assert set(table._plans) == {(3, 0, True), (1, 2, True)}
+    assert len(table) == 4 * (K - 2) + 6 * (K - 2)
 
 
 def test_sweep_fills_each_cell_once():
@@ -166,19 +173,68 @@ def test_sweep_fills_each_cell_once():
         assert len(swept) == len(cold)
 
 
+def frontier(table, plan):
+    """A plan's k, its rows at k - 1 and k, and F_{k-1}, F_k."""
+    return table._plans[plan][:5]
+
+
 def test_fill_order_does_not_matter():
-    # a miss extends columns of different lengths, each from where it stopped
+    # a read is served by, or advances, whichever covering plan it finds
     rng = random.Random(7)
     shared = MomentTable()
     for _ in range(300):
         k, s, j = rng.randrange(1, 150), rng.randrange(4), rng.randrange(4)
         prime = rng.random() < 0.5
         assert shared.a(k, s, j, prime) == MomentTable().a(k, s, j, prime), (k, s, j, prime)
-    # and every column is a cold fill's as a whole, so a wrong cell no request read shows too
-    for (s, j, prime), col in shared._cols.items():
+    # and every plan's frontier is a cold fill's, so a wrong cell no request read shows too
+    for plan in shared._plans:
         cold = MomentTable()
-        cold.a(len(col) - 1, s, j, prime)
-        assert cold._cols[s, j, prime] == col, (s, j, prime)
+        cold.a(shared._plans[plan][0], *plan)
+        assert frontier(cold, plan) == frontier(shared, plan), plan
+
+
+MOMENTS = st.tuples(st.integers(0, 4), st.integers(0, 4), st.booleans()).filter(
+    lambda mo: mo[0] + mo[1] <= 4)
+ORDERS = st.sampled_from([sorted, lambda ks: sorted(ks, reverse=True), list])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_random_reads_match_fresh_tables(data):
+    # each moment's reads ascend, descend or wander in k, and the moments take turns
+    series = []
+    for mo in data.draw(st.lists(MOMENTS, min_size=1, max_size=3)):
+        ks = data.draw(st.lists(st.integers(1, 150), min_size=1, max_size=8))
+        series.append([(k, *mo) for k in data.draw(ORDERS)(ks)])
+    table = MomentTable()
+    while series:
+        reads = series[data.draw(st.integers(0, len(series) - 1))]
+        k, s, j, prime = reads.pop(0)
+        assert table.a(k, s, j, prime) == MomentTable().a(k, s, j, prime), (k, s, j, prime)
+        series = [left for left in series if left]
+
+
+def test_at_costs_the_same_in_any_moment_order():
+    K = 60
+    moments = [Moment(1), Moment(3), Moment(0, 2), Moment(2, 1, True)]
+    cold = MomentTable()
+    want = dict(zip(moments, cold.at(K, moments)))
+    for order in permutations(moments):
+        table = MomentTable()
+        assert table.at(K, order) == [want[mo] for mo in order], order
+        assert len(table) == len(cold), order
+
+
+def test_table_keeps_only_the_frontier():
+    tracemalloc.start()
+    try:
+        table = MomentTable()
+        before = tracemalloc.get_traced_memory()[0]
+        assert table.a(4000, 3) == cf.lemma3_a3(4000)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 0.5 * 2**20, held
 
 
 def unfolded_columns(k_max, n_max, prime):
@@ -215,11 +271,13 @@ def test_resumed_fill_matches_cold_fill(k0, prime):
     K = 120
     resumed = MomentTable()
     resumed.a(k0 - 1, 3, 2, prime)
-    assert len(resumed._cols[3, 2, prime]) == k0  # the next fill starts at k0
+    assert frontier(resumed, (3, 2, prime))[0] == k0 - 1  # the next fill starts at k0
+    assert len(resumed) == 12 * (k0 - 3)
     resumed.a(K, 3, 2, prime)
     cold = MomentTable()
     cold.a(K, 3, 2, prime)
-    assert resumed._cols == cold._cols
+    assert frontier(resumed, (3, 2, prime)) == frontier(cold, (3, 2, prime))
+    assert len(resumed) == len(cold)
 
 
 def test_no_module_holds_an_engine():
