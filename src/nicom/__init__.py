@@ -12,7 +12,7 @@ from .closed_forms import (
 )
 from .fib_lucas import fib, fib_minus_one_factors, lucas
 from .moment_sums import BruteEngine, BruteForceGuardError, Moment, MomentTable
-from .qratio import nicomachus_check, q_diff, q_value
+from .qratio import nicomachus_sides, q_diff, q_value
 from .recurrence_prover import (
     Certificate,
     IntPolynomial,

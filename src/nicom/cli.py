@@ -68,7 +68,8 @@ def _cmd_verify(args) -> int:
         print(canonical_json(report.to_dict()))
     elif args.format == "csv":
         rows = [["claim", "k", "lhs", "rhs", "equal"]]
-        rows += [[report.claim, r.index, exact_str(r.lhs), exact_str(r.rhs), str(r.equal).lower()]
+        rows += [[report.claim, r.index, exact_str(r.lhs), exact_str(r.rhs),
+                  str(r.lhs == r.rhs).lower()]
                  for r in report.rows]
         _print_csv(rows)
     else:

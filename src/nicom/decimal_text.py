@@ -85,8 +85,6 @@ def decimal_str(value: int) -> str:
 
 
 def exact_str(value) -> str:
-    """str(value) for a bool, an int or a Fraction of any size."""
-    if isinstance(value, bool):
-        return str(value)
+    """str(value) for an int or a Fraction of any size."""
     num, den = value.numerator, value.denominator
     return decimal_str(num) if den == 1 else f"{decimal_str(num)}/{decimal_str(den)}"

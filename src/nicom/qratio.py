@@ -84,8 +84,8 @@ def theorem1_identity_sides(K: int, engine="closed") -> tuple[int, int]:
     return den * n, d * (den - num)
 
 
-def nicomachus_check(m: int, engine="brute") -> bool:
-    """True iff the cube sum up to m equals the squared plain sum.
+def nicomachus_sides(m: int, engine="brute") -> tuple[int, int]:
+    """Nicomachus's identity at m: (sum of n^3, (sum of n)^2) over n = 1..m.
 
     The sums come from the guarded brute engine's ``sums(m, ...)``: ``engine``
     is "brute" or a brute engine, which a sweep in m passes in, so that it
@@ -94,4 +94,4 @@ def nicomachus_check(m: int, engine="brute") -> bool:
     if m < 1:
         raise ValueError(f"index must be >= 1, got {m}")
     cubes, plain = make_engine(engine, ("brute",)).sums(m, _NICOMACHUS_MOMENTS)
-    return cubes == plain * plain
+    return cubes, plain * plain

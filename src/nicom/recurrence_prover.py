@@ -63,10 +63,6 @@ class RootSetSpec:
         """The roots as (sign, l) pairs, each standing for sign * phi^l."""
         return _SHAPES[self.shape](self.bound)
 
-    @property
-    def cardinality(self) -> int:
-        return len(self.roots())
-
 
 @dataclass(frozen=True)
 class IntPolynomial:

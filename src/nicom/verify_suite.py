@@ -1,16 +1,18 @@
 """End-to-end verification and certification of the moment-sum identities.
 
 Each claim of the paper is one ``Claim`` in ``CLAIMS``: its index ranges,
-the engines it supports, one row generator that reads any of them through
-``at(k, moments)``, its closed right-hand side and, for lemma2/3/4 and
-theorem1, its certification jobs.  ``verify_claim`` evaluates a claim index
-by index with the requested engines and reports exact equality;
+the engines it supports, one row function ``rows(index, engine)`` that
+yields the exact (lhs, rhs) pairs, ints or Fractions, compared at an index
+on any of them and, for lemma2/3/4 and theorem1, its certification jobs,
+which read the same sides.  ``verify_claim`` evaluates a claim index by
+index with the requested engines and reports exact equality;
 ``prove_claim`` runs the finite recurrence certification.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable
 
@@ -34,14 +36,13 @@ from .recurrence_prover import (
 class IndexResult:
     """One compared pair at one index.
 
-    ``lhs`` and ``rhs`` hold the exact values compared (int, Fraction or
-    bool); they turn into decimal text only where they are printed.
+    ``lhs`` and ``rhs`` hold the exact values compared, ints or Fractions;
+    they turn into decimal text only where they are printed.
     """
 
     index: int
-    lhs: object
-    rhs: object
-    equal: bool
+    lhs: int | Fraction
+    rhs: int | Fraction
     skipped: bool = False  # always False, as a guard trip adds no row; perfbench's tracer reads it
 
 
@@ -51,13 +52,18 @@ class ClaimReport:
     range: tuple[int, int]
     engines: tuple[str, ...]
     verdict: str
-    failures: list[dict]
     skipped: list[int]  # [first, last] index the brute-force guard cut short, or []
     rows: list[IndexResult] = field(repr=False, default_factory=list)
 
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
+
+    @property
+    def failures(self) -> list[dict]:
+        """The unequal rows, each side as exact decimal text."""
+        return [{"index": r.index, "lhs": exact_str(r.lhs), "rhs": exact_str(r.rhs)}
+                for r in self.rows if r.lhs != r.rhs]
 
     def to_dict(self) -> dict:
         return {
@@ -74,44 +80,44 @@ class ClaimReport:
 class Claim:
     """One claim: the indices it is checked at, its engines, its certification.
 
-    At each index, ``rhs(index)`` evaluates the closed right-hand side once,
-    and ``rows`` yields the pairs each requested engine compares there; an
-    engine that is the right-hand side, as the closed engine is in a lemma,
-    is not one the claim supports.
+    ``rows(index, engine)`` yields the exact (lhs, rhs) pairs, ints or
+    Fractions, that one engine compares at an index; an engine that is the
+    right-hand side, as the closed engine is in a lemma, is not one the
+    claim supports.
     ``supported`` names the engines the claim runs on, ``engines`` the ones
     it runs by default.  ``prove`` is None for a claim without a root-set
     spec; otherwise ``prove()`` lists the (name, sides, spec) certification
-    jobs, where ``sides(i)`` is the pair (lhs_i, rhs_i) at index i.
+    jobs, where ``sides(i)`` is the pair (lhs_i, rhs_i) at index i, read
+    from the same function as the rows.
     """
 
     first: int  # first index
     kmax: int  # last index by default
     deep_kmax: int  # last index with --deep
-    rows: Callable[[int, object, object], Iterable[tuple]]  # (index, rhs, engine) -> pairs
+    rows: Callable[[int, object], Iterable[tuple]]  # (index, engine) -> exact pairs
     supported: tuple[str, ...]
     engines: tuple[str, ...]
-    rhs: Callable[[int], object] = lambda index: None
     prove: Callable[[], list[tuple]] | None = None
+
+
+def _lemma_rows(k, engine, moments):
+    return zip(engine.at(k, moments), cf.ClosedEngine().at(k, moments))
 
 
 def _lemma(kmax: int, moments: list[Moment], spec: RootSetSpec, split: bool = False) -> Claim:
     """A lemma: each of ``moments`` at k equals its closed form.
 
-    The closed forms are the right-hand side, read once per index, and the
-    brute and recursive engines each compare their sums with them.
-    Certification takes each moment as one sequence in k, or with ``split``
-    as its even and odd subsequences k -> 2k, 2k - 1; each term pairs the
-    recursive engine's sum with the closed engine's, one engine of each per
-    prove run.
+    The closed forms are the right-hand side, and the brute and recursive
+    engines each compare their sums with them.  Certification takes each
+    moment as one sequence in k, or with ``split`` as its even and odd
+    subsequences k -> 2k, 2k - 1; each term is that moment's row on the
+    recursive engine, one table per prove run.
     """
-    def rows(k, rhs, engine):
-        return zip(engine.at(k, moments), rhs)
-
     def prove():
-        table, closed = MomentTable(), cf.ClosedEngine()
+        table = MomentTable()
 
         def job(name, mo, at):
-            return name, lambda k: (table.at(at(k), [mo])[0], closed.at(at(k), [mo])[0]), spec
+            return name, lambda k: next(_lemma_rows(at(k), table, [mo])), spec
 
         if split:
             (mo,) = moments
@@ -119,8 +125,8 @@ def _lemma(kmax: int, moments: list[Moment], spec: RootSetSpec, split: bool = Fa
         return [job("Aprime" if mo.prime else "A", mo, lambda k: k) for mo in moments]
 
     supported = ("brute", "recursive")
-    return Claim(1, kmax, kmax, rows, supported, supported,
-                 rhs=lambda k: cf.ClosedEngine().at(k, moments), prove=prove)
+    return Claim(1, kmax, kmax, lambda k, engine: _lemma_rows(k, engine, moments),
+                 supported, supported, prove)
 
 
 def _theorem1_jobs() -> list[tuple]:
@@ -136,7 +142,11 @@ def _theorem1_jobs() -> list[tuple]:
              twice_odd21 if r % 2 else quartic10) for r in range(4)]
 
 
-def _fact_rows(l, rhs, engine):
+def _theorem1_rows(K, engine):
+    return [qratio.theorem1_identity_sides(K, engine)]
+
+
+def _fact_rows(l, engine):
     for n in range(4 * l, 4 * l + 4):
         f, lu = fib_minus_one_factors(n)
         yield f * lu, fib(n) - 1
@@ -145,9 +155,9 @@ def _fact_rows(l, rhs, engine):
 
 _THEOREM6_MOMENTS = (Moment(1), Moment(1, prime=True))  # A(2k, 1), A'(2k, 1)
 
-# Claim(first, kmax, deep_kmax, rows, supported engines, default engines, rhs,
-# prove).  Rows and right-hand sides look the closed forms up in ``cf`` and
-# ``qratio`` when they run, so a rebinding of one reaches every claim that reads it.
+# Claim(first, kmax, deep_kmax, rows, supported engines, default engines,
+# prove).  Rows look their sides up in ``cf`` and ``qratio`` when they run,
+# so a rebinding of one reaches every claim and job that reads it.
 CLAIMS: dict[str, Claim] = {
     # the first moments certify on the 10-element signed root set
     "lemma2": _lemma(10, [Moment(1), Moment(1, prime=True)], RootSetSpec(SIGNED_PHI_POWERS, 2)),
@@ -155,19 +165,18 @@ CLAIMS: dict[str, Claim] = {
     # certify on the 9-element even-power set
     "lemma3": _lemma(18, [Moment(3)], RootSetSpec(EVEN_PHI_POWERS, 4), split=True),
     "lemma4": _lemma(18, [Moment(3, prime=True)], RootSetSpec(EVEN_PHI_POWERS, 4), split=True),
-    # Q(phi^2, F_K - 1) - Q(phi, F_K - 1) on each engine against the closed value
-    "theorem1": Claim(3, 30, 100, lambda K, rhs, engine: [(qratio.q_diff(K, engine), rhs)],
-                      ("brute", "recursive", "closed"), ("recursive", "closed"),
-                      lambda K: cf.theorem1_rhs(K), _theorem1_jobs),
-    "theorem6": Claim(1, 60, 60,
-                      lambda k, rhs, engine: [(lcm(*engine.at(2 * k, _THEOREM6_MOMENTS)), rhs)],
-                      ("brute", "closed"), ("closed",), lambda k: cf.theorem6_rhs(k)),
-    # the denominator-free identity at K = 4l with each engine's moments
-    "case4l": Claim(1, 21, 100,
-                    lambda l, rhs, engine: [qratio.theorem1_identity_sides(4 * l, engine)],
+    # Q(phi^2, F_K - 1) - Q(phi, F_K - 1) from each engine's moments against the
+    # closed value, cross-multiplied to integers
+    "theorem1": Claim(3, 30, 100, _theorem1_rows, ("brute", "recursive", "closed"),
+                      ("recursive", "closed"), _theorem1_jobs),
+    "theorem6": Claim(1, 60, 60, lambda k, engine: [
+                          (lcm(*engine.at(2 * k, _THEOREM6_MOMENTS)), cf.theorem6_rhs(k))],
+                      ("brute", "closed"), ("closed",)),
+    # theorem1's identity at K = 4l
+    "case4l": Claim(1, 21, 100, lambda l, engine: _theorem1_rows(4 * l, engine),
                     ("recursive", "closed"), ("closed",)),
-    "nicomachus": Claim(1, 1000, 1000,
-                        lambda m, rhs, engine: [(qratio.nicomachus_check(m, engine), True)],
+    # sum n^3 against (sum n)^2 over n = 1..m
+    "nicomachus": Claim(1, 1000, 1000, lambda m, engine: [qratio.nicomachus_sides(m, engine)],
                         ("brute",), ("brute",)),
     "fact-identities": Claim(1, 50, 50, _fact_rows, ("closed",), ("closed",)),
 }
@@ -203,33 +212,24 @@ def verify_claim(
         raise ValueError(f"{claim}: empty index range {lo}..{k_max}; nothing to check")
 
     rows: list[IndexResult] = []
-    failures: list[dict] = []
     skipped: list[int] = []
-    nonzero = False  # some checked row has a nonzero side
     # an engine that tripped the brute-force guard would trip at every later
     # index too, as each brute row's m (F_k - 1, F_2k - 1 or m) grows with the
     # index: it is not called again, and the sweep ends once all have tripped
     for idx in range(lo, k_max + 1):
-        closed = entry.rhs(idx)
         for eng, engine in list(live.items()):
             try:
-                pairs = list(entry.rows(idx, closed, engine))
+                pairs = list(entry.rows(idx, engine))
             except BruteForceGuardError:
                 del live[eng]
                 skipped = skipped or [idx, k_max]
                 continue
-            for lhs, rhs in pairs:
-                nonzero = nonzero or lhs != 0 or rhs != 0
-                equal = lhs == rhs
-                rows.append(IndexResult(idx, lhs, rhs, equal))
-                if not equal:
-                    failures.append({"index": idx, "lhs": exact_str(lhs),
-                                     "rhs": exact_str(rhs)})
+            rows += (IndexResult(idx, lhs, rhs) for lhs, rhs in pairs)
         if not live:
             break
-    if failures:
+    if any(r.lhs != r.rhs for r in rows):
         verdict = "fail"
-    elif not nonzero:
+    elif all(r.lhs == 0 and r.rhs == 0 for r in rows):
         verdict = "inconclusive"  # only empty sums were compared
     else:
         verdict = "pass"
@@ -238,7 +238,6 @@ def verify_claim(
         range=(lo, k_max),
         engines=engines,
         verdict=verdict,
-        failures=failures,
         skipped=skipped,
         rows=rows,
     )

@@ -14,7 +14,7 @@ import pytest
 from nicom import closed_forms as cf
 from nicom.beatty_floor import epsilon, floor_phi, floor_phi2
 from nicom.fib_lucas import fib, fib_minus_one_factors, lucas
-from nicom.moment_sums import BruteEngine, Moment, MomentTable
+from nicom.moment_sums import BruteEngine, Moment, MomentTable, make_engine
 from nicom.qratio import q_diff, q_value, theorem1_identity_sides
 from nicom.recurrence_prover import (
     SIGNED_PHI_POWERS,
@@ -76,9 +76,13 @@ def test_criterion_2_third_moment_closed_forms():
 
 
 def test_criterion_3_q_difference_closed_form():
-    with criterion(3, "Q-difference equals closed form, K=3..30"):
+    with criterion(3, "Q-difference equals closed form, K=3..30 (brute to 22)"):
         for K in range(3, 31):
             assert q_diff(K) == cf.theorem1_rhs(K)
+        for name, kmax in (("recursive", 30), ("closed", 30), ("brute", 22)):
+            engine = make_engine(name)  # one engine per sweep, as verify builds it
+            for K in range(3, kmax + 1):
+                assert q_diff(K, engine) == cf.theorem1_rhs(K), (name, K)
         assert q_diff(4) == Fraction(27, 28)
         assert q_diff(5) == Fraction(111, 112)
         for K in (1, 2):

@@ -196,9 +196,10 @@ def test_guard_trips_once_per_run(monkeypatch, claim, k_max, engines):
 def test_sweep_ends_once_every_engine_has_tripped(monkeypatch):
     monkeypatch.setenv("NICOM_BRUTE_GUARD", "1000")
     indices = []
-    rhs = verify_suite.CLAIMS["nicomachus"].rhs
+    rows = verify_suite.CLAIMS["nicomachus"].rows
     monkeypatch.setitem(verify_suite.CLAIMS, "nicomachus", replace(
-        verify_suite.CLAIMS["nicomachus"], rhs=lambda m: indices.append(m) or rhs(m)))
+        verify_suite.CLAIMS["nicomachus"],
+        rows=lambda m, engine: indices.append(m) or rows(m, engine)))
     report = verify_suite.verify_claim("nicomachus", k_max=200000)
     assert (report.verdict, report.skipped) == ("pass", [1001, 200000])
     assert [r.index for r in report.rows] == list(range(1, 1001))

@@ -101,6 +101,35 @@ def test_verify_csv_rows(capsys):
     assert all(r[4] == "true" for r in rows[1:])
 
 
+def test_verify_csv_rows_compare_integers(capsys):
+    code, out, _ = run(capsys, "verify", "--claim", "nicomachus", "--kmax", "3",
+                       "--format", "csv")
+    assert code == EXIT_OK
+    assert out.splitlines()[1:] == [
+        "nicomachus,1,1,1,true", "nicomachus,2,9,9,true", "nicomachus,3,36,36,true"]
+    # theorem1 compares its identity cross-multiplied: 27/28 at K = 4
+    code, out, _ = run(capsys, "verify", "--claim", "theorem1", "--kmax", "4",
+                       "--engines", "closed", "--format", "csv")
+    assert code == EXIT_OK
+    assert out.splitlines()[1:] == ["theorem1,3,8,8,true", "theorem1,4,21168,21168,true"]
+
+
+def test_nicomachus_failures_show_both_integer_sides(capsys, monkeypatch):
+    sides = qratio.nicomachus_sides
+
+    def cubes_off_by_one(m, engine="brute"):
+        cubes, square = sides(m, engine)
+        return cubes + 1, square
+
+    monkeypatch.setattr(qratio, "nicomachus_sides", cubes_off_by_one)
+    code, out, _ = run(capsys, "verify", "--claim", "nicomachus", "--kmax", "5",
+                       "--format", "json")
+    assert code == EXIT_FAIL
+    squares = {m: (m * (m + 1) // 2) ** 2 for m in range(1, 6)}
+    assert json.loads(out)["failures"] == [
+        {"index": m, "lhs": str(sq + 1), "rhs": str(sq)} for m, sq in squares.items()]
+
+
 def test_verify_deep(capsys):
     code, out, _ = run(capsys, "verify", "--claim", "case4l", "--deep",
                        "--format", "json")
@@ -232,7 +261,6 @@ def test_decimal_str_matches_str():
         for v in values:
             assert decimal_str(v) == str(v)
             assert exact_str(Fraction(v, 3)) == str(Fraction(v, 3))
-    assert exact_str(True) == "True"
 
 
 def from_digits(text):
@@ -470,7 +498,7 @@ def test_k_below_one_is_a_usage_error(capsys, engine):
 BIG =10**5000 + 7  # past the interpreter's default digit limit
 
 
-def big_rows(k, rhs, engine):
+def big_rows(k, engine):
     """On the brute engine, rows that pass 4300 digits: one equal pair, two unequal ones."""
     if not isinstance(engine, BruteEngine):
         return
@@ -532,3 +560,27 @@ def test_prove_theorem1_evaluates_each_identity_once(capsys, monkeypatch):
     # the default windows hold 63, 66, 63 and 66 terms per side (residues 0..3)
     assert len(calls) == 63 + 66 + 63 + 66
     assert len(set(calls)) == len(calls)
+
+
+def test_theorem1_claims_read_one_identity_row(capsys, monkeypatch):
+    calls = []
+    sides = qratio.theorem1_identity_sides
+
+    def counted(K, *engine):
+        calls.append(K)
+        return sides(K, *engine)
+
+    monkeypatch.setattr(qratio, "theorem1_identity_sides", counted)
+    assert run(capsys, "verify", "--claim", "theorem1", "--kmax", "10")[0] == EXIT_OK
+    assert calls == [K for K in range(3, 11) for _ in ("recursive", "closed")]
+    calls.clear()
+    code, _, _ = run(capsys, "verify", "--claim", "case4l", "--kmax", "5", "--engines", "closed")
+    assert code == EXIT_OK
+    assert calls == [4, 8, 12, 16, 20]
+    calls.clear()
+    code, out, _ = run(capsys, "prove", "--claim", "theorem1", "--window", "1", "--format", "json")
+    assert code == EXIT_OK
+    # residue r certifies K = 4l + r for l = 1..degree + 1
+    certs = json.loads(out)
+    assert sorted(calls) == sorted(4 * l + r for r, cert in enumerate(certs)
+                                   for l in range(1, cert["degree"] + 2))

@@ -41,10 +41,11 @@ def test_one_fibonacci_run_per_closed_call(runs, K):
     q_diff(K, "closed")
     assert runs == [K - 1]
     runs.clear()
-    # a theorem6 row on the closed engine reads A(2K, 1) and A'(2K, 1)
-    (lhs, rhs), = CLAIMS["theorem6"].rows(K, cf.theorem6_rhs(K), cf.ClosedEngine())
+    # a theorem6 row on the closed engine reads A(2K, 1) and A'(2K, 1), then its
+    # right-hand side near K
+    (lhs, rhs), = CLAIMS["theorem6"].rows(K, cf.ClosedEngine())
     assert lhs == rhs
-    assert runs[1:] == [2 * K - 1]  # runs[0] is theorem6_rhs's, near K
+    assert runs == [2 * K - 1, K - 1]
     runs.clear()
     lhs, rhs = theorem1_identity_sides(K)
     assert lhs == rhs

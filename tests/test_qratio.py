@@ -12,7 +12,7 @@ from nicom.fib_lucas import fib
 from nicom.moment_sums import BruteForceGuardError, Moment, MomentTable, make_engine
 from nicom.qratio import (
     _fib_index_of,
-    nicomachus_check,
+    nicomachus_sides,
     q_diff,
     q_value,
     theorem1_identity_sides,
@@ -87,7 +87,7 @@ def test_identity_sides_make_one_at_call(monkeypatch):
 
 def test_an_unregistered_engine_object_is_an_unknown_engine():
     with pytest.raises(ValueError, match="unknown engine MomentTable; supported: brute") as exc:
-        nicomachus_check(5, MomentTable())
+        nicomachus_sides(5, MomentTable())
     assert "0x" not in str(exc.value)
     with pytest.raises(ValueError, match="unknown engine MomentTable at m not of the form "
                                          "F_K - 1; supported: brute") as exc:
@@ -140,9 +140,9 @@ def test_q_value_and_q_diff_reject_an_unknown_engine(engine):
 
 
 def test_nicomachus():
-    assert nicomachus_check(1)
-    assert nicomachus_check(3)
-    assert nicomachus_check(1000)
+    assert nicomachus_sides(1) == (1, 1)
+    assert nicomachus_sides(3) == (36, 36)
+    assert nicomachus_sides(1000) == (500500**2, 500500**2)
 
 
 def test_fraction_arithmetic_always_reduced():

@@ -19,20 +19,21 @@ from nicom.recurrence_prover import (
 
 class TestRootSetSpec:
     def test_cardinalities(self):
-        assert RootSetSpec(SIGNED_PHI_POWERS, 2).cardinality == 10
-        assert RootSetSpec(EVEN_PHI_POWERS, 4).cardinality == 9
-        assert RootSetSpec(QUARTIC_PHI_POWERS, 10).cardinality == 21
-        assert RootSetSpec(TWICE_ODD_PHI_POWERS, 21).cardinality == 22
+        assert len(RootSetSpec(SIGNED_PHI_POWERS, 2).roots()) == 10
+        assert len(RootSetSpec(EVEN_PHI_POWERS, 4).roots()) == 9
+        assert len(RootSetSpec(QUARTIC_PHI_POWERS, 10).roots()) == 21
+        assert len(RootSetSpec(TWICE_ODD_PHI_POWERS, 21).roots()) == 22
 
     def test_roots_match_cardinality(self):
-        for spec in (
-            RootSetSpec(SIGNED_PHI_POWERS, 3),
-            RootSetSpec(EVEN_PHI_POWERS, 5),
-            RootSetSpec(QUARTIC_PHI_POWERS, 4),
-            RootSetSpec(TWICE_ODD_PHI_POWERS, 7),
+        # 2(2B+1), 2B+1, 2B+1 and B+1 roots
+        for spec, size in (
+            (RootSetSpec(SIGNED_PHI_POWERS, 3), 14),
+            (RootSetSpec(EVEN_PHI_POWERS, 5), 11),
+            (RootSetSpec(QUARTIC_PHI_POWERS, 4), 9),
+            (RootSetSpec(TWICE_ODD_PHI_POWERS, 7), 8),
         ):
             roots = spec.roots()
-            assert len(roots) == spec.cardinality
+            assert len(roots) == size
             assert len(set(roots)) == len(roots)
 
     def test_invalid_specs(self):
@@ -58,7 +59,7 @@ class TestCharPoly:
             (TWICE_ODD_PHI_POWERS, 21),
         ]:
             spec = RootSetSpec(shape, bound)
-            assert char_poly(spec).degree == spec.cardinality
+            assert char_poly(spec).degree == len(spec.roots())
 
     def test_reciprocal_root_sets_give_palindromes(self):
         # roots come in reciprocal pairs with product 1, so the coefficient

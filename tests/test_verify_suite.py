@@ -1,13 +1,14 @@
 import importlib.util
 import json
 from collections import defaultdict
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from nicom import closed_forms as cf
 from nicom.cli import canonical_json
-from nicom.moment_sums import Moment, MomentTable
+from nicom.moment_sums import Moment, MomentTable, make_engine
 from nicom.verify_suite import CLAIMS, prove_claim, verify_claim
 
 PROVABLE_CLAIMS = [claim for claim, entry in CLAIMS.items() if entry.prove]
@@ -35,6 +36,19 @@ def test_every_supported_engine_checks_the_claim_alone(claim, engine):
     assert not report.skipped
     assert report.passed, report.failures
     assert {r.index for r in report.rows} == set(range(CLAIMS[claim].first, k_max + 1))
+
+
+@pytest.mark.parametrize("claim, engine", [
+    (claim, engine) for claim, entry in CLAIMS.items() for engine in entry.supported])
+def test_rows_are_exact_pairs_never_bools(claim, engine):
+    entry = CLAIMS[claim]
+    for index in range(entry.first, entry.first + 3):
+        pairs = list(entry.rows(index, make_engine(engine)))
+        assert pairs, index
+        for pair in pairs:
+            assert len(pair) == 2, (index, pair)
+            # type, not isinstance: a bool is an int
+            assert all(type(side) in (int, Fraction) for side in pair), (index, pair)
 
 
 def test_unsupported_engine_names_the_supported_ones():
