@@ -195,15 +195,23 @@ def test_guard_trips_once_per_run(monkeypatch, claim, k_max, engines):
 
 def test_sweep_ends_once_every_engine_has_tripped(monkeypatch):
     monkeypatch.setenv("NICOM_BRUTE_GUARD", "1000")
-    indices = []
+    indices, swept = [], []
     rows = verify_suite.CLAIMS["nicomachus"].rows
     monkeypatch.setitem(verify_suite.CLAIMS, "nicomachus", replace(
         verify_suite.CLAIMS["nicomachus"],
         rows=lambda m, engine: indices.append(m) or rows(m, engine)))
+
+    def recorded_range(*args):  # the indices the sweep walks, called or not
+        for idx in range(*args):
+            swept.append(idx)
+            yield idx
+
+    monkeypatch.setattr(verify_suite, "range", recorded_range, raising=False)
     report = verify_suite.verify_claim("nicomachus", k_max=200000)
     assert (report.verdict, report.skipped) == ("pass", [1001, 200000])
     assert [r.index for r in report.rows] == list(range(1, 1001))
-    assert indices == list(range(1, 1002))  # the trip at 1001 ends the sweep
+    assert indices == list(range(1, 1002))
+    assert swept == list(range(1, 1002))  # the trip at 1001 ends the sweep
 
 
 def test_theorem6_brute_sweep_sums_each_term_once(monkeypatch):

@@ -572,7 +572,9 @@ def test_theorem1_claims_read_one_identity_row(capsys, monkeypatch):
 
     monkeypatch.setattr(qratio, "theorem1_identity_sides", counted)
     assert run(capsys, "verify", "--claim", "theorem1", "--kmax", "10")[0] == EXIT_OK
-    assert calls == [K for K in range(3, 11) for _ in ("recursive", "closed")]
+    # each K at most once per engine (recursive, closed)
+    assert sorted(set(calls)) == list(range(3, 11))
+    assert all(calls.count(K) <= 2 for K in calls)
     calls.clear()
     code, _, _ = run(capsys, "verify", "--claim", "case4l", "--kmax", "5", "--engines", "closed")
     assert code == EXIT_OK
