@@ -3,10 +3,10 @@
 Each claim of the paper is one ``Claim`` in ``CLAIMS``: its index ranges,
 the engines it supports, one row function ``rows(index, engine)`` that
 yields the exact (lhs, rhs) pairs, ints or Fractions, compared at an index
-on any of them and, for lemma2/3/4 and theorem1, its certification jobs,
-which read the same sides.  ``verify_claim`` evaluates a claim index by
-index with the requested engines and reports exact equality;
-``prove_claim`` runs the finite recurrence certification.
+on any of them and, for lemma2/3/4 and theorem1, its certification
+sections, sequences of pairs read from the same rows.  ``verify_claim``
+evaluates a claim index by index with the requested engines and reports
+exact equality; ``prove_claim`` certifies each section by a finite check.
 """
 
 from __future__ import annotations
@@ -14,13 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import closed_forms as cf
 from . import qratio
 from .decimal_text import exact_str
 from .fib_lucas import fib, fib_minus_one_factors, lucas
-from .moment_sums import BruteForceGuardError, Moment, MomentTable, make_engine
+from .moment_sums import BruteForceGuardError, Moment, make_engine
 from .recurrence_prover import (
     QUARTIC_PHI_POWERS,
     SIGNED_PHI_POWERS,
@@ -76,6 +76,16 @@ class ClaimReport:
         }
 
 
+class Section(NamedTuple):
+    """One certified sequence: term i is pair ``pair`` of ``rows(a*i + b, engine)``."""
+
+    name: str
+    spec: RootSetSpec
+    a: int = 1
+    b: int = 0
+    pair: int = 0
+
+
 @dataclass(frozen=True)
 class Claim:
     """One claim: the indices it is checked at, its engines, its certification.
@@ -84,11 +94,10 @@ class Claim:
     Fractions, that one engine compares at an index; an engine that is the
     right-hand side, as the closed engine is in a lemma, is not one the
     claim supports.
-    ``supported`` names the engines the claim runs on, ``engines`` the ones
-    it runs by default.  ``prove`` is None for a claim without a root-set
-    spec; otherwise ``prove()`` lists the (name, sides, spec) certification
-    jobs, where ``sides(i)`` is the pair (lhs_i, rhs_i) at index i, read
-    from the same function as the rows.
+    ``supported`` names the engines the claim runs on, in ``ENGINES`` order,
+    slowest first, and ``engines`` the ones it runs by default.  ``prove``
+    certifies each of ``sections`` from the rows of the last, fastest,
+    supported engine; a claim without sections cannot be proved.
     """
 
     first: int  # first index
@@ -97,49 +106,22 @@ class Claim:
     rows: Callable[[int, object], Iterable[tuple]]  # (index, engine) -> exact pairs
     supported: tuple[str, ...]
     engines: tuple[str, ...]
-    prove: Callable[[], list[tuple]] | None = None
+    sections: tuple[Section, ...] = ()
 
 
 def _lemma_rows(k, engine, moments):
     return zip(engine.at(k, moments), cf.ClosedEngine().at(k, moments))
 
 
-def _lemma(kmax: int, moments: list[Moment], spec: RootSetSpec, split: bool = False) -> Claim:
+def _lemma(kmax: int, moments: list[Moment], sections: tuple[Section, ...]) -> Claim:
     """A lemma: each of ``moments`` at k equals its closed form.
 
     The closed forms are the right-hand side, and the brute and recursive
-    engines each compare their sums with them.  Certification takes each
-    moment as one sequence in k, or with ``split`` as its even and odd
-    subsequences k -> 2k, 2k - 1; each term is that moment's row on the
-    recursive engine, one table per prove run.
+    engines each compare their sums with them.
     """
-    def prove():
-        table = MomentTable()
-
-        def job(name, mo, at):
-            return name, lambda k: next(_lemma_rows(at(k), table, [mo])), spec
-
-        if split:
-            (mo,) = moments
-            return [job("even", mo, lambda k: 2 * k), job("odd", mo, lambda k: 2 * k - 1)]
-        return [job("Aprime" if mo.prime else "A", mo, lambda k: k) for mo in moments]
-
     supported = ("brute", "recursive")
     return Claim(1, kmax, kmax, lambda k, engine: _lemma_rows(k, engine, moments),
-                 supported, supported, prove)
-
-
-def _theorem1_jobs() -> list[tuple]:
-    """The denominator-free Q-difference identity, split modulo 4.
-
-    The even residues need the 21-element set {phi^(4l): |l| <= 10}, the
-    odd residues the 22-element set {phi^(2l): l odd, |l| <= 21} (their
-    characteristic roots sit at odd multiples of phi^2).
-    """
-    quartic10 = RootSetSpec(QUARTIC_PHI_POWERS, 10)
-    twice_odd21 = RootSetSpec(TWICE_ODD_PHI_POWERS, 21)
-    return [(f"mod4={r}", lambda l, r=r: qratio.theorem1_identity_sides(4 * l + r),
-             twice_odd21 if r % 2 else quartic10) for r in range(4)]
+                 supported, supported, sections)
 
 
 def _theorem1_rows(K, engine):
@@ -154,21 +136,28 @@ def _fact_rows(l, engine):
 
 
 _THEOREM6_MOMENTS = (Moment(1), Moment(1, prime=True))  # A(2k, 1), A'(2k, 1)
+_SIGNED2, _EVEN4 = RootSetSpec(SIGNED_PHI_POWERS, 2), RootSetSpec(EVEN_PHI_POWERS, 4)
+_BY_PARITY = (Section("even", _EVEN4, 2), Section("odd", _EVEN4, 2, -1))
+# theorem1 modulo 4: the even residues on the 21 roots {phi^(4l): |l| <= 10}, the odd
+# ones on the 22 roots {phi^(2l): l odd, |l| <= 21}, as theirs sit at odd multiples of phi^2
+_MOD4 = tuple(Section(f"mod4={r}", RootSetSpec(TWICE_ODD_PHI_POWERS, 21) if r % 2
+                      else RootSetSpec(QUARTIC_PHI_POWERS, 10), 4, r) for r in range(4))
 
 # Claim(first, kmax, deep_kmax, rows, supported engines, default engines,
-# prove).  Rows look their sides up in ``cf`` and ``qratio`` when they run,
-# so a rebinding of one reaches every claim and job that reads it.
+# sections).  Rows look their sides up in ``cf`` and ``qratio`` when they
+# run, so a rebinding of one reaches every claim and section that reads it.
 CLAIMS: dict[str, Claim] = {
     # the first moments certify on the 10-element signed root set
-    "lemma2": _lemma(10, [Moment(1), Moment(1, prime=True)], RootSetSpec(SIGNED_PHI_POWERS, 2)),
-    # the third moments split by parity, 9 indices per class by default, and
-    # certify on the 9-element even-power set
-    "lemma3": _lemma(18, [Moment(3)], RootSetSpec(EVEN_PHI_POWERS, 4), split=True),
-    "lemma4": _lemma(18, [Moment(3, prime=True)], RootSetSpec(EVEN_PHI_POWERS, 4), split=True),
+    "lemma2": _lemma(10, [Moment(1), Moment(1, prime=True)],
+                     (Section("A", _SIGNED2), Section("Aprime", _SIGNED2, pair=1))),
+    # the third moments split by parity, k -> 2k and 2k - 1, 9 indices per
+    # class by default, and certify on the 9-element even-power set
+    "lemma3": _lemma(18, [Moment(3)], _BY_PARITY),
+    "lemma4": _lemma(18, [Moment(3, prime=True)], _BY_PARITY),
     # Q(phi^2, F_K - 1) - Q(phi, F_K - 1) from each engine's moments against the
     # closed value, cross-multiplied to integers
     "theorem1": Claim(3, 30, 100, _theorem1_rows, ("brute", "recursive", "closed"),
-                      ("recursive", "closed"), _theorem1_jobs),
+                      ("recursive", "closed"), _MOD4),
     "theorem6": Claim(1, 60, 60, lambda k, engine: [
                           (lcm(*engine.at(2 * k, _THEOREM6_MOMENTS)), cf.theorem6_rhs(k))],
                       ("brute", "closed"), ("closed",)),
@@ -246,17 +235,27 @@ def verify_claim(
 def prove_claim(claim: str, extra_window: int | None = None) -> list[Certificate]:
     """Run the finite certification for a registered claim.
 
-    Returns one Certificate per branch (moment, parity class or residue
-    class), named under the claim.
+    Returns one Certificate per section (moment, parity class or residue
+    class), named under the claim; each index's row is read once.
     """
     entry = CLAIMS.get(claim)
-    if entry is None or entry.prove is None:
-        provable = [c for c, e in CLAIMS.items() if e.prove]
+    if entry is None or not entry.sections:
+        provable = [c for c, e in CLAIMS.items() if e.sections]
         raise ValueError(
             f"claim {claim!r} has no registered root-set spec; "
             f"provable claims: {', '.join(provable)}"
         )
-    return [
-        certify_identity(f"{claim}/{name}", sides, spec, extra_window)
-        for name, sides, spec in entry.prove()
-    ]
+    engine = make_engine(entry.supported[-1])
+    read: dict[int, tuple] = {}  # index -> the pairs of its row, a tuple, which gc can untrack
+
+    def sides(a, b, p):
+        def term(i):
+            k = a * i + b
+            row = read.get(k)
+            if row is None:
+                row = read[k] = tuple(entry.rows(k, engine))
+            return row[p]
+        return term
+
+    return [certify_identity(f"{claim}/{name}", sides(a, b, p), spec, extra_window)
+            for name, spec, a, b, p in entry.sections]

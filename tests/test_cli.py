@@ -183,25 +183,35 @@ def test_prove_json_pins_every_certificate(capsys, claim, window):
         for branch, (shape, bound, d) in CERTIFICATES[claim].items()]
 
 
-def test_prove_refutes_a_right_side_one_too_large(capsys, monkeypatch):
-    entry = verify_suite.CLAIMS["lemma2"]
+def prove_with_rhs_raised(capsys, monkeypatch, claim, index):
+    """Each certificate's (claim, verdict, agreed terms), the first rhs at ``index`` + 1."""
+    entry = verify_suite.CLAIMS[claim]
 
-    def prove():
-        (name, sides, spec), *rest = entry.prove()
+    def broken(k, engine):
+        (lhs, rhs), *rest = entry.rows(k, engine)
+        return [(lhs, rhs + (k == index)), *rest]
 
-        def broken(i):
-            lhs, rhs = sides(i)
-            return lhs, rhs + (i == 4)
-
-        return [(name, broken, spec), *rest]
-
-    monkeypatch.setitem(verify_suite.CLAIMS, "lemma2", replace(entry, prove=prove))
-    code, out, _ = run(capsys, "prove", "--claim", "lemma2", "--format", "json")
+    monkeypatch.setitem(verify_suite.CLAIMS, claim, replace(entry, rows=broken))
+    code, out, _ = run(capsys, "prove", "--claim", claim, "--format", "json")
     assert code == EXIT_FAIL
-    first, second = json.loads(out)
-    assert (first["claim"], first["verdict"], first["agreed_terms"]) == (
-        "lemma2/A", "refuted at index 4", 3)
-    assert second["verdict"] == "certified"
+    return [(c["claim"], c["verdict"], c["agreed_terms"]) for c in json.loads(out)]
+
+
+def test_prove_refutes_a_right_side_one_too_large(capsys, monkeypatch):
+    assert prove_with_rhs_raised(capsys, monkeypatch, "lemma2", 4) == [
+        ("lemma2/A", "refuted at index 4", 3), ("lemma2/Aprime", "certified", 10)]
+
+
+@pytest.mark.parametrize("claim, index, expected", [
+    # k = 7 is term 4 of the odd class k -> 2k - 1
+    ("lemma3", 7, [("lemma3/even", "certified", 9), ("lemma3/odd", "refuted at index 4", 3)]),
+    # K = 9 is term 2 of the residue class K -> 4l + 1
+    ("theorem1", 9, [("theorem1/mod4=0", "certified", 21),
+                     ("theorem1/mod4=1", "refuted at index 2", 1),
+                     ("theorem1/mod4=2", "certified", 21), ("theorem1/mod4=3", "certified", 22)]),
+])
+def test_prove_reads_the_claims_rows(capsys, monkeypatch, claim, index, expected):
+    assert prove_with_rhs_raised(capsys, monkeypatch, claim, index) == expected
 
 
 def test_bench_closed_far_beyond_brute(capsys):
@@ -445,7 +455,7 @@ def test_claim_choices_come_from_the_registry(capsys, monkeypatch):
     code, out, _ = run(capsys, "prove", "--claim", "lemma2-copy")
     assert code == EXIT_OK
     assert out.startswith("lemma2-copy/A: certified")
-    monkeypatch.setitem(verify_suite.CLAIMS, "lemma2-copy", replace(entry, prove=None))
+    monkeypatch.setitem(verify_suite.CLAIMS, "lemma2-copy", replace(entry, sections=()))
     assert run(capsys, "prove", "--claim", "lemma2-copy")[0] == EXIT_USAGE
 
 
@@ -550,9 +560,9 @@ def test_prove_theorem1_evaluates_each_identity_once(capsys, monkeypatch):
     calls = []
     sides = qratio.theorem1_identity_sides
 
-    def counted(K):
+    def counted(K, *engine):
         calls.append(K)
-        return sides(K)
+        return sides(K, *engine)
 
     monkeypatch.setattr(qratio, "theorem1_identity_sides", counted)
     code, _, _ = run(capsys, "prove", "--claim", "theorem1")
@@ -560,6 +570,20 @@ def test_prove_theorem1_evaluates_each_identity_once(capsys, monkeypatch):
     # the default windows hold 63, 66, 63 and 66 terms per side (residues 0..3)
     assert len(calls) == 63 + 66 + 63 + 66
     assert len(set(calls)) == len(calls)
+
+
+def test_prove_lemma2_reads_each_closed_row_once(capsys, monkeypatch):
+    calls = []
+    at = cf.ClosedEngine.at
+
+    def counted(self, k, moments):
+        calls.append(k)
+        return at(self, k, moments)
+
+    monkeypatch.setattr(cf.ClosedEngine, "at", counted)
+    assert run(capsys, "prove", "--claim", "lemma2")[0] == EXIT_OK
+    # both sections read the A and A' row at k = 1..30, the default window of degree 10
+    assert calls == list(range(1, 31))
 
 
 def test_theorem1_claims_read_one_identity_row(capsys, monkeypatch):

@@ -8,10 +8,10 @@ import pytest
 
 from nicom import closed_forms as cf
 from nicom.cli import canonical_json
-from nicom.moment_sums import Moment, MomentTable, make_engine
+from nicom.moment_sums import ENGINES, Moment, MomentTable, make_engine
 from nicom.verify_suite import CLAIMS, prove_claim, verify_claim
 
-PROVABLE_CLAIMS = [claim for claim, entry in CLAIMS.items() if entry.prove]
+PROVABLE_CLAIMS = [claim for claim, entry in CLAIMS.items() if entry.sections]
 
 
 @pytest.mark.parametrize("claim", list(CLAIMS))
@@ -51,6 +51,13 @@ def test_rows_are_exact_pairs_never_bools(claim, engine):
             assert all(type(side) in (int, Fraction) for side in pair), (index, pair)
 
 
+@pytest.mark.parametrize("claim", list(CLAIMS))
+def test_supported_engines_keep_the_registry_order(claim):
+    # prove reads the last supported engine as the claim's fastest
+    order = iter(ENGINES)
+    assert all(engine in order for engine in CLAIMS[claim].supported)
+
+
 def test_unsupported_engine_names_the_supported_ones():
     with pytest.raises(ValueError, match="unknown engine 'recursive' for theorem6; "
                                          "supported: brute, closed"):
@@ -80,7 +87,7 @@ def test_readme_claims_table_matches_the_registry():
                 tuple(n.strip("*") for n in names if n.startswith("**")),
                 provable.split(",")[0])
     assert table == {c: (e.first, e.kmax, e.deep_kmax, e.supported, e.engines,
-                         "yes" if e.prove else "no") for c, e in CLAIMS.items()}
+                         "yes" if e.sections else "no") for c, e in CLAIMS.items()}
 
 
 def test_theorem1_sweep_fills_one_table(monkeypatch):
