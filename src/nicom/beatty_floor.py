@@ -1,24 +1,39 @@
 """Exact evaluation of the Beatty floors |_ phi*n _| and |_ phi^2*n _|.
 
-No floating point is used anywhere: phi*n = (n + n*sqrt(5))/2, and since
-phi*n is irrational for n >= 1,
+No floating point is used anywhere.  ``phi_floors`` takes a block of n with
+largest element N, sets b = 2 * N.bit_length() + 2, so 2^b > 4N^2, and
+p = floor(phi * 2^b) = (2^b + isqrt(5 * 4^b)) // 2.  Then, for every n in the
+block,
 
-    floor(phi * n) = (n + isqrt(5 * n^2)) // 2
+    floor(phi * n) = (n * p) >> b,
 
-is exact at every size.  ``phi_floors`` evaluates it over a block of n,
-as the brute engine calls it, and ``floor_phi`` reads through it.
+one multiply and one shift per term.  Why this is exact, with psi = 1 - phi
+and f = floor(phi * n), using only phi^2 = phi + 1:
+
+    (f - n*phi)(f - n*psi) = f^2 - f*n - n^2 is a nonzero integer, and
+    0 < f - n*psi < n*sqrt(5), so the fraction {n*phi} > 1/(sqrt(5)*n);
+    0 < n*phi - n*p/2^b < n/2^b < 1/(4n) < {n*phi},
+    so n*p/2^b lies strictly between f and n*phi.
+
+``floor_phi`` reads through ``phi_floors``, so a single n gets its own b.
 floor(phi^2 * n) follows from phi^2 = phi + 1, which gives
 floor(phi^2 * n) = n + floor(phi * n).
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import isqrt
+from operator import rshift
 
 
 def phi_floors(ns: range) -> list[int]:
     """[floor(phi * n) for n in ns], for a range of positive n."""
-    return [(n + isqrt(5 * n * n)) >> 1 for n in ns]
+    if not ns:
+        return []
+    b = 2 * max(ns[0], ns[-1]).bit_length() + 2
+    p = ((1 << b) + isqrt(5 << 2 * b)) >> 1
+    return list(map(rshift, range(ns.start * p, ns.stop * p, ns.step * p), repeat(b)))
 
 
 def floor_phi(n: int) -> int:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 from itertools import repeat
 from math import comb
-from operator import mul
+from operator import add, mul
 from typing import Iterable, NamedTuple
 
 from .beatty_floor import phi_floors
@@ -38,9 +38,15 @@ class BruteForceGuardError(Exception):
 def brute_guard() -> int:
     """Current term guard for brute-force sums (env override allowed)."""
     raw = os.environ.get(GUARD_ENV_VAR)
-    limit = DEFAULT_BRUTE_GUARD if raw is None else int(raw)
-    if limit < 0:
-        raise ValueError(f"{GUARD_ENV_VAR} must be a nonnegative term count, got {raw}")
+    if raw is None:
+        return DEFAULT_BRUTE_GUARD
+    try:
+        limit = int(raw)
+        if limit < 0:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"{GUARD_ENV_VAR} must be a nonnegative integer term count, "
+                         f"got {raw!r}") from None
     return limit
 
 
@@ -201,7 +207,7 @@ class BruteEngine:
         for lo in range(self._n + 1, m + 1, _BLOCK):
             ns = range(lo, min(lo + _BLOCK, m + 1))
             floors = phi_floors(ns)
-            floors2 = [n + f for n, f in zip(ns, floors)] if primed else None
+            floors2 = list(map(add, ns, floors)) if primed else None
             for mo in self._sums:
                 terms = floors2 if mo.prime else floors
                 terms = terms if mo.s == 1 else map(pow, terms, repeat(mo.s))

@@ -5,6 +5,16 @@ from hypothesis import given, strategies as st
 
 from nicom.beatty_floor import epsilon, floor_phi, floor_phi2, phi_floors
 from nicom.fib_lucas import fib
+from nicom.moment_sums import BruteEngine, Moment
+
+
+def reference(n):
+    """floor(phi*n) by the integer square root: phi*n = (n + sqrt(5*n^2)) / 2."""
+    return (n + isqrt(5 * n * n)) >> 1
+
+
+def assert_block(ns):
+    assert phi_floors(ns) == [reference(n) for n in ns]
 
 
 @given(st.integers(1, 10**30))
@@ -22,6 +32,46 @@ def test_phi_floors_blocks():
     assert phi_floors(range(5, 5)) == []
     n = 10**40
     assert phi_floors(range(n, n + 3)) == [floor_phi(n), floor_phi(n + 1), floor_phi(n + 2)]
+
+
+def test_phi_floors_exhaustive_below_2_17():
+    ns = range(1, 2**17)
+    expected = [reference(n) for n in ns]
+    assert phi_floors(ns) == expected
+    assert [f for lo in range(1, 2**17, 4096)
+            for f in phi_floors(range(lo, min(lo + 4096, 2**17)))] == expected
+    assert list(map(floor_phi, ns)) == expected
+
+
+def test_phi_floors_next_to_fibonacci_numbers():
+    # {phi*n} is smallest, about 1/(sqrt(5)*n), at n = F_k for odd k
+    for k in range(2, 301):
+        fk = fib(k)
+        for start in (fk - 1, fk, fk + 1):
+            for length in (1, 2, 3, 64):
+                assert_block(range(start, start + length))
+        assert_block(range(max(1, fk - 63), fk + 1))
+
+
+def test_phi_floors_across_powers_of_two():
+    # b grows with the block's largest n, one bit length at a time
+    for e in range(1, 81):
+        for half in (1, 2, 5, 64):
+            assert_block(range(max(1, 2**e - half), 2**e + half))
+
+
+@given(st.integers(1, 10**40), st.integers(0, 40),
+       st.one_of(st.integers(1, 9), st.integers(1, 10**40)), st.booleans())
+def test_phi_floors_random_ranges(start, length, step, descending):
+    ns = range(start, start + length * step, step)
+    assert_block(ns[::-1] if descending else ns)  # length 0 gives an empty range
+
+
+def test_brute_prime_floors_are_n_plus_floor_phi():
+    m = 3 * 4096 + 5  # over several of the brute engine's blocks
+    s1, s2 = BruteEngine().sums(m, [Moment(1, prime=True), Moment(2, prime=True)])
+    assert s1 == sum(n + reference(n) for n in range(1, m + 1))
+    assert s2 == sum((n + reference(n)) ** 2 for n in range(1, m + 1))
 
 
 def test_floor_phi_examples():

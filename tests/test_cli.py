@@ -356,6 +356,17 @@ def test_negative_guard_is_a_usage_error(capsys, monkeypatch):
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize("raw", ["abc", "1.5", ""])
+def test_malformed_guard_names_its_variable(capsys, monkeypatch, raw):
+    monkeypatch.setenv("NICOM_BRUTE_GUARD", raw)
+    for argv in (("compute", "--sum", "A", "--k", "2", "--s", "1", "--engine", "brute"),
+                 ("verify", "--claim", "lemma2", "--engines", "brute")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (f"error: NICOM_BRUTE_GUARD must be a nonnegative integer term count, "
+                       f"got {raw!r}\n")
+
+
 def test_verify_nicomachus_sums_each_term_once(capsys, monkeypatch):
     engines = []
 
