@@ -16,8 +16,10 @@ and f = floor(phi * n), using only phi^2 = phi + 1:
     so n*p/2^b lies strictly between f and n*phi.
 
 ``floor_phi`` reads through ``phi_floors``, so a single n gets its own b.
-floor(phi^2 * n) follows from phi^2 = phi + 1, which gives
-floor(phi^2 * n) = n + floor(phi * n).
+For floor(phi^2 * n), ``phi_floors(ns, prime=True)`` multiplies by p + 2^b:
+(n * (p + 2^b)) >> b = n + ((n * p) >> b) = n + floor(phi * n), exactly, as
+n * 2^b is a multiple of 2^b, and n + floor(phi * n) = floor(phi^2 * n) by
+phi^2 = phi + 1.  ``floor_phi2`` reads through it.
 """
 
 from __future__ import annotations
@@ -27,12 +29,14 @@ from math import isqrt
 from operator import rshift
 
 
-def phi_floors(ns: range) -> list[int]:
-    """[floor(phi * n) for n in ns], for a range of positive n."""
+def phi_floors(ns: range, prime: bool = False) -> list[int]:
+    """[floor(alpha * n) for n in ns], alpha = phi^2 if ``prime`` else phi, for a range of positive n."""
     if not ns:
         return []
     b = 2 * max(ns[0], ns[-1]).bit_length() + 2
     p = ((1 << b) + isqrt(5 << 2 * b)) >> 1
+    if prime:
+        p += 1 << b
     return list(map(rshift, range(ns.start * p, ns.stop * p, ns.step * p), repeat(b)))
 
 
@@ -44,10 +48,10 @@ def floor_phi(n: int) -> int:
 
 
 def floor_phi2(n: int) -> int:
-    """floor(phi^2 * n) for n >= 1, via floor(phi^2*n) = n + floor(phi*n)."""
+    """floor(phi^2 * n) for n >= 1, where phi^2 = phi + 1."""
     if n < 1:
         raise ValueError(f"floor_phi2: index must be positive, got {n}")
-    return n + floor_phi(n)
+    return phi_floors(range(n, n + 1), prime=True)[0]
 
 
 def epsilon(k: int) -> int:

@@ -21,7 +21,7 @@ import sys
 from time import perf_counter
 
 from . import verify_suite
-from .decimal_text import decimal_str, exact_str
+from .decimal_text import decimal_digest, decimal_str, exact_str
 from .moment_sums import ENGINES, BruteForceGuardError, Moment, make_engine
 
 EXIT_OK = 0
@@ -102,13 +102,8 @@ def _cmd_prove(args) -> int:
 
 
 def _digest(value: int) -> dict:
-    digits = decimal_str(abs(value))
-    return {
-        "digits": len(digits),
-        "head": digits[:8],
-        "tail": digits[-8:],
-        "negative": value < 0,
-    }
+    digits, head, tail = decimal_digest(value)
+    return {"digits": digits, "head": head, "tail": tail, "negative": value < 0}
 
 
 def _cmd_bench(args) -> int:

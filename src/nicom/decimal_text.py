@@ -21,6 +21,9 @@ raises ValueError.  ``decimal_str`` never hands ``str`` more than
 
 Both power caches, ``_POWERS`` and ``_JOINS``, hold one entry per width:
 O(log) entries in the largest value converted.
+
+``decimal_digest`` gives the digit count and the leading and trailing digits
+of a value without its decimal text, by one power of 5 and one division.
 """
 
 from __future__ import annotations
@@ -82,6 +85,27 @@ def decimal_str(value: int) -> str:
         i += 1
     hi, lo = divmod(value, _power(i))  # _power(i) <= value < _power(i)**2
     return decimal_str(hi) + _padded(lo, i)
+
+
+def decimal_digest(value: int, width: int = 8) -> tuple[int, str, str]:
+    """(len(t), t[:width], t[-width:]) for t = decimal_str(abs(value)), without building t.
+
+    For 1 <= width < _LEAF_DIGITS.  Every part is exact: the tail is
+    n % 10^width, and the head is floor(n / 10^e) = (n >> e) // 5^e, with e
+    raised until the head has ``width`` digits, which makes the count e + width.
+    """
+    n = abs(value)
+    if n < _POWERS[0]:
+        t = str(n)
+        return len(t), t[:width], t[-width:]
+    # 10^lo <= n, as 0.301029995 < log10(2) and 2^(bits - 1) <= n
+    lo = (n.bit_length() - 1) * 301029995 // 10**9
+    e = lo + 1 - width  # floor(n / 10^e) >= 10^(width - 1)
+    head = (n >> e) // 5**e
+    while head >= 10**width:
+        head //= 10
+        e += 1
+    return e + width, str(head), str(n % 10**width).zfill(width)
 
 
 def exact_str(value) -> str:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 from itertools import repeat
 from math import comb
-from operator import add, mul
+from operator import mul
 from typing import Iterable, NamedTuple
 
 from .beatty_floor import phi_floors
@@ -165,13 +165,14 @@ _BLOCK = 4096  # floors held at once by the brute engine
 class BruteEngine:
     """Literal summation in one resumable pass over n = 1, 2, ...
 
-    Each floor(phi*n) is computed once, by ``beatty_floor.phi_floors`` one
-    block at a time, and added to every moment requested so far
-    (floor(phi^2*n) = n + floor(phi*n)).  A request continues the pass, so
-    a sweep over m = F_k - 1, k <= K, sums F_K - 1 terms; a request behind
-    the pass, or with a moment not yet summed, restarts it.  ``terms``
-    counts the floors computed.  Independent of ``MomentTable`` and the
-    closed forms; confine an instance to one thread.
+    Each block of n gets one ``beatty_floor.phi_floors`` call per floor kind,
+    floor(phi*n) or floor(phi^2*n), that a moment with s >= 1 reads; the
+    block is added to every moment requested so far, and a moment with
+    s = 0 sums n^j with no floor.  A request continues the pass, so a sweep
+    over m = F_k - 1, k <= K, sums F_K - 1 terms; a request behind the
+    pass, or with a moment not yet summed, restarts it.  ``terms`` counts
+    the n summed.  Independent of ``MomentTable`` and the closed forms;
+    confine an instance to one thread.
     """
 
     def __init__(self) -> None:
@@ -203,16 +204,18 @@ class BruteEngine:
 
     def _advance(self, m: int) -> None:
         """Add the terms n = self._n + 1 .. m to every running sum."""
-        primed = any(mo.prime for mo in self._sums)
+        kinds = sorted({mo.prime for mo in self._sums if mo.s})  # the floor kinds read
         for lo in range(self._n + 1, m + 1, _BLOCK):
             ns = range(lo, min(lo + _BLOCK, m + 1))
-            floors = phi_floors(ns)
-            floors2 = list(map(add, ns, floors)) if primed else None
+            floors = {prime: phi_floors(ns, prime) for prime in kinds}
             for mo in self._sums:
-                terms = floors2 if mo.prime else floors
-                terms = terms if mo.s == 1 else map(pow, terms, repeat(mo.s))
-                if mo.j:
-                    terms = map(mul, map(pow, ns, repeat(mo.j)), terms)
+                s, j, prime = mo
+                if s:
+                    terms = floors[prime] if s == 1 else map(pow, floors[prime], repeat(s))
+                    if j:
+                        terms = map(mul, map(pow, ns, repeat(j)), terms)
+                else:
+                    terms = map(pow, ns, repeat(j))
                 self._sums[mo] += sum(terms)
             self.terms += len(ns)
         self._n = m

@@ -8,13 +8,15 @@ from nicom.fib_lucas import fib
 from nicom.moment_sums import BruteEngine, Moment
 
 
-def reference(n):
-    """floor(phi*n) by the integer square root: phi*n = (n + sqrt(5*n^2)) / 2."""
-    return (n + isqrt(5 * n * n)) >> 1
+def reference(n, prime=False):
+    """floor(alpha*n), alpha = phi^2 if ``prime`` else phi, by the integer square root:
+    phi*n = (n + sqrt(5*n^2)) / 2 and phi^2*n = (3n + sqrt(5*n^2)) / 2."""
+    return ((3 * n if prime else n) + isqrt(5 * n * n)) >> 1
 
 
 def assert_block(ns):
-    assert phi_floors(ns) == [reference(n) for n in ns]
+    for prime in (False, True):
+        assert phi_floors(ns, prime) == [reference(n, prime) for n in ns], prime
 
 
 @given(st.integers(1, 10**30))
@@ -27,20 +29,33 @@ def test_floor_phi_defining_property(n):
     assert hi * hi > 5 * n * n
 
 
+@given(st.integers(1, 10**30))
+def test_floor_phi2_defining_property(n):
+    # k = floor(phi^2*n) iff 2k - 3n <= n*sqrt(5) < 2(k+1) - 3n, as phi^2 = (3 + sqrt(5)) / 2
+    k = floor_phi2(n)
+    lo, hi = 2 * k - 3 * n, 2 * (k + 1) - 3 * n
+    assert lo >= 0 and lo * lo < 5 * n * n
+    assert hi * hi > 5 * n * n
+
+
 def test_phi_floors_blocks():
     assert phi_floors(range(1, 9)) == [1, 3, 4, 6, 8, 9, 11, 12]
-    assert phi_floors(range(5, 5)) == []
+    assert phi_floors(range(1, 9), prime=True) == [2, 5, 7, 10, 13, 15, 18, 20]
+    assert phi_floors(range(5, 5)) == phi_floors(range(5, 5), prime=True) == []
     n = 10**40
     assert phi_floors(range(n, n + 3)) == [floor_phi(n), floor_phi(n + 1), floor_phi(n + 2)]
+    assert phi_floors(range(n, n + 3), prime=True) == [
+        floor_phi2(n), floor_phi2(n + 1), floor_phi2(n + 2)]
 
 
 def test_phi_floors_exhaustive_below_2_17():
     ns = range(1, 2**17)
-    expected = [reference(n) for n in ns]
-    assert phi_floors(ns) == expected
-    assert [f for lo in range(1, 2**17, 4096)
-            for f in phi_floors(range(lo, min(lo + 4096, 2**17)))] == expected
-    assert list(map(floor_phi, ns)) == expected
+    for prime, floor in ((False, floor_phi), (True, floor_phi2)):
+        expected = [reference(n, prime) for n in ns]
+        assert phi_floors(ns, prime) == expected
+        assert [f for lo in range(1, 2**17, 4096)
+                for f in phi_floors(range(lo, min(lo + 4096, 2**17)), prime)] == expected
+        assert list(map(floor, ns)) == expected
 
 
 def test_phi_floors_next_to_fibonacci_numbers():

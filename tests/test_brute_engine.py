@@ -83,16 +83,26 @@ def test_repeated_request_sums_nothing():
 def test_floors_come_from_one_block_call(monkeypatch):
     blocks = []
 
-    def counted(ns):
-        blocks.append(ns)
-        return phi_floors(ns)
+    def counted(ns, prime=False):
+        blocks.append((ns, prime))
+        return phi_floors(ns, prime)
 
     monkeypatch.setattr(moment_sums, "phi_floors", counted)
+    ranges = [range(1, 4097), range(4097, 8193), range(8193, 10001)]
     engine = BruteEngine()
     assert engine.sums(10000, [Moment(1), Moment(2, prime=True)]) == [
         literal(10000, 1), literal(10000, 2, prime=True)]
-    assert blocks == [range(1, 4097), range(4097, 8193), range(8193, 10001)]
+    assert blocks == [(ns, prime) for ns in ranges for prime in (False, True)]
     assert engine.terms == 10000
+    # an s = 0 moment sums n^j and reads no floor, primed or not
+    for moments, kinds in (([Moment(0, 3), Moment(0, prime=True)], ()),
+                           ([Moment(3, 1), Moment(0, 2, prime=True)], (False,)),
+                           ([Moment(0), Moment(1, 1, prime=True)], (True,))):
+        blocks.clear()
+        engine = BruteEngine()
+        assert engine.sums(10000, moments) == [literal(10000, *mo) for mo in moments]
+        assert blocks == [(ns, prime) for ns in ranges for prime in kinds], moments
+        assert engine.terms == 10000
 
 
 def test_guard_raises_before_any_term_is_summed(monkeypatch):

@@ -13,8 +13,10 @@ import pytest
 from nicom import closed_forms as cf
 from nicom import decimal_text, moment_sums, qratio, verify_suite
 from nicom.cli import EXIT_FAIL, EXIT_GUARD, EXIT_OK, EXIT_USAGE, canonical_json, main
-from nicom.decimal_text import decimal_str, exact_str
-from nicom.moment_sums import BruteEngine, Moment, make_engine
+from nicom.closed_forms import ClosedEngine
+from nicom.decimal_text import decimal_digest, decimal_str, exact_str
+from nicom.fib_lucas import fib
+from nicom.moment_sums import DEFAULT_BRUTE_GUARD, BruteEngine, Moment, make_engine
 
 
 def run(capsys, *argv):
@@ -323,6 +325,46 @@ def test_compute_beyond_the_digit_limit(capsys):
         text = str(value)
     digest = json.loads(bench_out)
     assert (digest["digits"], digest["head"], digest["tail"]) == (len(text), text[:8], text[-8:])
+
+
+def digest_by_slicing(value, width=8):
+    text = decimal_str(abs(value))
+    return len(text), text[:width], text[-width:]
+
+
+def test_decimal_digest_matches_decimal_str_slices():
+    values = [0, -1, -10**8, -(10**600 + 7)] + [int("987654321"[:d]) for d in range(1, 10)]
+    values += [10**d + c for d in range(1, 3001) for c in (-1, 0, 1)]
+    # both sides of powers of 2, where the bit length, and with it the digit count's
+    # lower bound, steps
+    values += [2**e + c for e in (*range(1, 10000, 7), decimal_text._JOIN_BITS) for c in (-1, 0, 1)]
+    values += ClosedEngine().at(1000, [Moment(1), Moment(3)])
+    values += ClosedEngine().at(20000, [Moment(1), Moment(3)])
+    values += ClosedEngine().at(95962, [Moment(3)])
+    with int_digit_limit(640):  # the smallest limit the interpreter accepts
+        for v in values + [-v for v in values]:
+            assert decimal_digest(v) == digest_by_slicing(v), v.bit_length()
+        for v in values[::50]:
+            assert decimal_digest(v, 1) == digest_by_slicing(v, 1)
+            assert decimal_digest(v, 20) == digest_by_slicing(v, 20)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 40, 1000, 20000])
+def test_bench_digest_equals_decimal_str_slices(capsys, k):
+    # the engines that reach k here: brute under its guard, rec up to k = 1000
+    # (it takes seconds at k = 20000), closed everywhere
+    engines = [e for e in ("brute", "rec", "closed")
+               if e == "closed" or (e == "rec" and k <= 1000) or fib(k) - 1 <= DEFAULT_BRUTE_GUARD]
+    for engine in engines:
+        for s in (0, 1, 3):
+            code, out, err = run(capsys, "bench", "--k", str(k), "--s", str(s), "--engine", engine)
+            assert code == EXIT_OK, err
+            payload = json.loads(out)
+            del payload["seconds"]
+            value = make_engine("recursive" if engine == "rec" else engine).at(k, [Moment(s)])[0]
+            digits, head, tail = digest_by_slicing(value)
+            assert payload == {"k": k, "s": s, "engine": engine, "digits": digits,
+                               "head": head, "tail": tail, "negative": value < 0}
 
 
 def test_verify_beyond_the_digit_limit(capsys):
