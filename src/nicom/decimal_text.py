@@ -22,8 +22,9 @@ raises ValueError.  ``decimal_str`` never hands ``str`` more than
 Both power caches, ``_POWERS`` and ``_JOINS``, hold one entry per width:
 O(log) entries in the largest value converted.
 
-``decimal_digest`` gives the digit count and the leading and trailing digits
-of a value without its decimal text, by one power of 5 and one division.
+``decimal_digest`` gives the digit count and the leading and trailing
+``DIGEST_WIDTH`` digits of a value without its decimal text, by one power
+of 5 and one division.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ _POWERS = [10**_LEAF_DIGITS]  # _POWERS[i] = 10 ** (_LEAF_DIGITS * 2**i)
 _JOIN_BITS = 3 * 2**14  # above this size decimal_str joins Decimal halves
 _LEAF_BITS = 2**14
 _JOINS: list[Decimal] = []  # _JOINS[i] = Decimal(2 ** (_LEAF_BITS * 2**i))
+DIGEST_WIDTH = 8  # the leading and trailing digits decimal_digest gives
 
 
 def _power(i: int) -> int:
@@ -87,25 +89,26 @@ def decimal_str(value: int) -> str:
     return decimal_str(hi) + _padded(lo, i)
 
 
-def decimal_digest(value: int, width: int = 8) -> tuple[int, str, str]:
-    """(len(t), t[:width], t[-width:]) for t = decimal_str(abs(value)), without building t.
+def decimal_digest(value: int) -> tuple[int, str, str]:
+    """(len(t), t[:w], t[-w:]) for t = decimal_str(abs(value)) and w = DIGEST_WIDTH, without building t.
 
-    For 1 <= width < _LEAF_DIGITS.  Every part is exact: the tail is
-    n % 10^width, and the head is floor(n / 10^e) = (n >> e) // 5^e, with e
-    raised until the head has ``width`` digits, which makes the count e + width.
+    Every part is exact: the tail is n % 10^w, and the head is
+    floor(n / 10^e) = (n >> e) // 5^e, with e raised until the head has w
+    digits, which makes the count e + w.
     """
+    w = DIGEST_WIDTH
     n = abs(value)
     if n < _POWERS[0]:
         t = str(n)
-        return len(t), t[:width], t[-width:]
+        return len(t), t[:w], t[-w:]
     # 10^lo <= n, as 0.301029995 < log10(2) and 2^(bits - 1) <= n
     lo = (n.bit_length() - 1) * 301029995 // 10**9
-    e = lo + 1 - width  # floor(n / 10^e) >= 10^(width - 1)
+    e = lo + 1 - w  # floor(n / 10^e) >= 10^(w - 1)
     head = (n >> e) // 5**e
-    while head >= 10**width:
+    while head >= 10**w:
         head //= 10
         e += 1
-    return e + width, str(head), str(n % 10**width).zfill(width)
+    return e + w, str(head), str(n % 10**w).zfill(w)
 
 
 def exact_str(value) -> str:

@@ -166,10 +166,9 @@ class BruteEngine:
     """Literal summation in one resumable pass over n = 1, 2, ...
 
     Each block of n gets one ``beatty_floor.phi_floors`` call per floor kind,
-    floor(phi*n) or floor(phi^2*n), that a moment with s >= 1 reads; the
-    block is added to every moment requested so far, and a moment with
-    s = 0 sums n^j with no floor.  A request continues the pass, so a sweep
-    over m = F_k - 1, k <= K, sums F_K - 1 terms; a request behind the
+    floor(phi*n) or floor(phi^2*n), that the moments requested so far read,
+    and is added to every one of them.  A request continues the pass, so a
+    sweep over m = F_k - 1, k <= K, sums F_K - 1 terms; a request behind the
     pass, or with a moment not yet summed, restarts it.  ``terms`` counts
     the n summed.  Independent of ``MomentTable`` and the closed forms;
     confine an instance to one thread.
@@ -204,18 +203,15 @@ class BruteEngine:
 
     def _advance(self, m: int) -> None:
         """Add the terms n = self._n + 1 .. m to every running sum."""
-        kinds = sorted({mo.prime for mo in self._sums if mo.s})  # the floor kinds read
+        kinds = sorted({mo.prime for mo in self._sums})  # the floor kinds read
         for lo in range(self._n + 1, m + 1, _BLOCK):
             ns = range(lo, min(lo + _BLOCK, m + 1))
             floors = {prime: phi_floors(ns, prime) for prime in kinds}
             for mo in self._sums:
                 s, j, prime = mo
-                if s:
-                    terms = floors[prime] if s == 1 else map(pow, floors[prime], repeat(s))
-                    if j:
-                        terms = map(mul, map(pow, ns, repeat(j)), terms)
-                else:
-                    terms = map(pow, ns, repeat(j))
+                terms = floors[prime] if s == 1 else map(pow, floors[prime], repeat(s))
+                if j:
+                    terms = map(mul, map(pow, ns, repeat(j)), terms)
                 self._sums[mo] += sum(terms)
             self.terms += len(ns)
         self._n = m

@@ -315,20 +315,15 @@ def test_compute_beyond_the_digit_limit(capsys):
         assert code == EXIT_OK, err
         _, json_out, _ = run(capsys, "compute", "--sum", "A", "--k", "20000", "--s", "3",
                              "--engine", "closed", "--format", "json")
-        code, bench_out, _ = run(capsys, "bench", "--k", "20000", "--s", "3")
-        assert code == EXIT_OK
     with int_digit_limit(0):
         value = cf.lemma3_a3(20000)
         assert len(str(value)) > 4300
         assert int(out) == value
         assert int(json.loads(json_out)["value"]) == value
-        text = str(value)
-    digest = json.loads(bench_out)
-    assert (digest["digits"], digest["head"], digest["tail"]) == (len(text), text[:8], text[-8:])
 
 
-def digest_by_slicing(value, width=8):
-    text = decimal_str(abs(value))
+def digest_by_slicing(value):
+    text, width = decimal_str(abs(value)), decimal_text.DIGEST_WIDTH
     return len(text), text[:width], text[-width:]
 
 
@@ -344,9 +339,6 @@ def test_decimal_digest_matches_decimal_str_slices():
     with int_digit_limit(640):  # the smallest limit the interpreter accepts
         for v in values + [-v for v in values]:
             assert decimal_digest(v) == digest_by_slicing(v), v.bit_length()
-        for v in values[::50]:
-            assert decimal_digest(v, 1) == digest_by_slicing(v, 1)
-            assert decimal_digest(v, 20) == digest_by_slicing(v, 20)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 40, 1000, 20000])
@@ -357,7 +349,9 @@ def test_bench_digest_equals_decimal_str_slices(capsys, k):
                if e == "closed" or (e == "rec" and k <= 1000) or fib(k) - 1 <= DEFAULT_BRUTE_GUARD]
     for engine in engines:
         for s in (0, 1, 3):
-            code, out, err = run(capsys, "bench", "--k", str(k), "--s", str(s), "--engine", engine)
+            with int_digit_limit(4300):  # the values at k = 20000 pass the limit
+                code, out, err = run(capsys, "bench", "--k", str(k), "--s", str(s),
+                                     "--engine", engine)
             assert code == EXIT_OK, err
             payload = json.loads(out)
             del payload["seconds"]
