@@ -1,13 +1,12 @@
 """Exact golden-ratio Beatty moment sums and mechanical identity verification."""
 
-from .beatty_floor import epsilon, floor_phi, floor_phi2
+from .beatty_floor import floor_phi
 from .closed_forms import (
     ClosedEngine,
     lemma2_a,
     lemma2_a_prime,
     lemma3_a3,
     lemma4_a_prime3,
-    theorem1_rhs,
     theorem6_rhs,
 )
 from .fib_lucas import fib, fib_minus_one_factors, lucas
@@ -15,9 +14,7 @@ from .moment_sums import BruteEngine, BruteForceGuardError, Moment, MomentTable
 from .qratio import nicomachus_sides, q_diff, q_value
 from .recurrence_prover import (
     Certificate,
-    IntPolynomial,
     RootSetSpec,
-    annihilates,
     certify_identity,
     char_poly,
 )

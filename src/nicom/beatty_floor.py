@@ -19,7 +19,7 @@ and f = floor(phi * n), using only phi^2 = phi + 1:
 For floor(phi^2 * n), ``phi_floors(ns, prime=True)`` multiplies by p + 2^b:
 (n * (p + 2^b)) >> b = n + ((n * p) >> b) = n + floor(phi * n), exactly, as
 n * 2^b is a multiple of 2^b, and n + floor(phi * n) = floor(phi^2 * n) by
-phi^2 = phi + 1.  ``floor_phi2`` reads through it.
+phi^2 = phi + 1.
 """
 
 from __future__ import annotations
@@ -46,14 +46,3 @@ def floor_phi(n: int) -> int:
         raise ValueError(f"floor_phi: index must be positive, got {n}")
     return phi_floors(range(n, n + 1))[0]
 
-
-def floor_phi2(n: int) -> int:
-    """floor(phi^2 * n) for n >= 1, where phi^2 = phi + 1."""
-    if n < 1:
-        raise ValueError(f"floor_phi2: index must be positive, got {n}")
-    return phi_floors(range(n, n + 1), prime=True)[0]
-
-
-def epsilon(k: int) -> int:
-    """The parity indicator (1 + (-1)^k) / 2: 1 for even k, 0 for odd k."""
-    return 1 - (k & 1)

@@ -15,7 +15,6 @@ The module is a leaf: it reads ``fib_lucas`` and no other part of nicom.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable
 
 from .fib_lucas import fib_run
@@ -144,12 +143,6 @@ def theorem1_num_den(K: int) -> tuple[int, int]:
     if K % 4 == 3:
         return fm2, f1 * f0 * f0 * (fm2 + f0) ** 2
     return 2 * fm1 - fm2, (f0 + f2) * (fm1 + f1) ** 2 * fm1 * fm1
-
-
-def theorem1_rhs(K: int) -> Fraction:
-    """Exact value of Q(phi^2, F_K - 1) - Q(phi, F_K - 1) in closed form."""
-    num, den = theorem1_num_den(K)
-    return 1 - Fraction(num, den)
 
 
 def theorem6_rhs(k: int) -> int:

@@ -14,7 +14,6 @@ name (``moment_sums.ENGINES``) or an engine, so a sweep passes its own.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import log2
 
 from .closed_forms import theorem1_num_den
 from .fib_lucas import fib_run
@@ -29,13 +28,23 @@ _NICOMACHUS_MOMENTS = (Moment(0, 3), Moment(0, 1))  # sum n^3, sum n
 
 
 def _fib_index_of(m: int) -> int | None:
-    """Return K >= 3 with F_K - 1 == m, or None, from one fast doubling."""
-    # log2 F_K = K log2(phi) - log2(sqrt 5) + o(1), so the F_K of bit length b have
-    # K in [x, x + 1/log2(phi)), x = (b - 1 + log2(sqrt 5)) / log2(phi): at most two
-    # indices, both in floor(x) .. floor(x) + 2
-    lo = max(3, int((m.bit_length() - 1 + log2(5) / 2) / log2((1 + 5**0.5) / 2)))
-    run = fib_run(lo, 3)
-    return lo + run.index(m + 1) if m + 1 in run else None
+    """Return K >= 3 with F_K - 1 == m, or None, from one fast doubling.
+
+    With b the bit length of m + 1, F_K = m + 1 gives 2^(b-1) <= F_K, and
+    F_K <= phi^(K-1) for K >= 1 (F_1 = phi^0, F_2 <= phi^1, and the bound
+    carries along F_{K+1} = F_K + F_{K-1}, as phi^(K-1) + phi^(K-2) = phi^K).
+    So K - 1 >= (b - 1) log_phi(2) > (b - 1) * 1.44042009, as
+    log_phi(2) = 1.4404200904..., and the walk starts at
+    k = max(3, 1 + floor((b - 1) * 1.44042009)) <= K.  It adds up to the
+    first F_k >= m + 1 in a few steps: F_K >= phi^(K-2) puts every F_K
+    below 2^b at K < 2 + b log_phi(2).
+    """
+    k = max(3, 1 + ((m + 1).bit_length() - 1) * 144042009 // 10**8)
+    f, g = fib_run(k, 2)
+    while f <= m:
+        f, g = g, f + g
+        k += 1
+    return k if f == m + 1 else None
 
 
 def q_value(alpha: str, m: int, engine="auto") -> Fraction:

@@ -7,14 +7,14 @@ root set.  This module supplies
 
 * root sets of signed golden-ratio powers, each root sign*phi^l held as
   the pair (sign, l),
-* their characteristic polynomials, expanded over Z: a root sign*phi^l
-  and its conjugate sign*(-1)^l*phi^(-l) are the two roots of the integer
-  quadratic x^2 - sign*L_l*x + (-1)^l,
-* an annihilation check (does a polynomial, read as a shift recurrence,
-  kill a window of terms?), and
+* their characteristic polynomials, expanded over Z as coefficient tuples,
+  constant term first: a root sign*phi^l and its conjugate
+  sign*(-1)^l*phi^(-l) are the two roots of the integer quadratic
+  x^2 - sign*L_l*x + (-1)^l, and
 * ``certify_identity``, which reads the two sequences as one sequence of
-  (lhs, rhs) pairs and packages the d initial agreements plus
-  corroborating annihilation windows into a Certificate.
+  (lhs, rhs) pairs, checks the d initial agreements and that the
+  characteristic polynomial, read as a shift recurrence, kills every
+  window of both sides, and packages the outcome into a Certificate.
 
 The containment of the roots in the specified set is structural input
 (recorded on the certificate), not something re-derived here.
@@ -64,23 +64,8 @@ class RootSetSpec:
         return _SHAPES[self.shape](self.bound)
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
-    """Integer-coefficient polynomial, constant term first."""
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.coeffs or self.coeffs[-1] == 0:
-            raise ValueError("leading coefficient must be nonzero")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-
-def char_poly(spec: RootSetSpec) -> IntPolynomial:
-    """Expand prod (x - alpha) over the spec's root set, in Z[x].
+def char_poly(spec: RootSetSpec) -> tuple[int, ...]:
+    """Expand prod (x - alpha) over the spec's root set, in Z[x], constant term first.
 
     A root sign*phi^l with l > 0 gives the factor x^2 - sign*L_l*x + (-1)^l,
     whose other root is its conjugate (sign*(-1)^l, -l), skipped when met;
@@ -109,25 +94,13 @@ def char_poly(spec: RootSetSpec) -> IntPolynomial:
             for j, f in enumerate(factor):
                 nxt[i + j] += c * f
         coeffs = nxt
-    return IntPolynomial(tuple(coeffs))
+    return tuple(coeffs)
 
 
-def annihilates(p: IntPolynomial, terms: list[int]) -> bool:
-    """True iff p, read as a shift recurrence, kills every window of terms."""
-    d = p.degree
-    if len(terms) < d + 1:
-        raise ValueError(
-            f"need at least {d + 1} terms for a degree-{d} polynomial, "
-            f"got {len(terms)}"
-        )
-    return _first_surviving_window(p, terms) is None
-
-
-def _first_surviving_window(p: IntPolynomial, terms: list[int]) -> int | None:
-    """The first n with sum_i c_i * terms[n + i] != 0, or None if p kills every window."""
-    coeffs = p.coeffs
-    for n in range(len(terms) - p.degree):
-        if sum(c * terms[n + i] for i, c in enumerate(coeffs)) != 0:
+def _first_surviving_window(p: tuple[int, ...], terms: list[int]) -> int | None:
+    """The first n with sum_i p_i * terms[n + i] != 0, or None if p kills every window."""
+    for n in range(len(terms) - len(p) + 1):
+        if sum(c * terms[n + i] for i, c in enumerate(p)) != 0:
             return n
     return None
 
@@ -137,8 +110,8 @@ class Certificate:
     """Auditable record of a finite identity check.
 
     ``verdict`` is "certified" when the first ``degree`` terms of both
-    sequences agree and the characteristic polynomial annihilates both
-    over the whole inspected window; otherwise "refuted at index i".
+    sequences agree and the characteristic polynomial kills both over
+    the whole inspected window; otherwise "refuted at index i".
     """
 
     claim: str
@@ -172,7 +145,7 @@ def certify_identity(
     term lists over d + extra_window terms.  ``extra_window`` defaults to 2d.
     """
     p = char_poly(spec)
-    d = p.degree
+    d = len(p) - 1
     window = 2 * d if extra_window is None else extra_window
     if window < 1:
         raise ValueError("extra_window must be at least 1")

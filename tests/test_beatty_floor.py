@@ -3,7 +3,7 @@ from math import isqrt
 import pytest
 from hypothesis import given, strategies as st
 
-from nicom.beatty_floor import epsilon, floor_phi, floor_phi2, phi_floors
+from nicom.beatty_floor import floor_phi, phi_floors
 from nicom.fib_lucas import fib
 from nicom.moment_sums import BruteEngine, Moment
 
@@ -12,6 +12,11 @@ def reference(n, prime=False):
     """floor(alpha*n), alpha = phi^2 if ``prime`` else phi, by the integer square root:
     phi*n = (n + sqrt(5*n^2)) / 2 and phi^2*n = (3n + sqrt(5*n^2)) / 2."""
     return ((3 * n if prime else n) + isqrt(5 * n * n)) >> 1
+
+
+def floor_phi2(n):
+    """floor(phi^2*n) for one n, read through a one-element block."""
+    return phi_floors(range(n, n + 1), prime=True)[0]
 
 
 def assert_block(ns):
@@ -92,7 +97,7 @@ def test_brute_prime_floors_are_n_plus_floor_phi():
 def test_floor_phi_examples():
     assert floor_phi(1) == 1
     assert floor_phi(4) == 6
-    assert floor_phi(8) == 12  # = F_7 - epsilon_6 at n = F_6
+    assert floor_phi(8) == 12  # = F_7 - 1 at n = F_6, 6 even
 
 
 def test_floor_phi2_examples():
@@ -105,27 +110,18 @@ def test_positivity_guards():
     for bad in (0, -5):
         with pytest.raises(ValueError):
             floor_phi(bad)
-        with pytest.raises(ValueError):
-            floor_phi2(bad)
-
-
-def test_epsilon():
-    assert epsilon(2) == 1
-    assert epsilon(3) == 0
-    assert epsilon(0) == 1
-    assert epsilon(-1) == 0
-    assert epsilon(-2) == 1
 
 
 def test_floor_phi2_radical_oracle():
     # phi^2 = (3 + sqrt(5)) / 2, so floor(phi^2*n) = (3n + isqrt(5n^2)) // 2
-    for n in range(1, 100_001):
-        assert floor_phi2(n) == (3 * n + isqrt(5 * n * n)) // 2
+    ns = range(1, 100_001)
+    assert phi_floors(ns, prime=True) == [(3 * n + isqrt(5 * n * n)) // 2 for n in ns]
 
 
 def test_floor_phi_at_fibonacci_indices():
+    # floor(phi*F_k) = F_{k+1} - 1 for even k, F_{k+1} for odd k
     for k in range(1, 91):
-        assert floor_phi(fib(k)) == fib(k + 1) - epsilon(k)
+        assert floor_phi(fib(k)) == fib(k + 1) - (1 - (k & 1))
 
 
 def test_shift_identity():
@@ -138,8 +134,8 @@ def test_shift_identity():
 
 def test_beatty_complementarity():
     n_max = 10_000
-    slow = {floor_phi(n) for n in range(1, n_max + 1)}
-    fast = {floor_phi2(n) for n in range(1, n_max + 1)}
+    slow = set(phi_floors(range(1, n_max + 1)))
+    fast = set(phi_floors(range(1, n_max + 1), prime=True))
     assert not slow & fast
     union = slow | fast
     assert set(range(1, floor_phi(n_max) + 1)) <= union

@@ -4,10 +4,15 @@ from fractions import Fraction
 import pytest
 
 from nicom import moment_sums, verify_suite
-from nicom.beatty_floor import floor_phi, floor_phi2, phi_floors
+from nicom.beatty_floor import floor_phi, phi_floors
 from nicom.fib_lucas import fib
 from nicom.moment_sums import BruteEngine, BruteForceGuardError, Moment, MomentTable
 from nicom.qratio import q_diff, q_value
+
+
+def floor_phi2(n):
+    """floor(phi^2*n) = n + floor(phi*n), as phi^2 = phi + 1."""
+    return n + floor_phi(n)
 
 
 def literal(m, s, j=0, prime=False):

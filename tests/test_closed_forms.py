@@ -75,21 +75,26 @@ def test_moment_rejects_what_it_does_not_cover(prime):
             cf.ClosedEngine().at(0, [Moment(s, 0, prime)])
 
 
+def theorem1_rhs(K):
+    """Theorem 1's closed value of the Q-difference at K, 1 - num/den."""
+    return 1 - Fraction(*cf.theorem1_num_den(K))
+
+
 def test_theorem1_rhs_examples():
-    assert cf.theorem1_rhs(4) == Fraction(27, 28)
-    assert cf.theorem1_rhs(5) == Fraction(111, 112)
-    assert cf.theorem1_rhs(3) == 1
+    assert theorem1_rhs(4) == Fraction(27, 28)
+    assert theorem1_rhs(5) == Fraction(111, 112)
+    assert theorem1_rhs(3) == 1
 
 
 def test_theorem1_rhs_rejects_degenerate():
     for K in (0, 1, 2):
         with pytest.raises(ValueError):
-            cf.theorem1_rhs(K)
+            cf.theorem1_num_den(K)
 
 
 def test_theorem1_rhs_matches_exact_ratio():
     for K in range(3, 31):
-        assert cf.theorem1_rhs(K) == q_diff(K, engine="brute"), K
+        assert theorem1_rhs(K) == q_diff(K, engine="brute"), K
 
 
 def test_theorem6_examples():
@@ -120,7 +125,7 @@ def test_large_index_evaluation_is_cheap():
     # closed forms stay usable far outside brute-force range
     v = cf.lemma3_a3(10_000)
     assert v > 0
-    assert cf.theorem1_rhs(2000) < 1
+    assert theorem1_rhs(2000) < 1
 
 
 # The paper's formulas, read off plain iterated lists: oracles for the

@@ -10,15 +10,19 @@ from hypothesis import given, settings, strategies as st
 
 import nicom
 from nicom import closed_forms as cf
-from nicom.beatty_floor import floor_phi, floor_phi2
+from nicom.beatty_floor import floor_phi
 from nicom.fib_lucas import fib
 from nicom.moment_sums import BruteEngine, BruteForceGuardError, Moment, MomentTable
 from nicom.recurrence_prover import (
     SIGNED_PHI_POWERS,
     RootSetSpec,
-    annihilates,
-    char_poly,
+    certify_identity,
 )
+
+
+def floor_phi2(n):
+    """floor(phi^2*n) = n + floor(phi*n), as phi^2 = phi + 1."""
+    return n + floor_phi(n)
 
 
 def literal_a(k, s, j):
@@ -122,13 +126,14 @@ def test_invalid_keys_rejected():
 
 def test_sequences_live_in_claimed_span():
     # {A(k,s,j)}_k is annihilated by the characteristic polynomial of the
-    # signed phi-power set with bound s + j + 1
+    # signed phi-power set with bound s + j + 1: certify_identity on the
+    # sequence paired with itself checks that over 3d terms
     table = MomentTable()
     for s in range(3):
         for j in range(3 - s):
-            p = char_poly(RootSetSpec(SIGNED_PHI_POWERS, s + j + 1))
-            terms = [table.a(k, s, j) for k in range(1, 3 * p.degree + 1)]
-            assert annihilates(p, terms), (s, j)
+            spec = RootSetSpec(SIGNED_PHI_POWERS, s + j + 1)
+            cert = certify_identity("span", lambda k: (table.a(k, s, j),) * 2, spec)
+            assert cert.certified, (s, j)
 
 
 def test_columns_match_literal_sums():

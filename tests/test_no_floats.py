@@ -1,0 +1,58 @@
+"""nicom evaluates with integers and Fractions only: no module under src/nicom
+holds a float literal, a true division ``/``, a ``float(...)`` call, or a
+``math.log*`` or ``math.sqrt`` (by attribute or by ``from math import``).
+Timing (``perf_counter``) is not evaluation and is not flagged."""
+
+import ast
+from pathlib import Path
+
+import nicom
+
+SRC = Path(nicom.__file__).parent
+
+
+def _is_float_math(name):
+    return name.startswith("log") or name == "sqrt"
+
+
+def float_hits(tree):
+    """(line, what) for every float construct in a parsed module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            yield node.lineno, f"float literal {node.value!r}"
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            yield node.lineno, "true division /"
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "float"):
+            yield node.lineno, "float(...)"
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "math" and _is_float_math(node.attr)):
+            yield node.lineno, f"math.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            for alias in node.names:
+                if _is_float_math(alias.name):
+                    yield node.lineno, f"from math import {alias.name}"
+
+
+def test_no_float_in_src():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    hits = [f"{path.name}:{line}: {what}" for path in modules
+            for line, what in float_hits(ast.parse(path.read_text(), str(path)))]
+    assert not hits, hits
+
+
+def test_the_scan_sees_each_float_construct():
+    source = """
+import math
+from math import isqrt, log2
+a = 0.5
+b = 1 / 2
+b /= 3
+c = float(7)
+d = math.sqrt(5) + math.log(3)
+e = 7 // 2 + isqrt(5)
+"""
+    assert sorted(what for _, what in float_hits(ast.parse(source))) == sorted([
+        "from math import log2", "float literal 0.5", "true division /", "true division /",
+        "float(...)", "math.sqrt", "math.log"])

@@ -7,7 +7,7 @@ from math import gcd, isqrt
 import pytest
 
 from nicom import fib_lucas
-from nicom.closed_forms import theorem1_rhs
+from nicom.closed_forms import theorem1_num_den
 from nicom.fib_lucas import fib
 from nicom.moment_sums import BruteForceGuardError, Moment, MomentTable, make_engine
 from nicom.qratio import (
@@ -121,7 +121,7 @@ def test_q_diff_from_threads():
         sys.setswitchinterval(interval)
     for Ks, values in zip(indices, results):
         assert values is not None  # the thread raised
-        wrong = [K for K, v in zip(Ks, values) if v != theorem1_rhs(K)]
+        wrong = [K for K, v in zip(Ks, values) if v != 1 - Fraction(*theorem1_num_den(K))]
         assert not wrong, wrong
 
 
@@ -195,6 +195,10 @@ def test_fib_index_of_agrees_with_a_walk_over_the_fibonacci_numbers():
     for m in ms:
         if m >= 0:
             assert _fib_index_of(m) == index_of.get(m), m
+    # a bracket constant over log_phi(2) by 2.5e-5 would start the walk past K = 10^5
+    for K in (10**4, 10**5):
+        m = fib(K) - 1
+        assert [_fib_index_of(m + d) for d in (-1, 0, 1)] == [None, K, None], K
 
 
 def test_q_value_far_past_the_guard_makes_one_doubling(monkeypatch):
