@@ -2,22 +2,26 @@
 
 Each evaluator expresses a moment sum (or a ratio built from moment sums)
 as a product of Fibonacci and Lucas numbers, so it is usable at indices
-far beyond brute-force range.  Each evaluator costs one fast doubling: it
-reads every F it needs from one ``fib_run`` of consecutive Fibonacci
-numbers, and every L from L_n = F_{n-1} + F_{n+1} = 2F_{n+1} - F_n or, for
-the doubled indices, L_{2n} = L_n^2 - 2(-1)^n.  All divisions are exact and
+far beyond brute-force range.  Each evaluator takes its index and one run
+of six consecutive Fibonacci numbers, and reads every F it needs from the
+run and every L from L_n = F_{n-1} + F_{n+1} = 2F_{n+1} - F_n or, for the
+doubled indices, L_{2n} = L_n^2 - 2(-1)^n.  All divisions are exact and
 asserted; a remainder would mean a transcription bug, not a rounding issue.
 
-``ClosedEngine`` serves the moments they cover as ``at(k, moments)``; the
-engine registry ``moment_sums.ENGINES`` names it next to the other two.
-The module is a leaf: it reads ``fib_lucas`` and no other part of nicom.
+The exported functions evaluate on a fresh ``fib_run``, one fast doubling
+each.  ``ClosedEngine`` serves the moments they cover as ``at(k, moments)``,
+and Theorem 1's num/den and Theorem 6's right side, from the runs of one
+``FibonacciWalk``, so a sweep in the index pays additions, not a doubling
+per value; the engine registry ``moment_sums.ENGINES`` names it next to the
+other two.  The module is a leaf: it reads ``fib_lucas`` and no other part
+of nicom.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable
 
-from .fib_lucas import fib_run
+from .fib_lucas import FibonacciWalk, fib_run
 
 
 def _exact_div(n: int, d: int) -> int:
@@ -30,11 +34,21 @@ def _exact_div(n: int, d: int) -> int:
 # Below, fN names F_{k+N}, fmN names F_{k-N} and lN names L_{k+N}.
 
 
-def _moment_run(k: int) -> list[int]:
-    """[F_{k-1}, ..., F_{k+4}]: every Fibonacci number a moment at k reads."""
+def _moment_run(k: int, runs: Callable[[int, int], list[int]]) -> list[int]:
+    """[F_{k-1}, ..., F_{k+4}]: every Fibonacci number a moment at k reads.
+
+    ``runs(n, count)`` makes the run: ``fib_run`` or a walk's ``run``.
+    """
     if k < 1:
         raise ValueError(f"index must be >= 1, got {k}")
-    return fib_run(k - 1, 6)
+    return runs(k - 1, 6)
+
+
+def _theorem1_run(K: int, runs: Callable[[int, int], list[int]]) -> list[int]:
+    """[F_{k-2}, ..., F_{k+3}] for k = ceil(K/2): every F Theorem 1's num/den at K reads."""
+    if K < 3:
+        raise ValueError(f"Q-difference closed form needs K >= 3 (m = F_K - 1 >= 1), got {K}")
+    return _moment_run((K + 1) // 2 - 1, runs)
 
 
 def _a1(k: int, f: list[int]) -> int:
@@ -65,7 +79,7 @@ def _a3_prime(k: int, f: list[int]) -> int:
     return _exact_div((f0 - 1) * (f2 - 1) * tail, 20)
 
 
-# (s, prime) -> evaluator(k, _moment_run(k)): the moments with j = 0 the closed engine covers
+# (s, prime) -> evaluator(k, run at k): the moments with j = 0 the closed engine covers
 _EVALUATORS = {(0, False): lambda k, f: f[1] - 1, (1, False): _a1, (1, True): _a1_prime,
                (3, False): _a3, (3, True): _a3_prime}
 _EVALUATORS[0, True] = _EVALUATORS[0, False]  # A'(k, 0) = A(k, 0) = F_k - 1
@@ -73,12 +87,12 @@ _EVALUATORS[0, True] = _EVALUATORS[0, False]  # A'(k, 0) = A(k, 0) = F_k - 1
 
 def lemma2_a(k: int) -> int:
     """First moment A(k, 1) = (F_{k+1} - 1)(F_k - 1) / 2."""
-    return _a1(k, _moment_run(k))
+    return _a1(k, _moment_run(k, fib_run))
 
 
 def lemma2_a_prime(k: int) -> int:
     """First moment A'(k, 1) = (F_{k+2} - 1)(F_k - 1) / 2."""
-    return _a1_prime(k, _moment_run(k))
+    return _a1_prime(k, _moment_run(k, fib_run))
 
 
 def lemma3_a3(k: int) -> int:
@@ -87,7 +101,7 @@ def lemma3_a3(k: int) -> int:
     Even k:  (F_{k-1} - 1)(F_{k+1} - 1)^2 (F_{k+2} - 1) / 4
     Odd k:   (F_k - 1)(F_{k+1} - 1)(L_{2k+2} - 3 L_{k+2} - L_{k+1} + 3) / 20
     """
-    return _a3(k, _moment_run(k))
+    return _a3(k, _moment_run(k, fib_run))
 
 
 def lemma4_a_prime3(k: int) -> int:
@@ -97,26 +111,20 @@ def lemma4_a_prime3(k: int) -> int:
     (F_k - 1)(F_{k+2} - 1)(L_{2k+4} - 5 L_{k+3} + c) / 20
     with c = 13 for even k and c = 7 for odd k.
     """
-    return _a3_prime(k, _moment_run(k))
+    return _a3_prime(k, _moment_run(k, fib_run))
 
 
-class ClosedEngine:
-    """The closed engine: F_k - 1 and Lemmas 2-4 as moment sums at m = F_k - 1.
-
-    It covers j = 0 and s in {0, 1, 3} of the (s, j, prime) triples, such
-    as ``moment_sums.Moment``, and reads every moment of a call from one
-    ``_moment_run(k)``.  Stateless.
-    """
-
-    def at(self, k: int, moments: Iterable[tuple[int, int, bool]]) -> list[int]:
-        """A(k, s, j), or A'(k, s, j) for a primed moment, for each of ``moments``."""
-        moments = list(moments)
-        for s, j, prime in moments:
-            if j != 0 or (s, prime) not in _EVALUATORS:
-                raise ValueError(f"closed engine supports j = 0 and s in {{0, 1, 3}}, "
-                                 f"got s = {s}, j = {j}")
-        f = _moment_run(k)
-        return [_EVALUATORS[s, prime](k, f) for s, _, prime in moments]
+def _theorem1_num_den(K: int, f: list[int]) -> tuple[int, int]:
+    fm2, fm1, f0, f1, f2, f3 = f  # F_{k-2}, ..., F_{k+3} with k = ceil(K/2)
+    # L_{k+2} = f1 + f3, L_{k+1} = f0 + f2, L_k = fm1 + f1, L_{k-1} = fm2 + f0,
+    # L_{k-2} = 2 fm1 - fm2; with K >= 3 each factor of den is an F_j or L_j, j >= 1
+    if K % 4 == 0:
+        return 1, f1 * f1 * (f1 + f3) * (fm2 + f0)
+    if K % 4 == 2:
+        return 1, (f0 + f2) ** 2 * f2 * fm1
+    if K % 4 == 3:
+        return fm2, f1 * f0 * f0 * (fm2 + f0) ** 2
+    return 2 * fm1 - fm2, (f0 + f2) * (fm1 + f1) ** 2 * fm1 * fm1
 
 
 def theorem1_num_den(K: int) -> tuple[int, int]:
@@ -130,19 +138,15 @@ def theorem1_num_den(K: int) -> tuple[int, int]:
         K = 2k-1, k even (K = 3 mod 4):  (F_{k-2}, F_{k+1} F_k^2 L_{k-1}^2)
         K = 2k-1, k odd  (K = 1 mod 4):  (L_{k-2}, L_{k+1} L_k^2 F_{k-1}^2)
     """
-    if K < 3:
-        raise ValueError(f"Q-difference closed form needs K >= 3 (m = F_K - 1 >= 1), got {K}")
-    k = (K + 1) // 2
-    fm2, fm1, f0, f1, f2, f3 = fib_run(k - 2, 6)
-    # L_{k+2} = f1 + f3, L_{k+1} = f0 + f2, L_k = fm1 + f1, L_{k-1} = fm2 + f0,
-    # L_{k-2} = 2 fm1 - fm2; with K >= 3 each factor of den is an F_j or L_j, j >= 1
-    if K % 4 == 0:
-        return 1, f1 * f1 * (f1 + f3) * (fm2 + f0)
-    if K % 4 == 2:
-        return 1, (f0 + f2) ** 2 * f2 * fm1
-    if K % 4 == 3:
-        return fm2, f1 * f0 * f0 * (fm2 + f0) ** 2
-    return 2 * fm1 - fm2, (f0 + f2) * (fm1 + f1) ** 2 * fm1 * fm1
+    return _theorem1_num_den(K, _theorem1_run(K, fib_run))
+
+
+def _theorem6_rhs(k: int, f: list[int]) -> int:
+    fm1, f0, f1, f2, f3, _ = f
+    # L_{k+2} = f1 + f3, L_{k+1} = f0 + f2, L_k = fm1 + f1, L_{k-1} = 2 f0 - fm1
+    if k % 2 == 0:
+        return _exact_div(f1 * f0 * (f1 + f3) * (f0 + f2) * (2 * f0 - fm1), 2)
+    return _exact_div(f2 * f1 * fm1 * (f0 + f2) * (fm1 + f1), 2)
 
 
 def theorem6_rhs(k: int) -> int:
@@ -151,10 +155,37 @@ def theorem6_rhs(k: int) -> int:
     Even k: F_{k+1} F_k L_{k+2} L_{k+1} L_{k-1} / 2
     Odd k:  F_{k+2} F_{k+1} F_{k-1} L_{k+1} L_k / 2
     """
-    if k < 1:
-        raise ValueError(f"index must be >= 1, got {k}")
-    fm1, f0, f1, f2, f3 = fib_run(k - 1, 5)
-    # L_{k+2} = f1 + f3, L_{k+1} = f0 + f2, L_k = fm1 + f1, L_{k-1} = 2 f0 - fm1
-    if k % 2 == 0:
-        return _exact_div(f1 * f0 * (f1 + f3) * (f0 + f2) * (2 * f0 - fm1), 2)
-    return _exact_div(f2 * f1 * fm1 * (f0 + f2) * (fm1 + f1), 2)
+    return _theorem6_rhs(k, _moment_run(k, fib_run))
+
+
+class ClosedEngine:
+    """The closed engine: F_k - 1 and Lemmas 2-4 as moment sums at m = F_k - 1.
+
+    It covers j = 0 and s in {0, 1, 3} of the (s, j, prime) triples, such
+    as ``moment_sums.Moment``, and reads every moment of a call from one
+    run at k.  It also serves Theorem 1's num/den and Theorem 6's right
+    side.  Every run comes from the engine's one ``FibonacciWalk``, so a
+    sweep that reads the engine at nearby indices steps from one value to
+    the next by additions.  Confine an instance to one thread.
+    """
+
+    def __init__(self) -> None:
+        self._walk = FibonacciWalk()
+
+    def at(self, k: int, moments: Iterable[tuple[int, int, bool]]) -> list[int]:
+        """A(k, s, j), or A'(k, s, j) for a primed moment, for each of ``moments``."""
+        moments = list(moments)
+        for s, j, prime in moments:
+            if j != 0 or (s, prime) not in _EVALUATORS:
+                raise ValueError(f"closed engine supports j = 0 and s in {{0, 1, 3}}, "
+                                 f"got s = {s}, j = {j}")
+        f = _moment_run(k, self._walk.run)
+        return [_EVALUATORS[s, prime](k, f) for s, _, prime in moments]
+
+    def theorem1_num_den(self, K: int) -> tuple[int, int]:
+        """``theorem1_num_den(K)``, read from the engine's walk."""
+        return _theorem1_num_den(K, _theorem1_run(K, self._walk.run))
+
+    def theorem6_rhs(self, k: int) -> int:
+        """``theorem6_rhs(k)``, read from the engine's walk."""
+        return _theorem6_rhs(k, _moment_run(k, self._walk.run))

@@ -5,7 +5,9 @@ Everything here is exact integer arithmetic on Python ints.  ``fib`` and
 closed-form evaluation stays cheap even at indices in the tens of
 thousands.  ``fib_run`` returns a run of consecutive Fibonacci numbers for
 the same one doubling plus an addition per extra term; a closed form reads
-every F and L it needs from one run.  The ``F_n - 1`` factorizations split a
+every F and L it needs from one run.  A ``FibonacciWalk`` returns the same
+runs to a sweep: it steps from where its last runs started by additions
+and doubles only on a jump.  The ``F_n - 1`` factorizations split a
 Fibonacci number minus one into a Fibonacci times a Lucas factor according
 to the index class modulo 4.
 """
@@ -14,13 +16,43 @@ from __future__ import annotations
 
 
 def _fib_pair(n: int) -> tuple[int, int]:
-    """Return (F_n, F_{n+1}) by fast doubling, from the top bit of n down."""
-    a, b = 0, 1
+    """Return (F_n, F_{n+1}) by fast doubling, from the top bit of n down.
+
+    The loop holds (F_{m-1}, F_m), m the number the bits of n read so far
+    spell, from (F_{-1}, F_0) = (1, 0), and doubles m by two squarings:
+
+        F_{2m-1} = F_{m-1}^2 + F_m^2,
+        F_{2m+1} = 4 F_m^2 - F_{m-1}^2 + 2(-1)^m,
+
+    and F_{2m} = F_{2m+1} - F_{2m-1}.  Both follow from the matrix
+    Q = [[1, 1], [1, 0]], whose powers are Q^m = [[F_{m+1}, F_m], [F_m, F_{m-1}]]
+    for m >= 0 (Q^0 is the identity as F_{-1} = 1 = F_1 - F_0).  The bottom
+    right entry of Q^(a+b) = Q^a Q^b is F_{a+b-1} = F_a F_b + F_{a-1} F_{b-1};
+    at a = b = m it gives F_{2m-1} = F_m^2 + F_{m-1}^2, and at a = b = m + 1
+    it gives F_{2m+1} = F_{m+1}^2 + F_m^2.  The determinant of Q^m is Cassini's
+    F_{m+1} F_{m-1} - F_m^2 = (-1)^m; put F_{m+1} = F_m + F_{m-1} in it and
+    F_m F_{m-1} = F_m^2 - F_{m-1}^2 + (-1)^m, so
+    F_{m+1}^2 = F_m^2 + 2 F_m F_{m-1} + F_{m-1}^2 = 3 F_m^2 - F_{m-1}^2 + 2(-1)^m,
+    and F_{2m+1} = 4 F_m^2 - F_{m-1}^2 + 2(-1)^m.
+    """
+    a, b, sign = 1, 0, 2  # F_{m-1}, F_m, 2(-1)^m at m = 0
     for bit in bin(n)[2:]:
-        c = a * (2 * b - a)
-        d = a * a + b * b
-        a, b = (d, c + d) if bit == "1" else (c, d)
-    return a, b
+        a, b = a * a, b * b
+        lo, hi = a + b, 4 * b - a + sign  # F_{2m-1}, F_{2m+1}
+        if bit == "1":  # m -> 2m + 1
+            a, b, sign = hi - lo, hi, -2
+        else:  # m -> 2m
+            a, b, sign = lo, hi - lo, 2
+    return b, a + b
+
+
+def _run_from(a: int, b: int, count: int) -> list[int]:
+    """[F_n, ..., F_{n+count-1}] from (a, b) = (F_n, F_{n+1}), by additions."""
+    run = []
+    for _ in range(count):
+        run.append(a)
+        a, b = b, a + b
+    return run
 
 
 def fib(n: int) -> int:
@@ -34,12 +66,38 @@ def fib_run(n: int, count: int) -> list[int]:
     """[F_n, F_{n+1}, ..., F_{n+count-1}] from one fast doubling."""
     if n < 0:
         raise ValueError(f"fib_run: index must be nonnegative, got {n}")
-    a, b = _fib_pair(n)
-    run = []
-    for _ in range(count):
-        run.append(a)
-        a, b = b, a + b
-    return run
+    return _run_from(*_fib_pair(n), count)
+
+
+class FibonacciWalk:
+    """Runs of consecutive Fibonacci numbers for a sweep, mostly by additions.
+
+    ``run(n, count)`` returns ``fib_run(n, count)``.  The walk keeps the two
+    distinct places its latest runs started at, (i, F_i, F_{i+1}), as a
+    sweep may read two index streams, such as K - 1 and one near K/2; a
+    fresh walk stands at (0, F_0, F_1).  A run steps on by additions from
+    the nearer place at or below n, and makes one fast doubling instead
+    when there is no such place or the gap exceeds ``n.bit_length()``.
+    Confine an instance to one thread.
+    """
+
+    def __init__(self) -> None:
+        self._places = ((0, 0, 1), (0, 0, 1))  # (i, F_i, F_{i+1}), the older first
+
+    def run(self, n: int, count: int) -> list[int]:
+        """[F_n, F_{n+1}, ..., F_{n+count-1}], as ``fib_run(n, count)``."""
+        if n < 0:
+            raise ValueError(f"FibonacciWalk.run: index must be nonnegative, got {n}")
+        older, latest = self._places
+        low, high = (older, latest) if older[0] <= latest[0] else (latest, older)
+        i, a, b = high if high[0] <= n else low
+        if i > n or n - i > n.bit_length():
+            a, b = _fib_pair(n)
+        else:
+            for _ in range(n - i):
+                a, b = b, a + b
+        self._places = (latest if latest[0] != n else older, (n, a, b))
+        return _run_from(a, b, count)
 
 
 def lucas(n: int) -> int:

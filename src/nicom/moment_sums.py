@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 from itertools import repeat
 from math import comb
-from operator import mul
+from operator import add, mul
 from typing import Iterable, NamedTuple
 
 from .beatty_floor import phi_floors
@@ -165,13 +165,14 @@ _BLOCK = 4096  # floors held at once by the brute engine
 class BruteEngine:
     """Literal summation in one resumable pass over n = 1, 2, ...
 
-    Each block of n gets one ``beatty_floor.phi_floors`` call per floor kind,
-    floor(phi*n) or floor(phi^2*n), that the moments requested so far read,
-    and is added to every one of them.  A request continues the pass, so a
-    sweep over m = F_k - 1, k <= K, sums F_K - 1 terms; a request behind the
-    pass, or with a moment not yet summed, restarts it.  ``terms`` counts
-    the n summed.  Independent of ``MomentTable`` and the closed forms;
-    confine an instance to one thread.
+    Each block of n gets the floors the moments requested so far read,
+    floor(phi*n) or floor(phi^2*n), from one ``beatty_floor.phi_floors``
+    call, or, when they read both kinds, floor(phi^2*n) = n + floor(phi*n)
+    from the floor(phi*n) block, and is added to every one of them.  A
+    request continues the pass, so a sweep over m = F_k - 1, k <= K, sums
+    F_K - 1 terms; a request behind the pass, or with a moment not yet
+    summed, restarts it.  ``terms`` counts the n summed.  Independent of
+    ``MomentTable`` and the closed forms; confine an instance to one thread.
     """
 
     def __init__(self) -> None:
@@ -203,10 +204,12 @@ class BruteEngine:
 
     def _advance(self, m: int) -> None:
         """Add the terms n = self._n + 1 .. m to every running sum."""
-        kinds = sorted({mo.prime for mo in self._sums})  # the floor kinds read
+        primes = {mo.prime for mo in self._sums}  # the floor kinds read
         for lo in range(self._n + 1, m + 1, _BLOCK):
             ns = range(lo, min(lo + _BLOCK, m + 1))
-            floors = {prime: phi_floors(ns, prime) for prime in kinds}
+            floors = {False: phi_floors(ns)} if False in primes else {}
+            if True in primes:  # floor(phi^2 n) = n + floor(phi n), as phi^2 = phi + 1
+                floors[True] = list(map(add, ns, floors[False])) if floors else phi_floors(ns, True)
             for mo in self._sums:
                 s, j, prime = mo
                 terms = floors[prime] if s == 1 else map(pow, floors[prime], repeat(s))

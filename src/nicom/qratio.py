@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .closed_forms import theorem1_num_den
 from .fib_lucas import fib_run
 from .moment_sums import Moment, make_engine
 
@@ -80,15 +79,16 @@ def q_diff(K: int, engine="recursive") -> Fraction:
     return Fraction(*_q_diff_parts(K, engine))
 
 
-def theorem1_identity_sides(K: int, engine="closed") -> tuple[int, int]:
+def theorem1_identity_sides(K: int, engine="closed", closed="closed") -> tuple[int, int]:
     """Theorem 1 cross-multiplied: (den * N, D * (den - num)), exact integers.
 
     num/den is theorem1_num_den(K) and N/D the Q-difference of ``_q_diff_parts``;
     the sides are equal iff N/D = 1 - num/den, the closed value, at K.  The
     moments come from one ``at`` call of ``engine``, a registered name or an
-    engine, num/den from one run near K/2.
+    engine, num/den from one run near K/2 of ``closed``, "closed" or a closed
+    engine, which a sweep passes in, so that its walk steps from K to K + 1.
     """
-    num, den = theorem1_num_den(K)
+    num, den = make_engine(closed, ("closed",)).theorem1_num_den(K)
     n, d = _q_diff_parts(K, engine)
     return den * n, d * (den - num)
 

@@ -1,12 +1,14 @@
 """End-to-end verification and certification of the moment-sum identities.
 
 Each claim of the paper is one ``Claim`` in ``CLAIMS``: its index ranges,
-the engines it supports, one row function ``rows(index, engine)`` that
-yields the exact (lhs, rhs) pairs, ints or Fractions, compared at an index
-on any of them and, for lemma2/3/4 and theorem1, its certification
+the engines it supports, one row function ``rows(index, engine, closed)``
+that yields the exact (lhs, rhs) pairs, ints or Fractions, compared at an
+index on any of them and, for lemma2/3/4 and theorem1, its certification
 sections, sequences of pairs read from the same rows.  ``verify_claim``
 evaluates a claim index by index with the requested engines and reports
 exact equality; ``prove_claim`` certifies each section by a finite check.
+Each call keeps one closed engine, which every row reads its closed side
+from, so a sweep's closed values step along one Fibonacci walk.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ class ClaimReport:
 
 
 class Section(NamedTuple):
-    """One certified sequence: term i is pair ``pair`` of ``rows(a*i + b, engine)``."""
+    """One certified sequence: term i is pair ``pair`` of ``rows(a*i + b, engine, closed)``."""
 
     name: str
     spec: RootSetSpec
@@ -90,8 +92,10 @@ class Section(NamedTuple):
 class Claim:
     """One claim: the indices it is checked at, its engines, its certification.
 
-    ``rows(index, engine)`` yields the exact (lhs, rhs) pairs, ints or
-    Fractions, that one engine compares at an index; an engine that is the
+    ``rows(index, engine, closed)`` yields the exact (lhs, rhs) pairs, ints
+    or Fractions, that one engine compares at an index, and reads every
+    closed-form side from ``closed``, a ``ClosedEngine``, which is ``engine``
+    itself when the sweep runs the closed engine; an engine that is the
     right-hand side, as the closed engine is in a lemma, is not one the
     claim supports.
     ``supported`` names the engines the claim runs on, in ``ENGINES`` order,
@@ -103,14 +107,15 @@ class Claim:
     first: int  # first index
     kmax: int  # last index by default
     deep_kmax: int  # last index with --deep
-    rows: Callable[[int, object], Iterable[tuple]]  # (index, engine) -> exact pairs
+    # (index, engine, closed) -> exact pairs
+    rows: Callable[[int, object, cf.ClosedEngine], Iterable[tuple]]
     supported: tuple[str, ...]
     engines: tuple[str, ...]
     sections: tuple[Section, ...] = ()
 
 
-def _lemma_rows(k, engine, moments):
-    return zip(engine.at(k, moments), cf.ClosedEngine().at(k, moments))
+def _lemma_rows(k, engine, closed, moments):
+    return zip(engine.at(k, moments), closed.at(k, moments))
 
 
 def _lemma(kmax: int, moments: list[Moment], sections: tuple[Section, ...]) -> Claim:
@@ -120,22 +125,28 @@ def _lemma(kmax: int, moments: list[Moment], sections: tuple[Section, ...]) -> C
     engines each compare their sums with them.
     """
     supported = ("brute", "recursive")
-    return Claim(1, kmax, kmax, lambda k, engine: _lemma_rows(k, engine, moments),
+    return Claim(1, kmax, kmax, lambda k, engine, closed: _lemma_rows(k, engine, closed, moments),
                  supported, supported, sections)
 
 
-def _theorem1_rows(K, engine):
-    return [qratio.theorem1_identity_sides(K, engine)]
+def _theorem1_rows(K, engine, closed):
+    return [qratio.theorem1_identity_sides(K, engine, closed)]
 
 
-def _fact_rows(l, engine):
+def _theorem6_rows(k, engine, closed):
+    return [(lcm(*engine.at(2 * k, _THEOREM6_MOMENTS)), closed.theorem6_rhs(k))]
+
+
+_THEOREM6_MOMENTS = (Moment(1), Moment(1, prime=True))  # A(2k, 1), A'(2k, 1)
+
+
+def _fact_rows(l, engine, closed):
     for n in range(4 * l, 4 * l + 4):
         f, lu = fib_minus_one_factors(n)
         yield f * lu, fib(n) - 1
     yield gcd(lucas(2 * l + 1), lucas(2 * l + 2)), 1
 
 
-_THEOREM6_MOMENTS = (Moment(1), Moment(1, prime=True))  # A(2k, 1), A'(2k, 1)
 _SIGNED2, _EVEN4 = RootSetSpec(SIGNED_PHI_POWERS, 2), RootSetSpec(EVEN_PHI_POWERS, 4)
 _BY_PARITY = (Section("even", _EVEN4, 2), Section("odd", _EVEN4, 2, -1))
 # theorem1 modulo 4: the even residues on the 21 roots {phi^(4l): |l| <= 10}, the odd
@@ -144,8 +155,9 @@ _MOD4 = tuple(Section(f"mod4={r}", RootSetSpec(TWICE_ODD_PHI_POWERS, 21) if r % 
                       else RootSetSpec(QUARTIC_PHI_POWERS, 10), 4, r) for r in range(4))
 
 # Claim(first, kmax, deep_kmax, rows, supported engines, default engines,
-# sections).  Rows look their sides up in ``cf`` and ``qratio`` when they
-# run, so a rebinding of one reaches every claim and section that reads it.
+# sections).  Rows look their sides up in ``qratio`` and on ``ClosedEngine``
+# when they run, so a rebinding of one reaches every claim and section that
+# reads it.
 CLAIMS: dict[str, Claim] = {
     # the first moments certify on the 10-element signed root set
     "lemma2": _lemma(10, [Moment(1), Moment(1, prime=True)],
@@ -158,14 +170,13 @@ CLAIMS: dict[str, Claim] = {
     # closed value, cross-multiplied to integers
     "theorem1": Claim(3, 30, 100, _theorem1_rows, ("brute", "recursive", "closed"),
                       ("recursive", "closed"), _MOD4),
-    "theorem6": Claim(1, 60, 60, lambda k, engine: [
-                          (lcm(*engine.at(2 * k, _THEOREM6_MOMENTS)), cf.theorem6_rhs(k))],
-                      ("brute", "closed"), ("closed",)),
+    "theorem6": Claim(1, 60, 60, _theorem6_rows, ("brute", "closed"), ("closed",)),
     # theorem1's identity at K = 4l
-    "case4l": Claim(1, 21, 100, lambda l, engine: _theorem1_rows(4 * l, engine),
+    "case4l": Claim(1, 21, 100, lambda l, engine, closed: _theorem1_rows(4 * l, engine, closed),
                     ("recursive", "closed"), ("closed",)),
     # sum n^3 against (sum n)^2 over n = 1..m
-    "nicomachus": Claim(1, 1000, 1000, lambda m, engine: [qratio.nicomachus_sides(m, engine)],
+    "nicomachus": Claim(1, 1000, 1000,
+                        lambda m, engine, closed: [qratio.nicomachus_sides(m, engine)],
                         ("brute",), ("brute",)),
     "fact-identities": Claim(1, 50, 50, _fact_rows, ("closed",), ("closed",)),
 }
@@ -199,6 +210,7 @@ def verify_claim(
             raise ValueError(f"engine {eng!r} is listed more than once for {claim}")
     if k_max < lo:
         raise ValueError(f"{claim}: empty index range {lo}..{k_max}; nothing to check")
+    closed = live.get("closed") or cf.ClosedEngine()
 
     rows: list[IndexResult] = []
     skipped: list[int] = []
@@ -208,7 +220,7 @@ def verify_claim(
     for idx in range(lo, k_max + 1):
         for eng, engine in list(live.items()):
             try:
-                pairs = list(entry.rows(idx, engine))
+                pairs = list(entry.rows(idx, engine, closed))
             except BruteForceGuardError:
                 del live[eng]
                 skipped = skipped or [idx, k_max]
@@ -246,6 +258,7 @@ def prove_claim(claim: str, extra_window: int | None = None) -> list[Certificate
             f"provable claims: {', '.join(provable)}"
         )
     engine = make_engine(entry.supported[-1])
+    closed = engine if isinstance(engine, cf.ClosedEngine) else cf.ClosedEngine()
     read: dict[int, tuple] = {}  # index -> the pairs of its row, a tuple, which gc can untrack
 
     def sides(a, b, p):
@@ -253,7 +266,7 @@ def prove_claim(claim: str, extra_window: int | None = None) -> list[Certificate
             k = a * i + b
             row = read.get(k)
             if row is None:
-                row = read[k] = tuple(entry.rows(k, engine))
+                row = read[k] = tuple(entry.rows(k, engine, closed))
             return row[p]
         return term
 

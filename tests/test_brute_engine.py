@@ -2,6 +2,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nicom import moment_sums, verify_suite
 from nicom.beatty_floor import floor_phi, phi_floors
@@ -97,7 +98,8 @@ def test_floors_come_from_one_block_call(monkeypatch):
     engine = BruteEngine()
     assert engine.sums(10000, [Moment(1), Moment(2, prime=True)]) == [
         literal(10000, 1), literal(10000, 2, prime=True)]
-    assert blocks == [(ns, prime) for ns in ranges for prime in (False, True)]
+    # with both kinds read, floor(phi^2 n) = n + floor(phi n) comes from the floor(phi n) block
+    assert blocks == [(ns, False) for ns in ranges]
     assert engine.terms == 10000
     # a block computes only the floor kinds its moments read
     for moments, kinds in (([Moment(3, 1), Moment(0, 2)], (False,)),
@@ -107,6 +109,15 @@ def test_floors_come_from_one_block_call(monkeypatch):
         assert engine.sums(10000, moments) == [literal(10000, *mo) for mo in moments]
         assert blocks == [(ns, prime) for ns in ranges for prime in kinds], moments
         assert engine.terms == 10000
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 5 * 10**4 - 1))
+def test_primed_sums_are_equal_on_both_floor_routes(m):
+    # a request that reads both floor kinds adds n to the floor(phi n) block; a
+    # primed-only one multiplies by floor(phi^2 2^b) directly
+    both = BruteEngine().sums(m, [Moment(3), Moment(1, prime=True), Moment(3, prime=True)])
+    assert both[1:] == BruteEngine().sums(m, [Moment(1, prime=True), Moment(3, prime=True)])
 
 
 def test_guard_raises_before_any_term_is_summed(monkeypatch):
@@ -213,7 +224,7 @@ def test_sweep_ends_once_every_engine_has_tripped(monkeypatch):
     rows = verify_suite.CLAIMS["nicomachus"].rows
     monkeypatch.setitem(verify_suite.CLAIMS, "nicomachus", replace(
         verify_suite.CLAIMS["nicomachus"],
-        rows=lambda m, engine: indices.append(m) or rows(m, engine)))
+        rows=lambda m, engine, closed: indices.append(m) or rows(m, engine, closed)))
 
     def recorded_range(*args):  # the indices the sweep walks, called or not
         for idx in range(*args):

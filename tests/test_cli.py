@@ -189,8 +189,8 @@ def prove_with_rhs_raised(capsys, monkeypatch, claim, index):
     """Each certificate's (claim, verdict, agreed terms), the first rhs at ``index`` + 1."""
     entry = verify_suite.CLAIMS[claim]
 
-    def broken(k, engine):
-        (lhs, rhs), *rest = entry.rows(k, engine)
+    def broken(k, engine, closed):
+        (lhs, rhs), *rest = entry.rows(k, engine, closed)
         return [(lhs, rhs + (k == index)), *rest]
 
     monkeypatch.setitem(verify_suite.CLAIMS, claim, replace(entry, rows=broken))
@@ -555,7 +555,7 @@ def test_k_below_one_is_a_usage_error(capsys, engine):
 BIG =10**5000 + 7  # past the interpreter's default digit limit
 
 
-def big_rows(k, engine):
+def big_rows(k, engine, closed):
     """On the brute engine, rows that pass 4300 digits: one equal pair, two unequal ones."""
     if not isinstance(engine, BruteEngine):
         return

@@ -3,10 +3,9 @@
 import pytest
 
 from nicom import closed_forms as cf
-from nicom.fib_lucas import fib_run
 from nicom.moment_sums import ENGINES, BruteEngine, Moment, make_engine
 from nicom.qratio import q_diff, theorem1_identity_sides
-from nicom.verify_suite import CLAIMS
+from nicom.verify_suite import CLAIMS, prove_claim, verify_claim
 
 # every moment with s + j <= 4, plain and primed
 MOMENTS = [Moment(s, j, prime) for prime in (False, True) for s in range(5) for j in range(5 - s)]
@@ -23,38 +22,46 @@ def test_every_engine_agrees_with_the_literal_sums(name):
         assert engine.at(k, moments) == literal.at(k, moments), (name, k)
 
 
-@pytest.fixture
-def runs(monkeypatch):
-    """The first index of every fib_run the closed forms make."""
-    starts = []
-
-    def counted(n, count):
-        starts.append(n)
-        return fib_run(n, count)
-
-    monkeypatch.setattr(cf, "fib_run", counted)
-    return starts
-
-
 @pytest.mark.parametrize("K", [50, 51, 52, 53])
-def test_one_fibonacci_run_per_closed_call(runs, K):
+def test_one_fibonacci_run_per_closed_call(doublings, K):
     q_diff(K, "closed")
-    assert runs == [K - 1]
-    runs.clear()
-    # a theorem6 row on the closed engine reads A(2K, 1) and A'(2K, 1), then its
-    # right-hand side near K
-    (lhs, rhs), = CLAIMS["theorem6"].rows(K, cf.ClosedEngine())
+    assert doublings == [K - 1]
+    doublings.clear()
+    # a theorem6 row on a fresh closed engine reads A(2K, 1) and A'(2K, 1), then
+    # its right-hand side near K, from the engine's walk
+    engine = cf.ClosedEngine()
+    (lhs, rhs), = CLAIMS["theorem6"].rows(K, engine, engine)
     assert lhs == rhs
-    assert runs == [2 * K - 1, K - 1]
-    runs.clear()
+    assert doublings == [2 * K - 1, K - 1]
+    doublings.clear()
     lhs, rhs = theorem1_identity_sides(K)
     assert lhs == rhs
-    # one run at K for the four moments, one near K/2 for num/den
-    assert len(runs) == 2 and runs[1] == K - 1 and runs[0] < K // 2
+    # one run near K/2 for num/den, one at K for the four moments
+    assert len(doublings) == 2 and doublings[0] < K // 2 and doublings[1] == K - 1
 
 
-def test_an_uncovered_moment_raises_before_any_run(runs):
+@pytest.mark.parametrize("claim, k_max, engines", [
+    ("theorem1", 300, ("closed",)),
+    ("theorem1", 250, ("recursive",)),
+    ("case4l", 300, None),
+    ("theorem6", 400, None),
+    ("lemma3", 250, ("recursive",)),
+])
+def test_a_closed_sweep_doubles_only_on_a_jump(doublings, claim, k_max, engines):
+    assert verify_claim(claim, k_max, engines).passed
+    assert len(doublings) <= 8
+
+
+def test_prove_theorem1_doubles_once_per_stream_and_section(doublings):
+    certs = prove_claim("theorem1")
+    assert all(c.certified for c in certs)
+    # char_poly's Lucas numbers, 42 of them, and two streams (K - 1 and one near
+    # K/2) in each of the four residue sections
+    assert len(doublings) <= 42 + 8
+
+
+def test_an_uncovered_moment_raises_before_any_run(doublings):
     for moments in ([Moment(2)], [Moment(1), Moment(1, 1)], [Moment(3, prime=True), Moment(4)]):
         with pytest.raises(ValueError, match="closed engine supports"):
             cf.ClosedEngine().at(30, moments)
-    assert runs == []
+    assert doublings == []

@@ -1,8 +1,11 @@
+from itertools import count
 from math import gcd
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from nicom.fib_lucas import fib, fib_minus_one_factors, fib_run, lucas
+from nicom import fib_lucas
+from nicom.fib_lucas import FibonacciWalk, fib, fib_minus_one_factors, fib_run, lucas
 
 
 def naive_fib_lucas(n_max):
@@ -14,7 +17,7 @@ def naive_fib_lucas(n_max):
     return fs, ls
 
 
-FS, LS = naive_fib_lucas(1000)
+FS, LS = naive_fib_lucas(1100)
 
 
 def test_fib_base_cases():
@@ -48,6 +51,74 @@ def test_fib_run_matches_iteration():
 def test_fib_run_rejects_negative_start():
     with pytest.raises(ValueError):
         fib_run(-1, 3)
+    with pytest.raises(ValueError):
+        FibonacciWalk().run(-1, 3)
+
+
+def three_product_doubling(n):
+    """(F_n, F_{n+1}) by F_{2m} = F_m (2F_{m+1} - F_m) and F_{2m+1} = F_m^2 + F_{m+1}^2."""
+    a, b = 0, 1
+    for bit in bin(n)[2:]:
+        c, d = a * (2 * b - a), a * a + b * b
+        a, b = (d, c + d) if bit == "1" else (c, d)
+    return a, b
+
+
+@given(st.integers(0, 10**5))
+@example(4095)
+@example(4096)
+@example(65537)
+@example(96000)
+def test_fast_doubling_matches_the_three_product_doubling(n):
+    assert fib_lucas._fib_pair(n) == three_product_doubling(n)
+
+
+@st.composite
+def two_streams(draw):
+    """(n, count) requests of two interleaved index streams, each moving by gaps of either sign.
+
+    A gap of 11 or 12 is just past n.bit_length() for n < 2048, and a stream
+    that steps below 0 stays at 0.
+    """
+    at = [draw(st.integers(0, 2000)), draw(st.integers(0, 2000))]
+    requests = []
+    moves = st.tuples(st.integers(0, 1), st.integers(-12, 12), st.integers(0, 7))
+    for stream, gap, count in draw(st.lists(moves, max_size=40)):
+        at[stream] = max(0, at[stream] + gap)
+        requests.append((at[stream], count))
+    return requests
+
+
+@given(two_streams())
+def test_walk_runs_equal_fresh_runs(requests):
+    walk = FibonacciWalk()
+    for n, count in requests:
+        assert walk.run(n, count) == fib_run(n, count), (n, count)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 9, 1000, 1023, 1024])
+def test_walk_doubles_only_past_the_bit_length(doublings, n):
+    # the first index whose gap from n exceeds its own bit length
+    far = next(f for f in count(n) if f - n > f.bit_length())
+    for target, doubled in ((far - 1, False), (far, True)):
+        walk = FibonacciWalk()  # which stands at 0
+        assert walk.run(n, 3) == FS[n:n + 3]
+        assert doublings == ([n] if n > n.bit_length() else [])
+        doublings.clear()
+        assert walk.run(target, 2) == FS[target:target + 2]
+        assert walk.run(n, 2) == FS[n:n + 2]  # a gap of 0 from n's place
+        assert doublings == ([target] if doubled else []), target
+        doublings.clear()
+
+
+def test_walk_serves_two_streams_from_two_places(doublings):
+    walk = FibonacciWalk()
+    for K in range(600, 700):  # Theorem 1's streams, K - 1 and near K/2
+        assert walk.run(K - 1, 6) == FS[K - 1:K + 5]
+        # twice, as a recursive,closed sweep reads num/den once per engine
+        assert walk.run((K + 1) // 2 - 2, 6) == FS[(K + 1) // 2 - 2:(K + 1) // 2 + 4]
+        assert walk.run((K + 1) // 2 - 2, 6) == FS[(K + 1) // 2 - 2:(K + 1) // 2 + 4]
+    assert doublings == [599, 298]
 
 
 def test_lucas_is_fib_neighbour_sum():

@@ -5,6 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nicom import closed_forms as cf
 from nicom.cli import canonical_json
@@ -43,12 +44,33 @@ def test_every_supported_engine_checks_the_claim_alone(claim, engine):
 def test_rows_are_exact_pairs_never_bools(claim, engine):
     entry = CLAIMS[claim]
     for index in range(entry.first, entry.first + 3):
-        pairs = list(entry.rows(index, make_engine(engine)))
+        pairs = list(entry.rows(index, make_engine(engine), cf.ClosedEngine()))
         assert pairs, index
         for pair in pairs:
             assert len(pair) == 2, (index, pair)
             # type, not isinstance: a bool is an int
             assert all(type(side) in (int, Fraction) for side in pair), (index, pair)
+
+
+# the claims whose rows read a closed-form side
+CLOSED_SIDE_CLAIMS = ["lemma2", "lemma3", "lemma4", "theorem1", "case4l", "theorem6"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_rows_through_one_closed_engine_equal_fresh_ones(data):
+    claim = data.draw(st.sampled_from(CLOSED_SIDE_CLAIMS))
+    entry = CLAIMS[claim]
+    name = data.draw(st.sampled_from([e for e in entry.supported if e != "brute"]))
+    indices = data.draw(st.lists(st.integers(entry.first, entry.first + 150), max_size=12))
+    # one closed engine for the whole sweep, the sweep's own engine when it runs closed
+    closed = cf.ClosedEngine()
+    engine = closed if name == "closed" else make_engine(name)
+    for index in indices:
+        fresh = make_engine(name)
+        fresh_closed = fresh if name == "closed" else cf.ClosedEngine()
+        assert list(entry.rows(index, engine, closed)) == list(
+            entry.rows(index, fresh, fresh_closed)), (claim, name, index)
 
 
 @pytest.mark.parametrize("claim", list(CLAIMS))
