@@ -7,9 +7,8 @@ from .closed_forms import (
     lemma2_a_prime,
     lemma3_a3,
     lemma4_a_prime3,
-    theorem6_rhs,
 )
-from .fib_lucas import fib, fib_minus_one_factors, lucas
+from .fib_lucas import fib, lucas
 from .moment_sums import BruteEngine, BruteForceGuardError, Moment, MomentTable
 from .qratio import nicomachus_sides, q_diff, q_value
 from .recurrence_prover import (

@@ -3,13 +3,10 @@
 Everything here is exact integer arithmetic on Python ints.  ``fib`` and
 ``lucas`` cost one fast doubling, a loop over the bits of the index, so
 closed-form evaluation stays cheap even at indices in the tens of
-thousands.  ``fib_run`` returns a run of consecutive Fibonacci numbers for
-the same one doubling plus an addition per extra term; a closed form reads
-every F and L it needs from one run.  A ``FibonacciWalk`` returns the same
-runs to a sweep: it steps from where its last runs started by additions
-and doubles only on a jump.  The ``F_n - 1`` factorizations split a
-Fibonacci number minus one into a Fibonacci times a Lucas factor according
-to the index class modulo 4.
+thousands.  A ``FibonacciWalk`` returns runs of consecutive Fibonacci
+numbers, from which a closed form reads every F and L it needs: it steps
+from where its last runs started by additions and makes one fast doubling
+only on a jump, so a sweep pays additions, not a doubling per index.
 """
 
 from __future__ import annotations
@@ -46,15 +43,6 @@ def _fib_pair(n: int) -> tuple[int, int]:
     return b, a + b
 
 
-def _run_from(a: int, b: int, count: int) -> list[int]:
-    """[F_n, ..., F_{n+count-1}] from (a, b) = (F_n, F_{n+1}), by additions."""
-    run = []
-    for _ in range(count):
-        run.append(a)
-        a, b = b, a + b
-    return run
-
-
 def fib(n: int) -> int:
     """Fibonacci number F_n (F_0 = 0, F_1 = 1)."""
     if n < 0:
@@ -62,20 +50,13 @@ def fib(n: int) -> int:
     return _fib_pair(n)[0]
 
 
-def fib_run(n: int, count: int) -> list[int]:
-    """[F_n, F_{n+1}, ..., F_{n+count-1}] from one fast doubling."""
-    if n < 0:
-        raise ValueError(f"fib_run: index must be nonnegative, got {n}")
-    return _run_from(*_fib_pair(n), count)
-
-
 class FibonacciWalk:
     """Runs of consecutive Fibonacci numbers for a sweep, mostly by additions.
 
-    ``run(n, count)`` returns ``fib_run(n, count)``.  The walk keeps the two
-    distinct places its latest runs started at, (i, F_i, F_{i+1}), as a
-    sweep may read two index streams, such as K - 1 and one near K/2; a
-    fresh walk stands at (0, F_0, F_1).  A run steps on by additions from
+    ``run(n, count)`` returns [F_n, ..., F_{n+count-1}].  The walk keeps
+    the two distinct places its latest runs started at, (i, F_i, F_{i+1}),
+    as a sweep may read two index streams, such as K - 1 and one near K/2;
+    a fresh walk stands at (0, F_0, F_1).  A run steps on by additions from
     the nearer place at or below n, and makes one fast doubling instead
     when there is no such place or the gap exceeds ``n.bit_length()``.
     Confine an instance to one thread.
@@ -85,7 +66,7 @@ class FibonacciWalk:
         self._places = ((0, 0, 1), (0, 0, 1))  # (i, F_i, F_{i+1}), the older first
 
     def run(self, n: int, count: int) -> list[int]:
-        """[F_n, F_{n+1}, ..., F_{n+count-1}], as ``fib_run(n, count)``."""
+        """[F_n, F_{n+1}, ..., F_{n+count-1}]."""
         if n < 0:
             raise ValueError(f"FibonacciWalk.run: index must be nonnegative, got {n}")
         older, latest = self._places
@@ -97,7 +78,11 @@ class FibonacciWalk:
             for _ in range(n - i):
                 a, b = b, a + b
         self._places = (latest if latest[0] != n else older, (n, a, b))
-        return _run_from(a, b, count)
+        run = []
+        for _ in range(count):
+            run.append(a)
+            a, b = b, a + b
+        return run
 
 
 def lucas(n: int) -> int:
@@ -107,27 +92,3 @@ def lucas(n: int) -> int:
     a, b = _fib_pair(n)
     # L_n = F_{n-1} + F_{n+1} = 2*F_{n+1} - F_n
     return 2 * b - a
-
-
-def fib_minus_one_factors(n: int) -> tuple[int, int]:
-    """Split F_n - 1 into its (Fibonacci, Lucas) factor pair.
-
-    The branch depends on n mod 4; writing n = 4l + r:
-
-        r = 0:  F_n - 1 = F_{2l+1} * L_{2l-1}
-        r = 1:  F_n - 1 = F_{2l}   * L_{2l+1}
-        r = 2:  F_n - 1 = F_{2l}   * L_{2l+2}
-        r = 3:  F_n - 1 = F_{2l+2} * L_{2l+1}
-
-    Requires n >= 3 so every index above is nonnegative.
-    """
-    if n < 3:
-        raise ValueError(f"fib_minus_one_factors: index must be >= 3, got {n}")
-    l, r = divmod(n, 4)
-    if r == 0:
-        return fib(2 * l + 1), lucas(2 * l - 1)
-    if r == 1:
-        return fib(2 * l), lucas(2 * l + 1)
-    if r == 2:
-        return fib(2 * l), lucas(2 * l + 2)
-    return fib(2 * l + 2), lucas(2 * l + 1)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fib_lucas import fib_run
+from .fib_lucas import FibonacciWalk
 from .moment_sums import Moment, make_engine
 
 PHI = "phi"
@@ -39,7 +39,7 @@ def _fib_index_of(m: int) -> int | None:
     below 2^b at K < 2 + b log_phi(2).
     """
     k = max(3, 1 + ((m + 1).bit_length() - 1) * 144042009 // 10**8)
-    f, g = fib_run(k, 2)
+    f, g = FibonacciWalk().run(k, 2)
     while f <= m:
         f, g = g, f + g
         k += 1
@@ -82,11 +82,12 @@ def q_diff(K: int, engine="recursive") -> Fraction:
 def theorem1_identity_sides(K: int, engine="closed", closed="closed") -> tuple[int, int]:
     """Theorem 1 cross-multiplied: (den * N, D * (den - num)), exact integers.
 
-    num/den is theorem1_num_den(K) and N/D the Q-difference of ``_q_diff_parts``;
-    the sides are equal iff N/D = 1 - num/den, the closed value, at K.  The
-    moments come from one ``at`` call of ``engine``, a registered name or an
-    engine, num/den from one run near K/2 of ``closed``, "closed" or a closed
-    engine, which a sweep passes in, so that its walk steps from K to K + 1.
+    num/den is ``closed.theorem1_num_den(K)`` and N/D the Q-difference of
+    ``_q_diff_parts``; the sides are equal iff N/D = 1 - num/den, the closed
+    value, at K.  The moments come from one ``at`` call of ``engine``, a
+    registered name or an engine, num/den from one run near K/2 of ``closed``,
+    "closed" or a closed engine, which a sweep passes in, so that its walk
+    steps from K to K + 1.
     """
     num, den = make_engine(closed, ("closed",)).theorem1_num_den(K)
     n, d = _q_diff_parts(K, engine)

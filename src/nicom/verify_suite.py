@@ -21,7 +21,6 @@ from typing import Callable, Iterable, NamedTuple
 from . import closed_forms as cf
 from . import qratio
 from .decimal_text import exact_str
-from .fib_lucas import fib, fib_minus_one_factors, lucas
 from .moment_sums import BruteForceGuardError, Moment, make_engine
 from .recurrence_prover import (
     QUARTIC_PHI_POWERS,
@@ -141,10 +140,13 @@ _THEOREM6_MOMENTS = (Moment(1), Moment(1, prime=True))  # A(2k, 1), A'(2k, 1)
 
 
 def _fact_rows(l, engine, closed):
+    lucas = []  # L_{2l-1}, L_{2l+1}, L_{2l+2}, L_{2l+1}: the Lucas factors of F_n - 1
     for n in range(4 * l, 4 * l + 4):
-        f, lu = fib_minus_one_factors(n)
-        yield f * lu, fib(n) - 1
-    yield gcd(lucas(2 * l + 1), lucas(2 * l + 2)), 1
+        # n's factor run at 2l, then F_n - 1 = A(n, 0) at n - 1: each stream keeps its walk place
+        f, lu = closed.fib_minus_one_factors(n)
+        lucas.append(lu)
+        yield f * lu, closed.at(n, [Moment(0)])[0]
+    yield gcd(lucas[1], lucas[2]), 1
 
 
 _SIGNED2, _EVEN4 = RootSetSpec(SIGNED_PHI_POWERS, 2), RootSetSpec(EVEN_PHI_POWERS, 4)

@@ -13,8 +13,8 @@ import pytest
 
 from nicom import closed_forms as cf
 from nicom.beatty_floor import floor_phi, phi_floors
-from nicom.fib_lucas import fib, fib_minus_one_factors, lucas
-from nicom.moment_sums import BruteEngine, Moment, MomentTable, make_engine
+from nicom.fib_lucas import fib, lucas
+from nicom.moment_sums import MomentTable, make_engine
 from nicom.qratio import q_diff, q_value, theorem1_identity_sides
 from nicom.recurrence_prover import (
     SIGNED_PHI_POWERS,
@@ -24,17 +24,14 @@ from nicom.recurrence_prover import (
 )
 from nicom.verify_suite import prove_claim, verify_claim
 
+from conftest import brute_sum
+
 
 def phi_interval(digits):
     """Rational bracket lo < phi < hi, accurate to ~``digits`` decimals."""
     scale = 10**digits
     r = isqrt(5 * scale * scale)
     return Fraction(scale + r, 2 * scale), Fraction(scale + r + 1, 2 * scale)
-
-
-def brute_sum(k, s, j=0, prime=False):
-    """The literal-sum engine over n = 1..F_k - 1, fresh for each call."""
-    return BruteEngine().sums(fib(k) - 1, [Moment(s, j, prime)])[0]
 
 
 @contextmanager
@@ -77,7 +74,7 @@ def test_criterion_2_third_moment_closed_forms():
 
 def test_criterion_3_q_difference_closed_form():
     with criterion(3, "Q-difference equals closed form, K=3..30 (brute to 22)"):
-        closed = {K: 1 - Fraction(*cf.theorem1_num_den(K)) for K in range(3, 31)}
+        closed = {K: 1 - Fraction(*cf.ClosedEngine().theorem1_num_den(K)) for K in range(3, 31)}
         for K in range(3, 31):
             assert q_diff(K) == closed[K]
         for name, kmax in (("recursive", 30), ("closed", 30), ("brute", 22)):
@@ -104,13 +101,14 @@ def test_criterion_4_denominator_free_identity():
 
 def test_criterion_5_lcm_formula():
     with criterion(5, "LCM of first moments equals closed form, k=1..60"):
+        theorem6_rhs = cf.ClosedEngine().theorem6_rhs
         for k in range(1, 61):
-            assert lcm(cf.lemma2_a(2 * k), cf.lemma2_a_prime(2 * k)) == cf.theorem6_rhs(k)
+            assert lcm(cf.lemma2_a(2 * k), cf.lemma2_a_prime(2 * k)) == theorem6_rhs(k)
         for k in range(1, 13):
             brute = lcm(brute_sum(2 * k, 1), brute_sum(2 * k, 1, prime=True))
-            assert cf.theorem6_rhs(k) == brute
-        assert cf.theorem6_rhs(2) == 28
-        assert cf.theorem6_rhs(3) == 210
+            assert theorem6_rhs(k) == brute
+        assert theorem6_rhs(2) == 28
+        assert theorem6_rhs(3) == 210
 
 
 def test_criterion_6_proof_certificates():
@@ -197,10 +195,18 @@ def test_criterion_9_structural_identities():
             fk, fk1 = fib(k), fib(k + 1)
             for n in range(1, fib(k - 1)):
                 assert floor_phi(fk + n) == fk1 + floor_phi(n)
+        fs, ls = [0, 1], [2, 1]  # F_n and L_n by iteration, n = 0..204
+        while len(fs) < 205:
+            fs.append(fs[-1] + fs[-2])
+            ls.append(ls[-1] + ls[-2])
+        for n in range(3, 204):
+            l, r = divmod(n, 4)
+            i, j = ((2 * l + 1, 2 * l - 1), (2 * l, 2 * l + 1), (2 * l, 2 * l + 2),
+                    (2 * l + 2, 2 * l + 1))[r]  # F_n - 1 = F_i L_j
+            f, lu = cf.ClosedEngine().fib_minus_one_factors(n)
+            assert (f, lu) == (fs[i], ls[j]), n
+            assert f * lu == fs[n] - 1
         for l in range(1, 51):
-            for n in range(4 * l, 4 * l + 4):
-                f, lu = fib_minus_one_factors(n)
-                assert f * lu == fib(n) - 1
             assert gcd(lucas(2 * l + 1), lucas(2 * l + 2)) == 1
 
 

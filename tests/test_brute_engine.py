@@ -5,21 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nicom import moment_sums, verify_suite
-from nicom.beatty_floor import floor_phi, phi_floors
+from nicom.beatty_floor import phi_floors
 from nicom.fib_lucas import fib
 from nicom.moment_sums import BruteEngine, BruteForceGuardError, Moment, MomentTable
 from nicom.qratio import q_diff, q_value
 
-
-def floor_phi2(n):
-    """floor(phi^2*n) = n + floor(phi*n), as phi^2 = phi + 1."""
-    return n + floor_phi(n)
-
-
-def literal(m, s, j=0, prime=False):
-    """Independent oracle: the defining sum over n = 1..m, written out."""
-    floor = floor_phi2 if prime else floor_phi
-    return sum(n**j * floor(n) ** s for n in range(1, m + 1))
+from conftest import literal
 
 
 def test_sweep_matches_moment_table():

@@ -6,14 +6,10 @@ from pathlib import Path
 import pytest
 
 from nicom import closed_forms as cf
-from nicom.fib_lucas import fib
-from nicom.moment_sums import BruteEngine, Moment, MomentTable
+from nicom.moment_sums import Moment, MomentTable
 from nicom.qratio import q_diff, theorem1_identity_sides
 
-
-def brute_sum(k, s, prime=False):
-    """The literal-sum engine: sum of floor(alpha*n)^s over n = 1..F_k - 1."""
-    return BruteEngine().sums(fib(k) - 1, [Moment(s, prime=prime)])[0]
+from conftest import brute_sum
 
 
 def test_lemma2_examples():
@@ -51,7 +47,7 @@ def test_third_moments_match_brute():
 
 def test_index_guards():
     for fn in (cf.lemma2_a, cf.lemma2_a_prime, cf.lemma3_a3, cf.lemma4_a_prime3,
-               cf.theorem6_rhs):
+               cf.ClosedEngine().theorem6_rhs):
         with pytest.raises(ValueError):
             fn(0)
 
@@ -77,7 +73,7 @@ def test_moment_rejects_what_it_does_not_cover(prime):
 
 def theorem1_rhs(K):
     """Theorem 1's closed value of the Q-difference at K, 1 - num/den."""
-    return 1 - Fraction(*cf.theorem1_num_den(K))
+    return 1 - Fraction(*cf.ClosedEngine().theorem1_num_den(K))
 
 
 def test_theorem1_rhs_examples():
@@ -89,7 +85,7 @@ def test_theorem1_rhs_examples():
 def test_theorem1_rhs_rejects_degenerate():
     for K in (0, 1, 2):
         with pytest.raises(ValueError):
-            cf.theorem1_num_den(K)
+            cf.ClosedEngine().theorem1_num_den(K)
 
 
 def test_theorem1_rhs_matches_exact_ratio():
@@ -98,21 +94,21 @@ def test_theorem1_rhs_matches_exact_ratio():
 
 
 def test_theorem6_examples():
-    assert cf.theorem6_rhs(2) == 28
-    assert cf.theorem6_rhs(3) == 210
-    assert cf.theorem6_rhs(1) == 0
+    assert cf.ClosedEngine().theorem6_rhs(2) == 28
+    assert cf.ClosedEngine().theorem6_rhs(3) == 210
+    assert cf.ClosedEngine().theorem6_rhs(1) == 0
 
 
 def test_theorem6_matches_lcm_of_first_moments():
     for k in range(1, 61):
         expected = lcm(cf.lemma2_a(2 * k), cf.lemma2_a_prime(2 * k))
-        assert cf.theorem6_rhs(k) == expected, k
+        assert cf.ClosedEngine().theorem6_rhs(k) == expected, k
 
 
 def test_theorem6_cross_checked_against_brute():
     for k in range(1, 13):
         brute = lcm(brute_sum(2 * k, 1), brute_sum(2 * k, 1, prime=True))
-        assert cf.theorem6_rhs(k) == brute, k
+        assert cf.ClosedEngine().theorem6_rhs(k) == brute, k
 
 
 def test_identity_sides_equal_every_residue():
@@ -129,7 +125,7 @@ def test_large_index_evaluation_is_cheap():
 
 
 # The paper's formulas, read off plain iterated lists: oracles for the
-# evaluators, which read every F and L from one fast-doubling run.
+# evaluators, which read every F and L from one run of the engine's walk.
 ORACLE_MAX = 1200
 FS, LS = [0, 1], [2, 1]
 while len(FS) <= 2 * ORACLE_MAX + 5:
@@ -191,13 +187,13 @@ def test_moments_match_the_paper_on_iterated_lists():
 
 def test_theorem6_matches_the_paper_on_iterated_lists():
     for k in range(1, ORACLE_MAX + 1):
-        assert cf.theorem6_rhs(k) == oracle_theorem6(k), k
+        assert cf.ClosedEngine().theorem6_rhs(k) == oracle_theorem6(k), k
 
 
 def test_theorem1_forms_match_the_paper_on_iterated_lists():
     # K up to 1200 covers both parities of k in both parities of K
     for K in range(3, ORACLE_MAX + 1):
-        assert cf.theorem1_num_den(K) == oracle_num_den(K), K
+        assert cf.ClosedEngine().theorem1_num_den(K) == oracle_num_den(K), K
         assert theorem1_identity_sides(K) == oracle_sides(K), K
 
 
@@ -207,12 +203,12 @@ def test_edge_indices_where_the_run_starts_at_f0():
         assert oracle_moments(k) == (0, 0, 0, 0)
         assert (cf.lemma2_a(k), cf.lemma2_a_prime(k), cf.lemma3_a3(k),
                 cf.lemma4_a_prime3(k)) == (0, 0, 0, 0)
-    assert cf.theorem6_rhs(1) == oracle_theorem6(1) == 0  # run starts at F_0
-    assert cf.theorem6_rhs(2) == oracle_theorem6(2) == 28  # run starts at F_0
+    assert cf.ClosedEngine().theorem6_rhs(1) == oracle_theorem6(1) == 0  # run starts at F_0
+    assert cf.ClosedEngine().theorem6_rhs(2) == oracle_theorem6(2) == 28  # run starts at F_0
     # K = 3, 4 (k = 2) and K = 5 (k = 3): num/den's run starts at F_0
-    assert cf.theorem1_num_den(3) == oracle_num_den(3) == (0, 2)
-    assert cf.theorem1_num_den(4) == oracle_num_den(4) == (1, 28)
-    assert cf.theorem1_num_den(5) == oracle_num_den(5) == (1, 112)
+    assert cf.ClosedEngine().theorem1_num_den(3) == oracle_num_den(3) == (0, 2)
+    assert cf.ClosedEngine().theorem1_num_den(4) == oracle_num_den(4) == (1, 28)
+    assert cf.ClosedEngine().theorem1_num_den(5) == oracle_num_den(5) == (1, 112)
     assert theorem1_identity_sides(3) == oracle_sides(3) == (8, 8)
     assert theorem1_identity_sides(4) == oracle_sides(4) == (21168, 21168)
 

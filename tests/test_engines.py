@@ -46,6 +46,7 @@ def test_one_fibonacci_run_per_closed_call(doublings, K):
     ("case4l", 300, None),
     ("theorem6", 400, None),
     ("lemma3", 250, ("recursive",)),
+    ("fact-identities", 50, None),
 ])
 def test_a_closed_sweep_doubles_only_on_a_jump(doublings, claim, k_max, engines):
     assert verify_claim(claim, k_max, engines).passed

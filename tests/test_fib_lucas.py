@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from nicom import fib_lucas
-from nicom.fib_lucas import FibonacciWalk, fib, fib_minus_one_factors, fib_run, lucas
+from nicom.closed_forms import ClosedEngine
+from nicom.fib_lucas import FibonacciWalk, fib, lucas
 
 
 def naive_fib_lucas(n_max):
@@ -17,7 +18,7 @@ def naive_fib_lucas(n_max):
     return fs, ls
 
 
-FS, LS = naive_fib_lucas(1100)
+FS, LS = naive_fib_lucas(2500)  # past the largest index two_streams draws, 2486
 
 
 def test_fib_base_cases():
@@ -42,15 +43,13 @@ def test_lucas_matches_iteration():
         assert lucas(n) == LS[n]
 
 
-def test_fib_run_matches_iteration():
+def test_fresh_walk_run_matches_iteration():
     for n in range(990):
         for count in (0, 1, 2, 6, 11):
-            assert fib_run(n, count) == FS[n:n + count], (n, count)
+            assert FibonacciWalk().run(n, count) == FS[n:n + count], (n, count)
 
 
-def test_fib_run_rejects_negative_start():
-    with pytest.raises(ValueError):
-        fib_run(-1, 3)
+def test_walk_rejects_negative_start():
     with pytest.raises(ValueError):
         FibonacciWalk().run(-1, 3)
 
@@ -90,10 +89,10 @@ def two_streams(draw):
 
 
 @given(two_streams())
-def test_walk_runs_equal_fresh_runs(requests):
+def test_walk_runs_match_iteration(requests):
     walk = FibonacciWalk()
     for n, count in requests:
-        assert walk.run(n, count) == fib_run(n, count), (n, count)
+        assert walk.run(n, count) == FS[n:n + count], (n, count)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 9, 1000, 1023, 1024])
@@ -141,15 +140,22 @@ def test_negative_index_rejected():
 
 
 def test_factor_examples():
-    assert fib_minus_one_factors(4) == (2, 1)
-    assert fib_minus_one_factors(5) == (1, 4)
-    assert fib_minus_one_factors(6) == (1, 7)
+    # n = 3 reads its run from F_0, and n = 4..6 from F_2
+    assert ClosedEngine().fib_minus_one_factors(3) == (1, 1)
+    assert ClosedEngine().fib_minus_one_factors(4) == (2, 1)
+    assert ClosedEngine().fib_minus_one_factors(5) == (1, 4)
+    assert ClosedEngine().fib_minus_one_factors(6) == (1, 7)
 
 
 def test_factor_product_is_fib_minus_one():
+    sweep = ClosedEngine()  # one walk for every n, as a verify sweep reads it
     for n in range(3, 204):
-        f, lu = fib_minus_one_factors(n)
-        assert f * lu == fib(n) - 1
+        l, r = divmod(n, 4)
+        i, j = ((2 * l + 1, 2 * l - 1), (2 * l, 2 * l + 1), (2 * l, 2 * l + 2),
+                (2 * l + 2, 2 * l + 1))[r]  # F_n - 1 = F_i L_j
+        assert ClosedEngine().fib_minus_one_factors(n) == (FS[i], LS[j]), n
+        assert sweep.fib_minus_one_factors(n) == (FS[i], LS[j]), n
+        assert FS[i] * LS[j] == FS[n] - 1, n
 
 
 def test_factor_branches_explicitly():
@@ -162,7 +168,7 @@ def test_factor_branches_explicitly():
 
 def test_factor_guard():
     with pytest.raises(ValueError):
-        fib_minus_one_factors(2)
+        ClosedEngine().fib_minus_one_factors(2)
 
 
 def test_adjacent_lucas_coprime():

@@ -19,45 +19,28 @@ from nicom.recurrence_prover import (
     certify_identity,
 )
 
-
-def floor_phi2(n):
-    """floor(phi^2*n) = n + floor(phi*n), as phi^2 = phi + 1."""
-    return n + floor_phi(n)
-
-
-def literal_a(k, s, j):
-    """Independent oracle: the defining sum, written out."""
-    return sum(n**j * floor_phi(n) ** s for n in range(1, fib(k)))
-
-
-def literal_a_prime(k, s):
-    return sum(floor_phi2(n) ** s for n in range(1, fib(k)))
-
-
-def brute_sum(k, moment):
-    """The literal-sum engine over n = 1..F_k - 1, fresh for each call."""
-    return BruteEngine().sums(fib(k) - 1, [moment])[0]
+from conftest import brute_sum, floor_phi2, literal
 
 
 def test_brute_examples():
-    assert brute_sum(5, Moment(1)) == 14
-    assert brute_sum(2, Moment(3)) == 0
-    assert brute_sum(4, Moment(3)) == 28
+    assert brute_sum(5, 1) == 14
+    assert brute_sum(2, 3) == 0
+    assert brute_sum(4, 3) == 28
 
 
 def test_brute_guard():
     with pytest.raises(BruteForceGuardError, match="guard"):
-        brute_sum(40, Moment(1))
+        brute_sum(40, 1)
     with pytest.raises(BruteForceGuardError):
-        brute_sum(40, Moment(1, prime=True))
+        brute_sum(40, 1, prime=True)
 
 
 def test_guard_env_override(monkeypatch):
     monkeypatch.setenv("NICOM_BRUTE_GUARD", "3")
     with pytest.raises(BruteForceGuardError):
-        brute_sum(5, Moment(1))
+        brute_sum(5, 1)
     monkeypatch.setenv("NICOM_BRUTE_GUARD", "1000000")
-    assert brute_sum(5, Moment(1)) == 14
+    assert brute_sum(5, 1) == 14
 
 
 def test_recursive_examples():
@@ -80,7 +63,7 @@ def test_recursive_matches_brute_on_grid():
     for k in range(1, 19):
         for s in range(5):
             for j in range(5 - s):
-                assert table.a(k, s, j) == literal_a(k, s, j), (k, s, j)
+                assert table.a(k, s, j) == literal(fib(k) - 1, s, j), (k, s, j)
 
 
 def test_a_prime_examples():
@@ -94,7 +77,7 @@ def test_a_prime_matches_literal():
     table = MomentTable()
     for k in range(1, 19):
         for s in range(4):
-            assert table.a(k, s, 0, True) == literal_a_prime(k, s), (k, s)
+            assert table.a(k, s, 0, True) == literal(fib(k) - 1, s, prime=True), (k, s)
 
 
 def test_zeroth_moment_is_fib_minus_one():
@@ -121,7 +104,7 @@ def test_invalid_keys_rejected():
     with pytest.raises(ValueError):
         table.a(3, -1, 0)
     with pytest.raises(ValueError):
-        brute_sum(3, Moment(0, -2))
+        brute_sum(3, 0, -2)
 
 
 def test_sequences_live_in_claimed_span():

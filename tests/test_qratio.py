@@ -7,7 +7,7 @@ from math import gcd, isqrt
 import pytest
 
 from nicom import fib_lucas
-from nicom.closed_forms import theorem1_num_den
+from nicom.closed_forms import ClosedEngine
 from nicom.fib_lucas import fib
 from nicom.moment_sums import BruteForceGuardError, Moment, MomentTable, make_engine
 from nicom.qratio import (
@@ -119,9 +119,10 @@ def test_q_diff_from_threads():
             t.join()
     finally:
         sys.setswitchinterval(interval)
+    num_den = ClosedEngine().theorem1_num_den
     for Ks, values in zip(indices, results):
         assert values is not None  # the thread raised
-        wrong = [K for K, v in zip(Ks, values) if v != 1 - Fraction(*theorem1_num_den(K))]
+        wrong = [K for K, v in zip(Ks, values) if v != 1 - Fraction(*num_den(K))]
         assert not wrong, wrong
 
 

@@ -53,7 +53,8 @@ def test_rows_are_exact_pairs_never_bools(claim, engine):
 
 
 # the claims whose rows read a closed-form side
-CLOSED_SIDE_CLAIMS = ["lemma2", "lemma3", "lemma4", "theorem1", "case4l", "theorem6"]
+CLOSED_SIDE_CLAIMS = ["lemma2", "lemma3", "lemma4", "theorem1", "case4l", "theorem6",
+                      "fact-identities"]
 
 
 @settings(max_examples=30, deadline=None)
