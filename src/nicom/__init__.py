@@ -10,7 +10,7 @@ from .closed_forms import (
 )
 from .fib_lucas import fib, lucas
 from .moment_sums import BruteEngine, BruteForceGuardError, Moment, MomentTable
-from .qratio import nicomachus_sides, q_diff, q_value
+from .qratio import q_diff, q_value
 from .recurrence_prover import (
     Certificate,
     RootSetSpec,

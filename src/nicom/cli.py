@@ -86,6 +86,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_prove(args) -> int:
+    if args.window is not None and args.window < 1:
+        raise ValueError(f"--window must be >= 1, got {args.window}")
     certs = verify_suite.prove_claim(args.claim, extra_window=args.window)
     if args.format == "json":
         print(canonical_json([c.to_dict() for c in certs]))

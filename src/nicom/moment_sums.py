@@ -2,7 +2,8 @@
 
 Every engine answers ``at(k, moments)``: the sums of a list of ``Moment``s
 at m = F_k - 1.  Two live here, the closed engine in ``closed_forms``; the
-registry ``ENGINES`` names all three, and ``make_engine`` builds one by name.
+registry ``ENGINES`` names all three, and ``make_engine`` builds one by name,
+where a name comes in; every function below that point takes engines.
 
 * ``BruteEngine`` sums term by term in one resumable pass, guarded as F_k - 1
   grows exponentially in k; its ``sums(m, moments)`` takes any m;
@@ -224,15 +225,11 @@ class BruteEngine:
 ENGINES = {"brute": BruteEngine, "recursive": MomentTable, "closed": ClosedEngine}
 
 
-def make_engine(engine, supported: Iterable[str] = ENGINES, context: str = ""):
-    """A new engine named ``engine``, one of ``supported``; an engine of theirs passes through.
+def make_engine(name: str, supported: Iterable[str] = ENGINES, context: str = ""):
+    """A new engine named ``name``, one of ``supported``.
 
-    ``context``, such as " for lemma2", follows the name, or the class name
-    of an engine object, in the error.
+    ``context``, such as " for lemma2", follows the name in the error.
     """
-    if isinstance(engine, tuple(ENGINES[name] for name in supported)):
-        return engine
-    if isinstance(engine, str) and engine in supported:
-        return ENGINES[engine]()
-    name = repr(engine) if isinstance(engine, str) else type(engine).__name__
-    raise ValueError(f"unknown engine {name}{context}; supported: {', '.join(supported)}")
+    if name in supported:
+        return ENGINES[name]()
+    raise ValueError(f"unknown engine {name!r}{context}; supported: {', '.join(supported)}")

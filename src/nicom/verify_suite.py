@@ -139,6 +139,14 @@ def _theorem6_rows(k, engine, closed):
 _THEOREM6_MOMENTS = (Moment(1), Moment(1, prime=True))  # A(2k, 1), A'(2k, 1)
 
 
+def _nicomachus_rows(m, engine, closed):
+    cubes, plain = engine.sums(m, _NICOMACHUS_MOMENTS)
+    return [(cubes, plain * plain)]
+
+
+_NICOMACHUS_MOMENTS = (Moment(0, 3), Moment(0, 1))  # sum n^3, sum n over n = 1..m
+
+
 def _fact_rows(l, engine, closed):
     lucas = []  # L_{2l-1}, L_{2l+1}, L_{2l+2}, L_{2l+1}: the Lucas factors of F_n - 1
     for n in range(4 * l, 4 * l + 4):
@@ -177,9 +185,7 @@ CLAIMS: dict[str, Claim] = {
     "case4l": Claim(1, 21, 100, lambda l, engine, closed: _theorem1_rows(4 * l, engine, closed),
                     ("recursive", "closed"), ("closed",)),
     # sum n^3 against (sum n)^2 over n = 1..m
-    "nicomachus": Claim(1, 1000, 1000,
-                        lambda m, engine, closed: [qratio.nicomachus_sides(m, engine)],
-                        ("brute",), ("brute",)),
+    "nicomachus": Claim(1, 1000, 1000, _nicomachus_rows, ("brute",), ("brute",)),
     "fact-identities": Claim(1, 50, 50, _fact_rows, ("closed",), ("closed",)),
 }
 

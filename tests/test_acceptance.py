@@ -14,7 +14,7 @@ import pytest
 from nicom import closed_forms as cf
 from nicom.beatty_floor import floor_phi, phi_floors
 from nicom.fib_lucas import fib, lucas
-from nicom.moment_sums import MomentTable, make_engine
+from nicom.moment_sums import MomentTable
 from nicom.qratio import q_diff, q_value, theorem1_identity_sides
 from nicom.recurrence_prover import (
     SIGNED_PHI_POWERS,
@@ -78,9 +78,8 @@ def test_criterion_3_q_difference_closed_form():
         for K in range(3, 31):
             assert q_diff(K) == closed[K]
         for name, kmax in (("recursive", 30), ("closed", 30), ("brute", 22)):
-            engine = make_engine(name)  # one engine per sweep, as verify builds it
             for K in range(3, kmax + 1):
-                assert q_diff(K, engine) == closed[K], (name, K)
+                assert q_diff(K, name) == closed[K], (name, K)
         assert q_diff(4) == Fraction(27, 28)
         assert q_diff(5) == Fraction(111, 112)
         for K in (1, 2):
@@ -91,8 +90,9 @@ def test_criterion_3_q_difference_closed_form():
 def test_criterion_4_denominator_free_identity():
     with criterion(4, "denominator-free identity, l=1..21 and deep l=1..100"):
         start = time.perf_counter()
+        engine = cf.ClosedEngine()
         for l in range(1, 22):
-            lhs, rhs = theorem1_identity_sides(4 * l)
+            lhs, rhs = theorem1_identity_sides(4 * l, engine, engine)
             assert lhs == rhs
         report = verify_claim("case4l", deep=True)
         assert report.passed and report.range == (1, 100)

@@ -8,7 +8,7 @@ from nicom import moment_sums, verify_suite
 from nicom.beatty_floor import phi_floors
 from nicom.fib_lucas import fib
 from nicom.moment_sums import BruteEngine, BruteForceGuardError, Moment, MomentTable
-from nicom.qratio import q_diff, q_value
+from nicom.qratio import q_value
 
 from conftest import literal
 
@@ -27,21 +27,13 @@ def test_sweep_matches_moment_table():
 
 
 def test_q_value_off_fibonacci_indices():
-    engine = BruteEngine()
     for m in (4, 5, 6, 10, 11, 100, 999, 1000):
         for alpha, prime in (("phi", False), ("phi2", True)):
             want = Fraction(literal(m, 3, prime=prime), literal(m, 1, prime=prime) ** 2)
             assert q_value(alpha, m) == want, (alpha, m)
-            assert q_value(alpha, m, engine=engine) == want, (alpha, m)
+            assert q_value(alpha, m, engine="brute") == want, (alpha, m)
     with pytest.raises(ValueError, match="F_K - 1"):
         q_value("phi", 5, engine="recursive")
-
-
-def test_q_diff_shares_one_pass():
-    engine = BruteEngine()
-    for K in range(3, 16):
-        assert q_diff(K, engine) == q_diff(K, engine="closed"), K
-    assert engine.terms == fib(15) - 1
 
 
 def test_resume_then_add_a_moment_mid_stream():

@@ -117,13 +117,12 @@ def test_verify_csv_rows_compare_integers(capsys):
 
 
 def test_nicomachus_failures_show_both_integer_sides(capsys, monkeypatch):
-    sides = qratio.nicomachus_sides
+    entry = verify_suite.CLAIMS["nicomachus"]
 
-    def cubes_off_by_one(m, engine="brute"):
-        cubes, square = sides(m, engine)
-        return cubes + 1, square
+    def cubes_off_by_one(m, engine, closed):
+        return [(cubes + 1, square) for cubes, square in entry.rows(m, engine, closed)]
 
-    monkeypatch.setattr(qratio, "nicomachus_sides", cubes_off_by_one)
+    monkeypatch.setitem(verify_suite.CLAIMS, "nicomachus", replace(entry, rows=cubes_off_by_one))
     code, out, _ = run(capsys, "verify", "--claim", "nicomachus", "--kmax", "5",
                        "--format", "json")
     assert code == EXIT_FAIL
@@ -158,6 +157,13 @@ def test_prove_custom_window(capsys):
                        "--format", "json")
     assert code == EXIT_OK
     assert all(c["window"] == 30 for c in json.loads(out))
+
+
+@pytest.mark.parametrize("window", ["0", "-3"])
+def test_prove_window_below_one_names_the_flag(capsys, window):
+    code, out, err = run(capsys, "prove", "--claim", "lemma2", "--window", window)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: --window must be >= 1, got {window}\n"
 
 
 # (shape, bound, degree) of each certificate of each provable claim, by branch

@@ -112,8 +112,9 @@ def test_theorem6_cross_checked_against_brute():
 
 
 def test_identity_sides_equal_every_residue():
+    engine = cf.ClosedEngine()
     for K in range(3, 104):
-        lhs, rhs = theorem1_identity_sides(K)
+        lhs, rhs = theorem1_identity_sides(K, engine, engine)
         assert lhs == rhs, K
 
 
@@ -192,9 +193,10 @@ def test_theorem6_matches_the_paper_on_iterated_lists():
 
 def test_theorem1_forms_match_the_paper_on_iterated_lists():
     # K up to 1200 covers both parities of k in both parities of K
+    engine = cf.ClosedEngine()
     for K in range(3, ORACLE_MAX + 1):
         assert cf.ClosedEngine().theorem1_num_den(K) == oracle_num_den(K), K
-        assert theorem1_identity_sides(K) == oracle_sides(K), K
+        assert theorem1_identity_sides(K, engine, engine) == oracle_sides(K), K
 
 
 def test_edge_indices_where_the_run_starts_at_f0():
@@ -209,8 +211,9 @@ def test_edge_indices_where_the_run_starts_at_f0():
     assert cf.ClosedEngine().theorem1_num_den(3) == oracle_num_den(3) == (0, 2)
     assert cf.ClosedEngine().theorem1_num_den(4) == oracle_num_den(4) == (1, 28)
     assert cf.ClosedEngine().theorem1_num_den(5) == oracle_num_den(5) == (1, 112)
-    assert theorem1_identity_sides(3) == oracle_sides(3) == (8, 8)
-    assert theorem1_identity_sides(4) == oracle_sides(4) == (21168, 21168)
+    engine = cf.ClosedEngine()
+    assert theorem1_identity_sides(3, engine, engine) == oracle_sides(3) == (8, 8)
+    assert theorem1_identity_sides(4, engine, engine) == oracle_sides(4) == (21168, 21168)
 
 
 def test_closed_forms_is_a_leaf_of_formulas():

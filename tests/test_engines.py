@@ -3,6 +3,7 @@
 import pytest
 
 from nicom import closed_forms as cf
+from nicom import qratio, verify_suite
 from nicom.moment_sums import ENGINES, BruteEngine, Moment, make_engine
 from nicom.qratio import q_diff, theorem1_identity_sides
 from nicom.verify_suite import CLAIMS, prove_claim, verify_claim
@@ -34,7 +35,8 @@ def test_one_fibonacci_run_per_closed_call(doublings, K):
     assert lhs == rhs
     assert doublings == [2 * K - 1, K - 1]
     doublings.clear()
-    lhs, rhs = theorem1_identity_sides(K)
+    engine = cf.ClosedEngine()
+    lhs, rhs = theorem1_identity_sides(K, engine, engine)
     assert lhs == rhs
     # one run near K/2 for num/den, one at K for the four moments
     assert len(doublings) == 2 and doublings[0] < K // 2 and doublings[1] == K - 1
@@ -66,3 +68,25 @@ def test_an_uncovered_moment_raises_before_any_run(doublings):
         with pytest.raises(ValueError, match="closed engine supports"):
             cf.ClosedEngine().at(30, moments)
     assert doublings == []
+
+
+def test_an_engine_name_becomes_an_engine_once_where_it_enters(monkeypatch):
+    built = []
+    make = verify_suite.make_engine
+
+    def counted(name, *args):
+        built.append(name)
+        return make(name, *args)
+
+    def refused(name, *args):
+        raise AssertionError(f"qratio called make_engine({name!r}); it takes engines")
+
+    monkeypatch.setattr(verify_suite, "make_engine", counted)
+    monkeypatch.setattr(qratio, "make_engine", refused)
+    for claim in ("theorem1", "case4l", "nicomachus"):
+        report = verify_claim(claim, 12)
+        assert report.passed, claim
+        assert built == list(report.engines), claim
+        built.clear()
+    assert all(c.certified for c in prove_claim("theorem1"))
+    assert built == ["closed"]

@@ -1,7 +1,10 @@
 """nicom evaluates with integers and Fractions only: no module under src/nicom
 holds a float literal, a true division ``/``, a ``float(...)`` call, or a
 ``math.log*`` or ``math.sqrt`` (by attribute or by ``from math import``).
-Timing (``perf_counter``) is not evaluation and is not flagged."""
+Timing (``perf_counter``) is not evaluation and is not flagged.
+
+A second scan finds imported names that are never read, in src/nicom (but
+``__init__``, whose imports are its exports) and in tests/."""
 
 import ast
 from pathlib import Path
@@ -56,3 +59,37 @@ e = 7 // 2 + isqrt(5)
     assert sorted(what for _, what in float_hits(ast.parse(source))) == sorted([
         "from math import log2", "float literal 0.5", "true division /", "true division /",
         "float(...)", "math.sqrt", "math.log"])
+
+
+def unused_imports(tree):
+    """(line, name) for every name an import binds that the module never reads."""
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                            and node.module != "__future__"):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in read:
+                    yield node.lineno, name
+
+
+def test_every_imported_name_is_read():
+    modules = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    modules += sorted(Path(__file__).parent.glob("*.py"))
+    assert len(modules) > 10
+    hits = [f"{path.parent.name}/{path.name}:{line}: {name}" for path in modules
+            for line, name in unused_imports(ast.parse(path.read_text(), str(path)))]
+    assert not hits, hits
+
+
+def test_the_scan_sees_each_unused_import():
+    source = """
+from __future__ import annotations
+import os.path
+import json as j
+from math import gcd, isqrt
+from . import qratio
+print(os.path.sep, gcd(4, 6), qratio.q_diff)
+"""
+    assert sorted(name for _, name in unused_imports(ast.parse(source))) == ["isqrt", "j"]

@@ -9,14 +9,14 @@ import pytest
 from nicom import fib_lucas
 from nicom.closed_forms import ClosedEngine
 from nicom.fib_lucas import fib
-from nicom.moment_sums import BruteForceGuardError, Moment, MomentTable, make_engine
+from nicom.moment_sums import BruteEngine, BruteForceGuardError, Moment, MomentTable, make_engine
 from nicom.qratio import (
     _fib_index_of,
-    nicomachus_sides,
     q_diff,
     q_value,
     theorem1_identity_sides,
 )
+from nicom.verify_suite import CLAIMS
 
 
 def sqrt5_interval(digits):
@@ -68,7 +68,7 @@ def test_q_diff_is_the_difference_of_the_two_ratios(engine, kmax):
     for K in range(3, kmax + 1):
         c2, p2 = e.at(K, [Moment(3, prime=True), Moment(1, prime=True)])
         c1, p1 = e.at(K, [Moment(3), Moment(1)])
-        assert q_diff(K, e) == Fraction(c2, p2**2) - Fraction(c1, p1**2), (engine, K)
+        assert q_diff(K, engine) == Fraction(c2, p2**2) - Fraction(c1, p1**2), (engine, K)
 
 
 def test_identity_sides_make_one_at_call(monkeypatch):
@@ -80,21 +80,9 @@ def test_identity_sides_make_one_at_call(monkeypatch):
         return at(self, k, moments)
 
     monkeypatch.setattr(MomentTable, "at", counted)
-    lhs, rhs = theorem1_identity_sides(40, MomentTable())
+    lhs, rhs = theorem1_identity_sides(40, MomentTable(), ClosedEngine())
     assert lhs == rhs
     assert calls == [40]
-
-
-def test_an_unregistered_engine_object_is_an_unknown_engine():
-    with pytest.raises(ValueError, match="unknown engine MomentTable; supported: brute") as exc:
-        nicomachus_sides(5, MomentTable())
-    assert "0x" not in str(exc.value)
-    with pytest.raises(ValueError, match="unknown engine MomentTable at m not of the form "
-                                         "F_K - 1; supported: brute") as exc:
-        q_value("phi", 5, engine=MomentTable())
-    assert "0x" not in str(exc.value)
-    with pytest.raises(ValueError, match="unknown engine object; supported: brute, recursive"):
-        q_diff(10, object())
 
 
 def test_q_diff_from_threads():
@@ -141,9 +129,10 @@ def test_q_value_and_q_diff_reject_an_unknown_engine(engine):
 
 
 def test_nicomachus():
-    assert nicomachus_sides(1) == (1, 1)
-    assert nicomachus_sides(3) == (36, 36)
-    assert nicomachus_sides(1000) == (500500**2, 500500**2)
+    rows = CLAIMS["nicomachus"].rows
+    engine = BruteEngine()
+    for m, side in ((1, 1), (3, 36), (1000, 500500**2)):
+        assert list(rows(m, engine, None)) == [(side, side)], m
 
 
 def test_fraction_arithmetic_always_reduced():

@@ -1,5 +1,4 @@
 import pytest
-from hypothesis import given, strategies as st
 
 from nicom import closed_forms as cf
 from nicom.fib_lucas import fib, lucas
