@@ -14,9 +14,7 @@ unprovable claim exits 2.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import json
 import sys
 from time import perf_counter
 
@@ -32,6 +30,8 @@ EXIT_GUARD = 3
 
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, fixed indentation."""
+    import json
+
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
@@ -119,6 +119,8 @@ def _cmd_bench(args) -> int:
 
 
 def _print_csv(rows) -> None:
+    import csv
+
     csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
 
 

@@ -29,7 +29,10 @@ of 5 and one division.
 
 from __future__ import annotations
 
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Decimal, Inexact, localcontext
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from decimal import Decimal
 
 _LEAF_DIGITS = 512
 _POWERS = [10**_LEAF_DIGITS]  # _POWERS[i] = 10 ** (_LEAF_DIGITS * 2**i)
@@ -55,6 +58,8 @@ def _padded(n: int, i: int) -> str:
 
 def _join(i: int) -> Decimal:
     """2 ** (_LEAF_BITS * 2**i); only called in the exact context."""
+    from decimal import Decimal
+
     while len(_JOINS) <= i:
         _JOINS.append(_JOINS[-1] * _JOINS[-1] if _JOINS else Decimal(2) ** _LEAF_BITS)
     return _JOINS[i]
@@ -62,6 +67,8 @@ def _join(i: int) -> Decimal:
 
 def _decimal(n: int) -> Decimal:
     """Decimal(n) for 0 <= n, split at the largest width _LEAF_BITS * 2**i below its size."""
+    from decimal import Decimal
+
     bits = n.bit_length()
     if bits <= _LEAF_BITS:
         return Decimal(decimal_str(n))
@@ -78,6 +85,8 @@ def decimal_str(value: int) -> str:
     if value < _POWERS[0]:
         return str(value)
     if value.bit_length() > _JOIN_BITS:
+        from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Inexact, localcontext
+
         with localcontext() as ctx:
             ctx.prec, ctx.Emax, ctx.Emin = MAX_PREC, MAX_EMAX, MIN_EMIN
             ctx.traps[Inexact] = True

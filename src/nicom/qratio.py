@@ -14,10 +14,13 @@ once.  ``q_diff`` and ``theorem1_identity_sides`` read one Q-difference N/D.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .fib_lucas import FibonacciWalk
 from .moment_sums import Moment, make_engine
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 PHI = "phi"
 PHI2 = "phi2"
@@ -48,6 +51,8 @@ def _fib_index_of(m: int) -> int | None:
 
 def q_value(alpha: str, m: int, engine: str = "auto") -> Fraction:
     """Exact Q(alpha, m) for alpha "phi" or "phi2"; "auto" is recursive at F_K - 1, else brute."""
+    from fractions import Fraction
+
     if alpha not in _ALPHAS:
         raise ValueError(f"alpha must be one of {_ALPHAS}, got {alpha!r}")
     if m < 1:
@@ -78,6 +83,8 @@ def _q_diff_parts(K: int, engine) -> tuple[int, int]:
 
 def q_diff(K: int, engine: str = "recursive") -> Fraction:
     """Q(phi^2, F_K - 1) - Q(phi, F_K - 1), exact, for K >= 3, from one ``at`` call."""
+    from fractions import Fraction
+
     return Fraction(*_q_diff_parts(K, make_engine(engine)))
 
 

@@ -22,7 +22,7 @@ The containment of the roots in the specified set is structural input
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 from .fib_lucas import lucas
 
@@ -44,20 +44,24 @@ _SHAPES = {
 }
 
 
-@dataclass(frozen=True)
-class RootSetSpec:
-    """Symbolic description of a finite set of golden-ratio-power roots."""
-
+class _RootSet(NamedTuple):
     shape: str
     bound: int
 
-    def __post_init__(self) -> None:
-        if self.shape not in _SHAPES:
-            raise ValueError(f"unknown root-set shape {self.shape!r}")
-        if self.bound < 0:
-            raise ValueError(f"bound must be nonnegative, got {self.bound}")
-        if self.shape == TWICE_ODD_PHI_POWERS and self.bound % 2 == 0:
+
+class RootSetSpec(_RootSet):
+    """Symbolic description of a finite set of golden-ratio-power roots."""
+
+    __slots__ = ()
+
+    def __new__(cls, shape: str, bound: int) -> RootSetSpec:
+        if shape not in _SHAPES:
+            raise ValueError(f"unknown root-set shape {shape!r}")
+        if bound < 0:
+            raise ValueError(f"bound must be nonnegative, got {bound}")
+        if shape == TWICE_ODD_PHI_POWERS and bound % 2 == 0:
             raise ValueError("twice-odd-phi-powers needs an odd bound")
+        return super().__new__(cls, shape, bound)
 
     def roots(self) -> list[tuple[int, int]]:
         """The roots as (sign, l) pairs, each standing for sign * phi^l."""
@@ -105,8 +109,7 @@ def _first_surviving_window(p: tuple[int, ...], terms: list[int]) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Auditable record of a finite identity check.
 
     ``verdict`` is "certified" when the first ``degree`` terms of both
@@ -121,14 +124,14 @@ class Certificate:
     agreed_terms: int
     window: int
     verdict: str
-    root_containment: str = field(default="structural (trusted input)")
+    root_containment: str = "structural (trusted input)"
 
     @property
     def certified(self) -> bool:
         return self.verdict == "certified"
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def certify_identity(

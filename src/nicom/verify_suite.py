@@ -13,10 +13,8 @@ from, so a sweep's closed values step along one Fibonacci walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from . import closed_forms as cf
 from . import qratio
@@ -32,9 +30,11 @@ from .recurrence_prover import (
     certify_identity,
 )
 
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-@dataclass
-class IndexResult:
+
+class IndexResult(NamedTuple):
     """One compared pair at one index.
 
     ``lhs`` and ``rhs`` hold the exact values compared, ints or Fractions;
@@ -47,14 +47,13 @@ class IndexResult:
     skipped: bool = False  # always False, as a guard trip adds no row; perfbench's tracer reads it
 
 
-@dataclass
-class ClaimReport:
+class ClaimReport(NamedTuple):
     claim: str
     range: tuple[int, int]
     engines: tuple[str, ...]
     verdict: str
     skipped: list[int]  # [first, last] index the brute-force guard cut short, or []
-    rows: list[IndexResult] = field(repr=False, default_factory=list)
+    rows: list[IndexResult]
 
     @property
     def passed(self) -> bool:
@@ -87,8 +86,7 @@ class Section(NamedTuple):
     pair: int = 0
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     """One claim: the indices it is checked at, its engines, its certification.
 
     ``rows(index, engine, closed)`` yields the exact (lhs, rhs) pairs, ints

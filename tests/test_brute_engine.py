@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -204,10 +203,9 @@ def test_guard_trips_once_per_run(monkeypatch, claim, k_max, engines):
 def test_sweep_ends_once_every_engine_has_tripped(monkeypatch):
     monkeypatch.setenv("NICOM_BRUTE_GUARD", "1000")
     indices, swept = [], []
-    rows = verify_suite.CLAIMS["nicomachus"].rows
-    monkeypatch.setitem(verify_suite.CLAIMS, "nicomachus", replace(
-        verify_suite.CLAIMS["nicomachus"],
-        rows=lambda m, engine, closed: indices.append(m) or rows(m, engine, closed)))
+    entry = verify_suite.CLAIMS["nicomachus"]
+    monkeypatch.setitem(verify_suite.CLAIMS, "nicomachus", entry._replace(
+        rows=lambda m, engine, closed: indices.append(m) or entry.rows(m, engine, closed)))
 
     def recorded_range(*args):  # the indices the sweep walks, called or not
         for idx in range(*args):

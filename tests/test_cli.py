@@ -5,8 +5,8 @@ import io
 import json
 import random
 import sys
-from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -122,7 +122,7 @@ def test_nicomachus_failures_show_both_integer_sides(capsys, monkeypatch):
     def cubes_off_by_one(m, engine, closed):
         return [(cubes + 1, square) for cubes, square in entry.rows(m, engine, closed)]
 
-    monkeypatch.setitem(verify_suite.CLAIMS, "nicomachus", replace(entry, rows=cubes_off_by_one))
+    monkeypatch.setitem(verify_suite.CLAIMS, "nicomachus", entry._replace(rows=cubes_off_by_one))
     code, out, _ = run(capsys, "verify", "--claim", "nicomachus", "--kmax", "5",
                        "--format", "json")
     assert code == EXIT_FAIL
@@ -191,6 +191,13 @@ def test_prove_json_pins_every_certificate(capsys, claim, window):
         for branch, (shape, bound, d) in CERTIFICATES[claim].items()]
 
 
+@pytest.mark.parametrize("claim", list(CERTIFICATES))
+def test_prove_json_is_byte_identical_to_its_golden_file(capsys, claim):
+    code, out, err = run(capsys, "prove", "--claim", claim, "--format", "json")
+    golden = Path(__file__).parent / "golden" / f"prove-{claim}.json"
+    assert (code, out, err) == (EXIT_OK, golden.read_text(), "")
+
+
 def prove_with_rhs_raised(capsys, monkeypatch, claim, index):
     """Each certificate's (claim, verdict, agreed terms), the first rhs at ``index`` + 1."""
     entry = verify_suite.CLAIMS[claim]
@@ -199,7 +206,7 @@ def prove_with_rhs_raised(capsys, monkeypatch, claim, index):
         (lhs, rhs), *rest = entry.rows(k, engine, closed)
         return [(lhs, rhs + (k == index)), *rest]
 
-    monkeypatch.setitem(verify_suite.CLAIMS, claim, replace(entry, rows=broken))
+    monkeypatch.setitem(verify_suite.CLAIMS, claim, entry._replace(rows=broken))
     code, out, _ = run(capsys, "prove", "--claim", claim, "--format", "json")
     assert code == EXIT_FAIL
     return [(c["claim"], c["verdict"], c["agreed_terms"]) for c in json.loads(out)]
@@ -508,7 +515,7 @@ def test_claim_choices_come_from_the_registry(capsys, monkeypatch):
     code, out, _ = run(capsys, "prove", "--claim", "lemma2-copy")
     assert code == EXIT_OK
     assert out.startswith("lemma2-copy/A: certified")
-    monkeypatch.setitem(verify_suite.CLAIMS, "lemma2-copy", replace(entry, sections=()))
+    monkeypatch.setitem(verify_suite.CLAIMS, "lemma2-copy", entry._replace(sections=()))
     assert run(capsys, "prove", "--claim", "lemma2-copy")[0] == EXIT_USAGE
 
 
@@ -580,7 +587,7 @@ def big_row_text(k):
 def patch_big_rows(monkeypatch):
     """lemma2's rows are big_rows."""
     entry = verify_suite.CLAIMS["lemma2"]
-    monkeypatch.setitem(verify_suite.CLAIMS, "lemma2", replace(entry, rows=big_rows))
+    monkeypatch.setitem(verify_suite.CLAIMS, "lemma2", entry._replace(rows=big_rows))
 
 
 def test_verify_csv_rows_are_exact_beyond_the_digit_limit(capsys, monkeypatch):

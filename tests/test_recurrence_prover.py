@@ -220,3 +220,19 @@ class TestCertify:
         assert d["bound"] == 2
         assert d["degree"] == 10
         assert d["verdict"] == "certified"
+
+    @pytest.mark.parametrize("rhs, verdict, agreed", [
+        (fib, "certified", 10), (lambda k: fib(k) + (k == 4), "refuted at index 4", 3)])
+    def test_certificate_dict_lists_every_field_in_order(self, rhs, verdict, agreed):
+        cert = certify_identity("fib", lambda k: (fib(k), rhs(k)),
+                                RootSetSpec(SIGNED_PHI_POWERS, 2), extra_window=5)
+        assert list(cert.to_dict().items()) == [
+            ("claim", "fib"), ("shape", SIGNED_PHI_POWERS), ("bound", 2), ("degree", 10),
+            ("agreed_terms", agreed), ("window", 5), ("verdict", verdict),
+            ("root_containment", "structural (trusted input)")]
+
+    def test_certificate_rejects_attribute_assignment(self):
+        cert = certify_identity("fib", lambda k: (fib(k),) * 2, RootSetSpec(SIGNED_PHI_POWERS, 2))
+        with pytest.raises(AttributeError):
+            cert.verdict = "refuted at index 1"
+        assert cert.certified

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from nicom import closed_forms as cf
 from nicom.cli import canonical_json
 from nicom.moment_sums import ENGINES, Moment, MomentTable, make_engine
-from nicom.verify_suite import CLAIMS, prove_claim, verify_claim
+from nicom.verify_suite import CLAIMS, ClaimReport, IndexResult, prove_claim, verify_claim
 
 PROVABLE_CLAIMS = [claim for claim, entry in CLAIMS.items() if entry.sections]
 
@@ -169,6 +169,23 @@ def test_report_dict_schema():
     }
     assert d["verdict"] == "pass"
     assert d["failures"] == []
+
+
+def test_report_dict_renders_each_unequal_row_as_exact_text():
+    rows = [IndexResult(1, 2, 3), IndexResult(2, Fraction(1, 3), Fraction(1, 3)),
+            IndexResult(3, Fraction(-1, 3), 5)]
+    report = ClaimReport("c", (1, 3), ("brute", "recursive"), "fail", [3, 3], rows)
+    assert report.to_dict() == {
+        "claim": "c", "range": [1, 3], "engines": ["brute", "recursive"], "verdict": "fail",
+        "failures": [{"index": 1, "lhs": "2", "rhs": "3"},
+                     {"index": 3, "lhs": "-1/3", "rhs": "5"}],
+        "skipped": [3, 3]}
+
+
+def test_claims_reject_attribute_assignment():
+    with pytest.raises(AttributeError):
+        CLAIMS["lemma2"].kmax = 11
+    assert CLAIMS["lemma2"].kmax == 10
 
 
 def test_reports_are_deterministic():
