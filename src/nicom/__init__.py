@@ -15,7 +15,6 @@ from .recurrence_prover import (
     Certificate,
     RootSetSpec,
     certify_identity,
-    char_poly,
 )
 from .verify_suite import ClaimReport, prove_claim, verify_claim
 

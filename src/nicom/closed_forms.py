@@ -111,8 +111,8 @@ class ClosedEngine:
     run at k.  It also serves Theorem 1's num/den, Theorem 6's right side
     and the F_n - 1 factorizations.  Every run comes from the engine's one
     ``FibonacciWalk``, so a sweep that reads the engine at nearby indices
-    steps from one value to the next by additions.  Confine an instance to
-    one thread.
+    slides the run it read last, one addition per new value.  Confine an
+    instance to one thread.
     """
 
     def __init__(self) -> None:

@@ -4,9 +4,10 @@ Everything here is exact integer arithmetic on Python ints.  ``fib`` and
 ``lucas`` cost one fast doubling, a loop over the bits of the index, so
 closed-form evaluation stays cheap even at indices in the tens of
 thousands.  A ``FibonacciWalk`` returns runs of consecutive Fibonacci
-numbers, from which a closed form reads every F and L it needs: it steps
-from where its last runs started by additions and makes one fast doubling
-only on a jump, so a sweep pays additions, not a doubling per index.
+numbers, from which a closed form reads every F and L it needs: it slides
+the last run it returned near the index, adding one value per new one,
+and makes one fast doubling only on a jump, so a sweep pays additions,
+not a doubling per index.
 """
 
 from __future__ import annotations
@@ -53,17 +54,20 @@ def fib(n: int) -> int:
 class FibonacciWalk:
     """Runs of consecutive Fibonacci numbers for a sweep, mostly by additions.
 
-    ``run(n, count)`` returns [F_n, ..., F_{n+count-1}].  The walk keeps
-    the two distinct places its latest runs started at, (i, F_i, F_{i+1}),
-    as a sweep may read two index streams, such as K - 1 and one near K/2;
-    a fresh walk stands at (0, F_0, F_1).  A run steps on by additions from
-    the nearer place at or below n, and makes one fast doubling instead
-    when there is no such place or the gap exceeds ``n.bit_length()``.
-    Confine an instance to one thread.
+    ``run(n, count)`` returns a new list [F_n, ..., F_{n+count-1}].  The
+    walk keeps the runs it returned from the two distinct places its latest
+    runs started at, each as (i, [F_i, F_{i+1}, ...]) with at least two
+    values, as a sweep may read two index streams, such as K - 1 and one
+    near K/2; a fresh walk stands at (0, [F_0, F_1]).  A run starts from
+    the nearer place i at or below n: it reuses the kept values from F_n on
+    when at least two are left, else steps on from the kept run's last two
+    values by additions, and adds one value per missing one.  It makes one
+    fast doubling instead when there is no such place or n - i exceeds
+    ``n.bit_length()``.  Confine an instance to one thread.
     """
 
     def __init__(self) -> None:
-        self._places = ((0, 0, 1), (0, 0, 1))  # (i, F_i, F_{i+1}), the older first
+        self._places = ((0, [0, 1]), (0, [0, 1]))  # (i, run from F_i), the older first
 
     def run(self, n: int, count: int) -> list[int]:
         """[F_n, F_{n+1}, ..., F_{n+count-1}]."""
@@ -71,18 +75,23 @@ class FibonacciWalk:
             raise ValueError(f"FibonacciWalk.run: index must be nonnegative, got {n}")
         older, latest = self._places
         low, high = (older, latest) if older[0] <= latest[0] else (latest, older)
-        i, a, b = high if high[0] <= n else low
-        if i > n or n - i > n.bit_length():
-            a, b = _fib_pair(n)
-        else:
-            for _ in range(n - i):
+        i, kept = high if high[0] <= n else low
+        gap = n - i
+        if i > n or gap > n.bit_length():
+            kept = list(_fib_pair(n))
+        elif gap > len(kept) - 2:
+            a, b = kept[-2], kept[-1]
+            for _ in range(gap - len(kept) + 2):
                 a, b = b, a + b
-        self._places = (latest if latest[0] != n else older, (n, a, b))
-        run = []
-        for _ in range(count):
-            run.append(a)
+            kept = [a, b]
+        elif gap:
+            kept = kept[gap:]
+        a, b = kept[-2], kept[-1]
+        for _ in range(count - len(kept)):  # a kept run only ever grows by its next values
             a, b = b, a + b
-        return run
+            kept.append(b)
+        self._places = (latest if latest[0] != n else older, (n, kept))
+        return kept[:count]
 
 
 def lucas(n: int) -> int:

@@ -166,10 +166,11 @@ _BLOCK = 4096  # floors held at once by the brute engine
 class BruteEngine:
     """Literal summation in one resumable pass over n = 1, 2, ...
 
-    Each block of n gets the floors the moments requested so far read,
-    floor(phi*n) or floor(phi^2*n), from one ``beatty_floor.phi_floors``
-    call, or, when they read both kinds, floor(phi^2*n) = n + floor(phi*n)
-    from the floor(phi*n) block, and is added to every one of them.  A
+    Each block of n gets the floors the moments requested so far with
+    s >= 1 read, floor(phi*n) or floor(phi^2*n), from one
+    ``beatty_floor.phi_floors`` call, or, when they read both kinds,
+    floor(phi^2*n) = n + floor(phi*n) from the floor(phi*n) block, and is
+    added to every one of them; a moment with s = 0 sums n^j alone.  A
     request continues the pass, so a sweep over m = F_k - 1, k <= K, sums
     F_K - 1 terms; a request behind the pass, or with a moment not yet
     summed, restarts it.  ``terms`` counts the n summed.  Independent of
@@ -205,7 +206,7 @@ class BruteEngine:
 
     def _advance(self, m: int) -> None:
         """Add the terms n = self._n + 1 .. m to every running sum."""
-        primes = {mo.prime for mo in self._sums}  # the floor kinds read
+        primes = {mo.prime for mo in self._sums if mo.s}  # the floor kinds read; s = 0 reads none
         for lo in range(self._n + 1, m + 1, _BLOCK):
             ns = range(lo, min(lo + _BLOCK, m + 1))
             floors = {False: phi_floors(ns)} if False in primes else {}
@@ -213,6 +214,9 @@ class BruteEngine:
                 floors[True] = list(map(add, ns, floors[False])) if floors else phi_floors(ns, True)
             for mo in self._sums:
                 s, j, prime = mo
+                if not s:  # n^j alone
+                    self._sums[mo] += sum(map(pow, ns, repeat(j))) if j else len(ns)
+                    continue
                 terms = floors[prime] if s == 1 else map(pow, floors[prime], repeat(s))
                 if j:
                     terms = map(mul, map(pow, ns, repeat(j)), terms)

@@ -7,10 +7,11 @@ root set.  This module supplies
 
 * root sets of signed golden-ratio powers, each root sign*phi^l held as
   the pair (sign, l),
-* their characteristic polynomials, expanded over Z as coefficient tuples,
-  constant term first: a root sign*phi^l and its conjugate
-  sign*(-1)^l*phi^(-l) are the two roots of the integer quadratic
-  x^2 - sign*L_l*x + (-1)^l, and
+* their characteristic polynomials as lists of integer factors: a root
+  sign*phi^l and its conjugate sign*(-1)^l*phi^(-l) are the two roots of
+  the quadratic x^2 - sign*L_l*x + (-1)^l, and a root sign*phi^0 gives
+  x - sign,
+* ``term_count``, the number of terms a certification reads, and
 * ``certify_identity``, which reads the two sequences as one sequence of
   (lhs, rhs) pairs, checks the d initial agreements and that the
   characteristic polynomial, read as a shift recurrence, kills every
@@ -22,7 +23,10 @@ The containment of the roots in the specified set is structural input
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from functools import reduce
+from itertools import repeat
+from operator import add, mul, sub
+from typing import NamedTuple, Sequence
 
 from .fib_lucas import lucas
 
@@ -68,18 +72,18 @@ class RootSetSpec(_RootSet):
         return _SHAPES[self.shape](self.bound)
 
 
-def char_poly(spec: RootSetSpec) -> tuple[int, ...]:
-    """Expand prod (x - alpha) over the spec's root set, in Z[x], constant term first.
+def _factors(spec: RootSetSpec) -> list[tuple[int, ...]]:
+    """The integer factors of prod (x - alpha) over the spec's root set, constant term first.
 
     A root sign*phi^l with l > 0 gives the factor x^2 - sign*L_l*x + (-1)^l,
     whose other root is its conjugate (sign*(-1)^l, -l), skipped when met;
     a root sign*phi^0 gives x - sign.  A root whose conjugate is not in the
-    set would leave coefficients outside Z; that means an internal bug and
+    set would leave a factor outside Z[x]; that means an internal bug and
     raises.
     """
     roots = spec.roots()
     present = set(roots)
-    coeffs = [1]
+    factors = []
     for sign, l in roots:
         odd = l % 2
         if (-sign if odd else sign, -l) not in present:
@@ -88,25 +92,27 @@ def char_poly(spec: RootSetSpec) -> tuple[int, ...]:
                 f"{sign}*phi^{l} is missing"
             )
         if l > 0:
-            factor = (-1 if odd else 1, -sign * lucas(l), 1)
+            factors.append((-1 if odd else 1, -sign * lucas(l), 1))
         elif l == 0:
-            factor = (-sign, 1)
-        else:
-            continue
-        nxt = [0] * (len(coeffs) + len(factor) - 1)
-        for i, c in enumerate(coeffs):
-            for j, f in enumerate(factor):
-                nxt[i + j] += c * f
-        coeffs = nxt
-    return tuple(coeffs)
+            factors.append((-sign, 1))
+    return factors
 
 
-def _first_surviving_window(p: tuple[int, ...], terms: list[int]) -> int | None:
-    """The first n with sum_i p_i * terms[n + i] != 0, or None if p kills every window."""
-    for n in range(len(terms) - len(p) + 1):
-        if sum(c * terms[n + i] for i, c in enumerate(p)) != 0:
-            return n
-    return None
+def _filter(terms: Sequence[int], factor: tuple[int, ...]) -> list[int]:
+    """[sum_i c_i * terms[n + i] for each n] for a monic factor c with constant term +-1."""
+    const = sub if factor[0] == -1 else add
+    if len(factor) == 2:
+        return list(map(const, terms[1:], terms))
+    return list(map(const, map(add, terms[2:], map(mul, terms[1:], repeat(factor[1]))), terms))
+
+
+def term_count(spec: RootSetSpec, extra_window: int | None = None) -> int:
+    """d + window, the terms ``certify_identity`` reads: d the root count, window 2d by default."""
+    d = len(spec.roots())
+    window = 2 * d if extra_window is None else extra_window
+    if window < 1:
+        raise ValueError("extra_window must be at least 1")
+    return d + window
 
 
 class Certificate(NamedTuple):
@@ -143,16 +149,19 @@ def certify_identity(
     """Certify that two integer sequences (indexed 1, 2, ...) are identical.
 
     ``sides`` maps an index i to the pair (lhs_i, rhs_i) and is called once
-    per index.  With d the degree of the spec's characteristic polynomial,
-    the check is: term agreement for i = 1..d, then annihilation of both
-    term lists over d + extra_window terms.  ``extra_window`` defaults to 2d.
+    per index i = 1..``term_count(spec, extra_window)``.  With d the size of
+    the spec's root set, the check is: term agreement for i = 1..d, then
+    annihilation of both term lists by the characteristic polynomial over
+    d + extra_window terms, which defaults to 2d.  The polynomial is never
+    expanded: each of its integer factors, applied to a term list as a two-
+    or three-tap filter, leaves one term per window of the factors applied
+    so far, so after all of them entry n is the window sum
+    sum_i p_i * terms[n + i], and the first nonzero one refutes at index n + 1.
+    Equal term lists are filtered once.
     """
-    p = char_poly(spec)
-    d = len(p) - 1
-    window = 2 * d if extra_window is None else extra_window
-    if window < 1:
-        raise ValueError("extra_window must be at least 1")
-    total = d + window
+    factors = _factors(spec)
+    d = len(spec.roots())
+    total = term_count(spec, extra_window)
 
     lhs_terms, rhs_terms = zip(*(sides(i) for i in range(1, total + 1)))
 
@@ -163,7 +172,7 @@ def certify_identity(
             bound=spec.bound,
             degree=d,
             agreed_terms=agreed,
-            window=window,
+            window=total - d,
             verdict=verdict,
         )
 
@@ -171,9 +180,10 @@ def certify_identity(
         if lhs_terms[i] != rhs_terms[i]:
             return cert(f"refuted at index {i + 1}", agreed=i)
 
-    for side in (lhs_terms, rhs_terms):
-        n = _first_surviving_window(p, side)
-        if n is not None:
-            return cert(f"refuted at index {n + 1}", agreed=d)
+    for side in (lhs_terms,) if lhs_terms == rhs_terms else (lhs_terms, rhs_terms):
+        sums = reduce(_filter, factors, side)
+        if any(sums):
+            return cert(f"refuted at index {next(n for n, v in enumerate(sums) if v) + 1}",
+                        agreed=d)
 
     return cert("certified", agreed=d)

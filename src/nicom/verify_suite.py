@@ -28,6 +28,7 @@ from .recurrence_prover import (
     Certificate,
     RootSetSpec,
     certify_identity,
+    term_count,
 )
 
 if TYPE_CHECKING:
@@ -254,7 +255,8 @@ def prove_claim(claim: str, extra_window: int | None = None) -> list[Certificate
     """Run the finite certification for a registered claim.
 
     Returns one Certificate per section (moment, parity class or residue
-    class), named under the claim; each index's row is read once.
+    class), named under the claim.  Each index's row is read once, in one
+    ascending pass over the indices of every section.
     """
     entry = CLAIMS.get(claim)
     if entry is None or not entry.sections:
@@ -265,16 +267,11 @@ def prove_claim(claim: str, extra_window: int | None = None) -> list[Certificate
         )
     engine = make_engine(entry.supported[-1])
     closed = engine if isinstance(engine, cf.ClosedEngine) else cf.ClosedEngine()
-    read: dict[int, tuple] = {}  # index -> the pairs of its row, a tuple, which gc can untrack
-
-    def sides(a, b, p):
-        def term(i):
-            k = a * i + b
-            row = read.get(k)
-            if row is None:
-                row = read[k] = tuple(entry.rows(k, engine, closed))
-            return row[p]
-        return term
-
-    return [certify_identity(f"{claim}/{name}", sides(a, b, p), spec, extra_window)
+    # every section's indices in one ascending pass, so a sweeping engine never reads behind
+    # itself; each row is a tuple of its pairs, which gc can untrack
+    wanted = {a * i + b for _, spec, a, b, _ in entry.sections
+              for i in range(1, term_count(spec, extra_window) + 1)}
+    read = {k: tuple(entry.rows(k, engine, closed)) for k in sorted(wanted)}
+    return [certify_identity(f"{claim}/{name}", lambda i, a=a, b=b, p=p: read[a * i + b][p],
+                             spec, extra_window)
             for name, spec, a, b, p in entry.sections]

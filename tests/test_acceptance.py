@@ -19,8 +19,8 @@ from nicom.qratio import q_diff, q_value, theorem1_identity_sides
 from nicom.recurrence_prover import (
     SIGNED_PHI_POWERS,
     RootSetSpec,
+    _factors,
     certify_identity,
-    char_poly,
 )
 from nicom.verify_suite import prove_claim, verify_claim
 
@@ -132,13 +132,13 @@ def test_criterion_6_proof_certificates():
             "theorem1/mod4=2": 21,
             "theorem1/mod4=3": 22,
         }
-        # every characteristic polynomial has integer coefficients at its
-        # documented degree (char_poly raises otherwise)
+        # every characteristic polynomial is a product of integer factors
+        # whose degrees sum to its documented degree (_factors raises otherwise)
         for certs in (lemma2, theorem1):
             for c in certs:
-                p = char_poly(RootSetSpec(c.shape, c.bound))
-                assert len(p) - 1 == c.degree
-                assert all(isinstance(x, int) for x in p)
+                factors = _factors(RootSetSpec(c.shape, c.bound))
+                assert sum(len(f) - 1 for f in factors) == c.degree
+                assert all(isinstance(x, int) for f in factors for x in f)
         # a mutated closed form must be refuted within the first d terms
         table = MomentTable()
         broken = certify_identity(

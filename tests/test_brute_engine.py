@@ -83,9 +83,10 @@ def test_floors_come_from_one_block_call(monkeypatch):
     # with both kinds read, floor(phi^2 n) = n + floor(phi n) comes from the floor(phi n) block
     assert blocks == [(ns, False) for ns in ranges]
     assert engine.terms == 10000
-    # a block computes only the floor kinds its moments read
+    # a block computes only the floor kinds its moments read; one with s = 0 reads none
     for moments, kinds in (([Moment(3, 1), Moment(0, 2)], (False,)),
-                           ([Moment(1, 1, prime=True), Moment(0, prime=True)], (True,))):
+                           ([Moment(1, 1, prime=True), Moment(0, prime=True)], (True,)),
+                           ([Moment(0, 3), Moment(0, 1), Moment(0), Moment(0, 2, True)], ())):
         blocks.clear()
         engine = BruteEngine()
         assert engine.sums(10000, moments) == [literal(10000, *mo) for mo in moments]

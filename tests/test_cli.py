@@ -198,6 +198,15 @@ def test_prove_json_is_byte_identical_to_its_golden_file(capsys, claim):
     assert (code, out, err) == (EXIT_OK, golden.read_text(), "")
 
 
+@pytest.mark.parametrize("window", [1, 100])
+@pytest.mark.parametrize("claim", list(CERTIFICATES))
+def test_prove_json_with_a_window_is_byte_identical_to_its_golden_file(capsys, claim, window):
+    code, out, err = run(capsys, "prove", "--claim", claim, "--window", str(window),
+                         "--format", "json")
+    golden = Path(__file__).parent / "golden" / f"prove-{claim}-window{window}.json"
+    assert (code, out, err) == (EXIT_OK, golden.read_text(), "")
+
+
 def prove_with_rhs_raised(capsys, monkeypatch, claim, index):
     """Each certificate's (claim, verdict, agreed terms), the first rhs at ``index`` + 1."""
     entry = verify_suite.CLAIMS[claim]
@@ -644,6 +653,25 @@ def test_prove_lemma2_reads_each_closed_row_once(capsys, monkeypatch):
     assert run(capsys, "prove", "--claim", "lemma2")[0] == EXIT_OK
     # both sections read the A and A' row at k = 1..30, the default window of degree 10
     assert calls == list(range(1, 31))
+
+
+@pytest.mark.parametrize("claim, window", [("lemma3", None), ("lemma4", 5), ("theorem1", None)])
+def test_prove_reads_every_section_in_one_ascending_pass(capsys, monkeypatch, claim, window):
+    entry = verify_suite.CLAIMS[claim]
+    read = []
+
+    def counted(k, engine, closed):
+        read.append(k)
+        return entry.rows(k, engine, closed)
+
+    monkeypatch.setitem(verify_suite.CLAIMS, claim, entry._replace(rows=counted))
+    argv = ["prove", "--claim", claim, "--format", "json"]
+    code, out, _ = run(capsys, *argv, *([] if window is None else ["--window", str(window)]))
+    assert code == EXIT_OK
+    # so the recurrence engine of a lemma never reads behind its frontier and refills
+    certs = json.loads(out)
+    assert read == sorted({a * i + b for (_, _, a, b, _), cert in zip(entry.sections, certs)
+                           for i in range(1, cert["degree"] + cert["window"] + 1)})
 
 
 def test_theorem1_claims_read_one_identity_row(capsys, monkeypatch):

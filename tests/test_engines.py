@@ -58,9 +58,9 @@ def test_a_closed_sweep_doubles_only_on_a_jump(doublings, claim, k_max, engines)
 def test_prove_theorem1_doubles_once_per_stream_and_section(doublings):
     certs = prove_claim("theorem1")
     assert all(c.certified for c in certs)
-    # char_poly's Lucas numbers, 42 of them, and two streams (K - 1 and one near
-    # K/2) in each of the four residue sections
-    assert len(doublings) <= 42 + 8
+    # the factor lists' Lucas numbers, 42 of them, and two streams (K - 1 and one
+    # near K/2), read in one ascending pass over the four residue sections
+    assert len(doublings) <= 42 + 2
 
 
 def test_an_uncovered_moment_raises_before_any_run(doublings):

@@ -110,6 +110,30 @@ def test_walk_doubles_only_past_the_bit_length(doublings, n):
         doublings.clear()
 
 
+@pytest.mark.parametrize("n", [300, 1000])  # each gap below m.bit_length(), so no doubling
+def test_walk_slides_a_kept_run_at_every_gap(doublings, n):
+    for count in range(9):
+        for gap in range(count + 2):  # from every kept value, one past the run and two
+            for next_count in range(9):
+                walk = FibonacciWalk()
+                assert walk.run(n, count) == FS[n:n + count]
+                m = n + gap
+                assert walk.run(m, next_count) == FS[m:m + next_count], (count, gap, next_count)
+                assert walk.run(m, next_count) == FS[m:m + next_count]  # from the slid run
+    assert set(doublings) == {n}  # only each fresh walk's jump to n
+
+
+def test_a_mutated_run_leaves_the_walk_intact():
+    walk = FibonacciWalk()
+    for n in range(0, 60, 2):
+        run = walk.run(n, 6)
+        assert run == FS[n:n + 6]
+        run[:] = [-1] * 6  # the overlap with the next run included
+    assert walk.run(60, 0) == []
+    walk.run(60, 1).append(-1)
+    assert walk.run(60, 3) == FS[60:63]
+
+
 def test_walk_serves_two_streams_from_two_places(doublings):
     walk = FibonacciWalk()
     for K in range(600, 700):  # Theorem 1's streams, K - 1 and near K/2

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nicom import closed_forms as cf
 from nicom.fib_lucas import fib, lucas
@@ -9,9 +10,21 @@ from nicom.recurrence_prover import (
     SIGNED_PHI_POWERS,
     TWICE_ODD_PHI_POWERS,
     RootSetSpec,
+    _factors,
     certify_identity,
-    char_poly,
 )
+
+
+def char_poly(spec):
+    """The spec's characteristic polynomial over Z, constant term first: its factors expanded."""
+    coeffs = [1]
+    for factor in _factors(spec):
+        nxt = [0] * (len(coeffs) + len(factor) - 1)
+        for i, c in enumerate(coeffs):
+            for j, f in enumerate(factor):
+                nxt[i + j] += c * f
+        coeffs = nxt
+    return tuple(coeffs)
 
 
 def annihilated(spec, term):
@@ -118,8 +131,11 @@ class TestCharPolyRoots:
 
     def test_a_root_without_its_conjugate_raises(self, monkeypatch):
         monkeypatch.setattr(RootSetSpec, "roots", lambda self: [(1, 1)])
+        read = []
         with pytest.raises(ArithmeticError):
-            char_poly(RootSetSpec(SIGNED_PHI_POWERS, 0))
+            certify_identity("x", lambda k: read.append(k) or (0, 0),
+                             RootSetSpec(SIGNED_PHI_POWERS, 0))
+        assert read == []  # before any term is read
 
 
 class TestAnnihilates:
@@ -236,3 +252,51 @@ class TestCertify:
         with pytest.raises(AttributeError):
             cert.verdict = "refuted at index 1"
         assert cert.certified
+
+
+def oracle(spec, lhs, rhs):
+    """(verdict, agreed terms) of the finite check, by every window of the expanded polynomial."""
+    p = char_poly(spec)
+    d = len(p) - 1
+    for i in range(d):
+        if lhs[i] != rhs[i]:
+            return f"refuted at index {i + 1}", i
+    for side in (lhs, rhs):
+        for n in range(len(side) - d):
+            if sum(c * side[n + i] for i, c in enumerate(p)):
+                return f"refuted at index {n + 1}", d
+    return "certified", d
+
+
+# every shape at small bounds
+SMALL_SPECS = [RootSetSpec(shape, b) for shape, bounds in (
+    (SIGNED_PHI_POWERS, (0, 1, 2)), (EVEN_PHI_POWERS, (0, 1, 2, 3)),
+    (QUARTIC_PHI_POWERS, (0, 1, 2)), (TWICE_ODD_PHI_POWERS, (1, 3))) for b in bounds]
+
+
+@settings(max_examples=40, deadline=None)
+@pytest.mark.parametrize("after_d", [False, True])
+@pytest.mark.parametrize("perturbed", ["none", "lhs", "rhs", "both", "both alike"])
+@given(data=st.data())
+def test_certify_matches_the_expanded_polynomial_on_every_window(perturbed, after_d, data):
+    spec = data.draw(st.sampled_from(SMALL_SPECS))
+    window = data.draw(st.none() | st.integers(1, 8))
+    p = char_poly(spec)
+    d = len(p) - 1
+    total = d + (2 * d if window is None else window)
+    # a sequence of the spec's recurrence, p monic: t_{n+d} = -sum_{i<d} p_i t_{n+i}
+    seq = data.draw(st.lists(st.integers(-9, 9), min_size=d, max_size=d))
+    while len(seq) < total:
+        seq.append(-sum(c * seq[len(seq) - d + i] for i, c in enumerate(p[:-1])))
+    lhs, rhs = seq[:], seq[:]
+    positions = st.integers(d, total - 1) if after_d else st.integers(0, d - 1)
+    deltas = st.integers(-3, 3).filter(bool)
+    if perturbed == "both alike":
+        at, by = data.draw(positions), data.draw(deltas)
+        lhs[at] += by
+        rhs[at] += by
+    for side in {"lhs": (lhs,), "rhs": (rhs,), "both": (lhs, rhs)}.get(perturbed, ()):
+        side[data.draw(positions)] += data.draw(deltas)
+    cert = certify_identity("oracle", lambda i: (lhs[i - 1], rhs[i - 1]), spec, window)
+    assert (cert.verdict, cert.agreed_terms) == oracle(spec, lhs, rhs)
+    assert (cert.degree, cert.window) == (d, total - d)
