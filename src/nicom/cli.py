@@ -3,7 +3,7 @@
 Exit codes: 0 success/pass, 1 verification failure or refutation,
 2 usage error, 3 resource guard exceeded, or a verify left inconclusive
 because it compared only empty sums.  JSON output renders big integers
-as decimal strings and rationals as "num/den" strings.
+as decimal strings.
 
 ``main`` parses with one parser, built on first use and kept for the
 process.  It holds no copy of the claim registry: ``verify_suite`` checks
@@ -19,7 +19,7 @@ import sys
 from time import perf_counter
 
 from . import verify_suite
-from .decimal_text import decimal_digest, decimal_str, exact_str
+from .decimal_text import decimal_digest, decimal_str
 from .moment_sums import ENGINES, BruteForceGuardError, Moment, make_engine
 
 EXIT_OK = 0
@@ -68,7 +68,7 @@ def _cmd_verify(args) -> int:
         print(canonical_json(report.to_dict()))
     elif args.format == "csv":
         rows = [["claim", "k", "lhs", "rhs", "equal"]]
-        rows += [[report.claim, r.index, exact_str(r.lhs), exact_str(r.rhs),
+        rows += [[report.claim, r.index, decimal_str(r.lhs), decimal_str(r.rhs),
                   str(r.lhs == r.rhs).lower()]
                  for r in report.rows]
         _print_csv(rows)

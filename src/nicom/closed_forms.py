@@ -10,12 +10,12 @@ asserted; a remainder would mean a transcription bug, not a rounding issue.
 
 ``ClosedEngine`` is the one place a closed form is evaluated: it serves the
 moments as ``at(k, moments)``, Theorem 1's num/den, Theorem 6's right side
-and the F_n - 1 factorizations, each from one run of its ``FibonacciWalk``,
-so a sweep in the index pays additions, not a doubling per value; the
-engine registry ``moment_sums.ENGINES`` names it next to the other two.
-The exported lemma functions read a fresh engine, at most one fast
-doubling each.  The module is a leaf: it reads ``fib_lucas`` and no other
-part of nicom.
+and the F_n - 1 factorizations, each from one run of a ``FibonacciWalk``,
+one walk per index stream, so a sweep in the index pays additions, not a
+doubling per value; the engine registry ``moment_sums.ENGINES`` names it
+next to the other two.  The exported lemma functions read a fresh engine,
+at most one fast doubling each.  The module is a leaf: it reads
+``fib_lucas`` and no other part of nicom.
 """
 
 from __future__ import annotations
@@ -103,26 +103,28 @@ def _fib_minus_one_factors(n: int, f: list[int]) -> tuple[int, int]:
     return g2, g0 + g2
 
 
+def _moment_run(walk: FibonacciWalk, k: int) -> list[int]:
+    """[F_{k-1}, ..., F_{k+4}]: every Fibonacci number a moment at k reads."""
+    if k < 1:
+        raise ValueError(f"index must be >= 1, got {k}")
+    return walk.run(k - 1, 6)
+
+
 class ClosedEngine:
     """The closed engine: F_k - 1 and Lemmas 2-4 as moment sums at m = F_k - 1.
 
     It covers j = 0 and s in {0, 1, 3} of the (s, j, prime) triples, such
     as ``moment_sums.Moment``, and reads every moment of a call from one
     run at k.  It also serves Theorem 1's num/den, Theorem 6's right side
-    and the F_n - 1 factorizations.  Every run comes from the engine's one
-    ``FibonacciWalk``, so a sweep that reads the engine at nearby indices
-    slides the run it read last, one addition per new value.  Confine an
-    instance to one thread.
+    and the F_n - 1 factorizations.  It keeps one ``FibonacciWalk`` per
+    index stream: ``_walk`` for ``at``, and ``_half`` for the other three,
+    which read near K/2, at k beside ``at(2k)`` or at 2l beside ``at(n)``.
+    So a sweep that reads the engine at rising indices slides each stream's
+    run, one addition per new value.  Confine an instance to one thread.
     """
 
     def __init__(self) -> None:
-        self._walk = FibonacciWalk()
-
-    def _moment_run(self, k: int) -> list[int]:
-        """[F_{k-1}, ..., F_{k+4}]: every Fibonacci number a moment at k reads."""
-        if k < 1:
-            raise ValueError(f"index must be >= 1, got {k}")
-        return self._walk.run(k - 1, 6)
+        self._walk, self._half = FibonacciWalk(), FibonacciWalk()
 
     def at(self, k: int, moments: Iterable[tuple[int, int, bool]]) -> list[int]:
         """A(k, s, j), or A'(k, s, j) for a primed moment, for each of ``moments``."""
@@ -131,7 +133,7 @@ class ClosedEngine:
             if j != 0 or (s, prime) not in _EVALUATORS:
                 raise ValueError(f"closed engine supports j = 0 and s in {{0, 1, 3}}, "
                                  f"got s = {s}, j = {j}")
-        f = self._moment_run(k)
+        f = _moment_run(self._walk, k)
         return [_EVALUATORS[s, prime](k, f) for s, _, prime in moments]
 
     def theorem1_num_den(self, K: int) -> tuple[int, int]:
@@ -147,7 +149,7 @@ class ClosedEngine:
         """
         if K < 3:
             raise ValueError(f"Q-difference closed form needs K >= 3 (m = F_K - 1 >= 1), got {K}")
-        return _theorem1_num_den(K, self._moment_run((K + 1) // 2 - 1))
+        return _theorem1_num_den(K, _moment_run(self._half, (K + 1) // 2 - 1))
 
     def theorem6_rhs(self, k: int) -> int:
         """Closed form for LCM(A(2k, 1), A'(2k, 1)).
@@ -155,7 +157,7 @@ class ClosedEngine:
         Even k: F_{k+1} F_k L_{k+2} L_{k+1} L_{k-1} / 2
         Odd k:  F_{k+2} F_{k+1} F_{k-1} L_{k+1} L_k / 2
         """
-        return _theorem6_rhs(k, self._moment_run(k))
+        return _theorem6_rhs(k, _moment_run(self._half, k))
 
     def fib_minus_one_factors(self, n: int) -> tuple[int, int]:
         """Split F_n - 1 into its (Fibonacci, Lucas) factor pair.
@@ -172,7 +174,7 @@ class ClosedEngine:
         """
         if n < 3:
             raise ValueError(f"fib_minus_one_factors: index must be >= 3, got {n}")
-        return _fib_minus_one_factors(n, self._walk.run(n // 4 * 2, 4))
+        return _fib_minus_one_factors(n, self._half.run(n // 4 * 2, 4))
 
 
 def lemma2_a(k: int) -> int:

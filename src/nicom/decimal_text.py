@@ -1,4 +1,4 @@
-"""Exact decimal text of integers and rationals of any size.
+"""Exact decimal text of integers of any size.
 
 Since Python 3.11 (and in the 3.10 security releases), ``str`` of an int
 with more than ``sys.get_int_max_str_digits()`` digits (4300 by default)
@@ -119,8 +119,3 @@ def decimal_digest(value: int) -> tuple[int, str, str]:
         e += 1
     return e + w, str(head), str(n % 10**w).zfill(w)
 
-
-def exact_str(value) -> str:
-    """str(value) for an int or a Fraction of any size."""
-    num, den = value.numerator, value.denominator
-    return decimal_str(num) if den == 1 else f"{decimal_str(num)}/{decimal_str(den)}"

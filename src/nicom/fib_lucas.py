@@ -52,45 +52,35 @@ def fib(n: int) -> int:
 
 
 class FibonacciWalk:
-    """Runs of consecutive Fibonacci numbers for a sweep, mostly by additions.
+    """Runs of consecutive Fibonacci numbers for one index stream, mostly by additions.
 
     ``run(n, count)`` returns a new list [F_n, ..., F_{n+count-1}].  The
-    walk keeps the runs it returned from the two distinct places its latest
-    runs started at, each as (i, [F_i, F_{i+1}, ...]) with at least two
-    values, as a sweep may read two index streams, such as K - 1 and one
-    near K/2; a fresh walk stands at (0, [F_0, F_1]).  A run starts from
-    the nearer place i at or below n: it reuses the kept values from F_n on
-    when at least two are left, else steps on from the kept run's last two
-    values by additions, and adds one value per missing one.  It makes one
-    fast doubling instead when there is no such place or n - i exceeds
-    ``n.bit_length()``.  Confine an instance to one thread.
+    walk keeps one place (i, [F_i, F_{i+1}, ...]), at least two values, the
+    run of the last call; a fresh walk stands at (0, [F_0, F_1]).  A run at
+    n >= i steps the kept run on by additions, one per missing value, and
+    keeps it from F_n on; it makes one fast doubling instead when n < i or
+    n - i exceeds ``n.bit_length()``.  So a stream that moves up by small
+    steps pays additions only, and a caller that reads two streams, such as
+    K - 1 and one near K/2, keeps one walk for each.  Confine an instance
+    to one thread.
     """
 
     def __init__(self) -> None:
-        self._places = ((0, [0, 1]), (0, [0, 1]))  # (i, run from F_i), the older first
+        self._i, self._kept = 0, [0, 1]  # (i, run from F_i)
 
     def run(self, n: int, count: int) -> list[int]:
         """[F_n, F_{n+1}, ..., F_{n+count-1}]."""
         if n < 0:
             raise ValueError(f"FibonacciWalk.run: index must be nonnegative, got {n}")
-        older, latest = self._places
-        low, high = (older, latest) if older[0] <= latest[0] else (latest, older)
-        i, kept = high if high[0] <= n else low
-        gap = n - i
-        if i > n or gap > n.bit_length():
-            kept = list(_fib_pair(n))
-        elif gap > len(kept) - 2:
-            a, b = kept[-2], kept[-1]
-            for _ in range(gap - len(kept) + 2):
-                a, b = b, a + b
-            kept = [a, b]
-        elif gap:
-            kept = kept[gap:]
+        i, kept = self._i, self._kept
+        if n < i or n - i > n.bit_length():
+            i, kept = n, list(_fib_pair(n))
         a, b = kept[-2], kept[-1]
-        for _ in range(count - len(kept)):  # a kept run only ever grows by its next values
+        for _ in range(n - i + max(count, 2) - len(kept)):  # on to F_{n+count-1}, at least F_{n+1}
             a, b = b, a + b
             kept.append(b)
-        self._places = (latest if latest[0] != n else older, (n, kept))
+        del kept[:n - i]
+        self._i, self._kept = n, kept
         return kept[:count]
 
 

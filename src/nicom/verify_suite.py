@@ -2,23 +2,24 @@
 
 Each claim of the paper is one ``Claim`` in ``CLAIMS``: its index ranges,
 the engines it supports, one row function ``rows(index, engine, closed)``
-that yields the exact (lhs, rhs) pairs, ints or Fractions, compared at an
-index on any of them and, for lemma2/3/4 and theorem1, its certification
-sections, sequences of pairs read from the same rows.  ``verify_claim``
-evaluates a claim index by index with the requested engines and reports
-exact equality; ``prove_claim`` certifies each section by a finite check.
-Each call keeps one closed engine, which every row reads its closed side
-from, so a sweep's closed values step along one Fibonacci walk.
+that yields the exact (lhs, rhs) pairs of ints compared at an index on
+any of them and, for lemma2/3/4 and theorem1, its certification sections,
+sequences of pairs read from the same rows.  ``verify_claim`` evaluates a
+claim index by index with the requested engines and reports exact
+equality; ``prove_claim`` certifies each section by a finite check.  Each
+call keeps one closed engine, which every row reads its closed side from,
+so a sweep's closed values step along the engine's Fibonacci walks, one
+per index stream.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from . import closed_forms as cf
 from . import qratio
-from .decimal_text import exact_str
+from .decimal_text import decimal_str
 from .moment_sums import BruteForceGuardError, Moment, make_engine
 from .recurrence_prover import (
     QUARTIC_PHI_POWERS,
@@ -31,20 +32,17 @@ from .recurrence_prover import (
     term_count,
 )
 
-if TYPE_CHECKING:
-    from fractions import Fraction
-
 
 class IndexResult(NamedTuple):
     """One compared pair at one index.
 
-    ``lhs`` and ``rhs`` hold the exact values compared, ints or Fractions;
-    they turn into decimal text only where they are printed.
+    ``lhs`` and ``rhs`` hold the exact ints compared; they turn into
+    decimal text only where they are printed.
     """
 
     index: int
-    lhs: int | Fraction
-    rhs: int | Fraction
+    lhs: int
+    rhs: int
     skipped: bool = False  # always False, as a guard trip adds no row; perfbench's tracer reads it
 
 
@@ -63,7 +61,7 @@ class ClaimReport(NamedTuple):
     @property
     def failures(self) -> list[dict]:
         """The unequal rows, each side as exact decimal text."""
-        return [{"index": r.index, "lhs": exact_str(r.lhs), "rhs": exact_str(r.rhs)}
+        return [{"index": r.index, "lhs": decimal_str(r.lhs), "rhs": decimal_str(r.rhs)}
                 for r in self.rows if r.lhs != r.rhs]
 
     def to_dict(self) -> dict:
@@ -90,10 +88,10 @@ class Section(NamedTuple):
 class Claim(NamedTuple):
     """One claim: the indices it is checked at, its engines, its certification.
 
-    ``rows(index, engine, closed)`` yields the exact (lhs, rhs) pairs, ints
-    or Fractions, that one engine compares at an index, and reads every
-    closed-form side from ``closed``, a ``ClosedEngine``, which is ``engine``
-    itself when the sweep runs the closed engine; an engine that is the
+    ``rows(index, engine, closed)`` yields the exact (lhs, rhs) pairs of
+    ints that one engine compares at an index, and reads every closed-form
+    side from ``closed``, a ``ClosedEngine``, which is ``engine`` itself
+    when the sweep runs the closed engine; an engine that is the
     right-hand side, as the closed engine is in a lemma, is not one the
     claim supports.
     ``supported`` names the engines the claim runs on, in ``ENGINES`` order,
@@ -149,7 +147,6 @@ _NICOMACHUS_MOMENTS = (Moment(0, 3), Moment(0, 1))  # sum n^3, sum n over n = 1.
 def _fact_rows(l, engine, closed):
     lucas = []  # L_{2l-1}, L_{2l+1}, L_{2l+2}, L_{2l+1}: the Lucas factors of F_n - 1
     for n in range(4 * l, 4 * l + 4):
-        # n's factor run at 2l, then F_n - 1 = A(n, 0) at n - 1: each stream keeps its walk place
         f, lu = closed.fib_minus_one_factors(n)
         lucas.append(lu)
         yield f * lu, closed.at(n, [Moment(0)])[0]

@@ -126,7 +126,7 @@ def test_large_index_evaluation_is_cheap():
 
 
 # The paper's formulas, read off plain iterated lists: oracles for the
-# evaluators, which read every F and L from one run of the engine's walk.
+# evaluators, which read every F and L from one run of one of the engine's walks.
 ORACLE_MAX = 1200
 FS, LS = [0, 1], [2, 1]
 while len(FS) <= 2 * ORACLE_MAX + 5:
@@ -214,6 +214,34 @@ def test_edge_indices_where_the_run_starts_at_f0():
     engine = cf.ClosedEngine()
     assert theorem1_identity_sides(3, engine, engine) == oracle_sides(3) == (8, 8)
     assert theorem1_identity_sides(4, engine, engine) == oracle_sides(4) == (21168, 21168)
+
+
+def test_closed_engine_serves_two_streams_from_two_walks(doublings):
+    engine = cf.ClosedEngine()
+    for K in range(600, 700):  # Theorem 1's streams: the moments' run at K - 1, num/den's near K/2
+        assert engine.at(K, [Moment(0)]) == [FS[K] - 1]
+        # twice, as a recursive,closed sweep reads num/den once per engine
+        assert engine.theorem1_num_den(K) == engine.theorem1_num_den(K) == oracle_num_den(K)
+    assert doublings == [599, 298]
+
+
+def test_factor_and_moment_reads_agree_in_either_order(doublings):
+    seen = []
+    for factors_first in (True, False):
+        engine, rows = cf.ClosedEngine(), []
+        for n in range(300, 400):  # the factors' run at 2l, with n = 4l + r, and A(n, 0)'s at n - 1
+            if factors_first:
+                f, lu = engine.fib_minus_one_factors(n)
+                a0, = engine.at(n, [Moment(0)])
+            else:
+                a0, = engine.at(n, [Moment(0)])
+                f, lu = engine.fib_minus_one_factors(n)
+            assert f * lu == a0 == FS[n] - 1, n
+            rows.append((f, lu, a0))
+        seen.append((rows, sorted(doublings)))
+        doublings.clear()
+    assert seen[0] == seen[1]
+    assert seen[0][1] == [150, 299]  # one jump per stream, then additions
 
 
 def test_closed_forms_is_a_leaf_of_formulas():

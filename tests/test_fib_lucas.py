@@ -99,14 +99,17 @@ def test_walk_runs_match_iteration(requests):
 def test_walk_doubles_only_past_the_bit_length(doublings, n):
     # the first index whose gap from n exceeds its own bit length
     far = next(f for f in count(n) if f - n > f.bit_length())
-    for target, doubled in ((far - 1, False), (far, True)):
+    for target, doubled in ((n, False), (far - 1, False), (far, True)):
         walk = FibonacciWalk()  # which stands at 0
         assert walk.run(n, 3) == FS[n:n + 3]
         assert doublings == ([n] if n > n.bit_length() else [])
         doublings.clear()
         assert walk.run(target, 2) == FS[target:target + 2]
-        assert walk.run(n, 2) == FS[n:n + 2]  # a gap of 0 from n's place
         assert doublings == ([target] if doubled else []), target
+        doublings.clear()
+        # back to n: a run behind the kept place doubles
+        assert walk.run(n, 2) == FS[n:n + 2]
+        assert doublings == ([n] if target > n else []), target
         doublings.clear()
 
 
@@ -132,16 +135,6 @@ def test_a_mutated_run_leaves_the_walk_intact():
     assert walk.run(60, 0) == []
     walk.run(60, 1).append(-1)
     assert walk.run(60, 3) == FS[60:63]
-
-
-def test_walk_serves_two_streams_from_two_places(doublings):
-    walk = FibonacciWalk()
-    for K in range(600, 700):  # Theorem 1's streams, K - 1 and near K/2
-        assert walk.run(K - 1, 6) == FS[K - 1:K + 5]
-        # twice, as a recursive,closed sweep reads num/den once per engine
-        assert walk.run((K + 1) // 2 - 2, 6) == FS[(K + 1) // 2 - 2:(K + 1) // 2 + 4]
-        assert walk.run((K + 1) // 2 - 2, 6) == FS[(K + 1) // 2 - 2:(K + 1) // 2 + 4]
-    assert doublings == [599, 298]
 
 
 def test_lucas_is_fib_neighbour_sum():
