@@ -9,6 +9,13 @@ as decimal strings.
 process.  It holds no copy of the claim registry: ``verify_suite`` checks
 ``--claim`` against ``CLAIMS`` as it stands at each call, and an unknown or
 unprovable claim exits 2.
+
+``compute --engine closed`` evaluates in one of two rings, chosen by
+``closed_forms.moment_bits(k, s)``, an upper bound on the value's size:
+up to ``decimal_text._JOIN_BITS`` bits on ints, printed by ``decimal_str``;
+above it in an exact ``Decimal`` context, whose ``str`` is a linear copy
+where ``decimal_str`` would convert binary to decimal.  ``bench`` always
+evaluates on ints and prints ``decimal_digest``.
 """
 
 from __future__ import annotations
@@ -19,7 +26,8 @@ import sys
 from time import perf_counter
 
 from . import verify_suite
-from .decimal_text import decimal_digest, decimal_str
+from .closed_forms import ClosedEngine, moment_bits
+from .decimal_text import _JOIN_BITS, decimal_digest, decimal_str, exact_context
 from .moment_sums import ENGINES, BruteForceGuardError, Moment, make_engine
 
 EXIT_OK = 0
@@ -35,27 +43,42 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _compute_value(sum_kind: str, k: int, s: int, j: int, engine: str) -> int:
+def _moment(sum_kind: str, k: int, s: int, j: int) -> Moment:
     if k < 1:
         raise ValueError(f"--k must be >= 1, got {k}")
     prime = sum_kind == "Aprime"
     if prime and j != 0:
         raise ValueError("--j applies to --sum A only")
+    return Moment(s, j, prime)
+
+
+def _compute_value(sum_kind: str, k: int, s: int, j: int, engine: str) -> int:
+    moment = _moment(sum_kind, k, s, j)
     engine = make_engine("recursive" if engine == "rec" else engine)
-    return engine.at(k, [Moment(s, j, prime)])[0]
+    return engine.at(k, [moment])[0]
+
+
+def _compute_text(sum_kind: str, k: int, s: int, j: int, engine: str) -> str:
+    """The decimal text of the moment; see the module docstring for the closed engine's two rings."""
+    if engine == "closed" and moment_bits(k, s) > _JOIN_BITS:
+        from decimal import Decimal
+
+        moment = _moment(sum_kind, k, s, j)
+        with exact_context():
+            return str(ClosedEngine(Decimal(1)).at(k, [moment])[0])
+    return decimal_str(_compute_value(sum_kind, k, s, j, engine))
 
 
 def _cmd_compute(args) -> int:
-    value = _compute_value(args.sum, args.k, args.s, args.j, args.engine)
+    text = _compute_text(args.sum, args.k, args.s, args.j, args.engine)
     if args.format == "json":
         print(canonical_json({"sum": args.sum, "k": args.k, "s": args.s,
-                              "j": args.j, "engine": args.engine,
-                              "value": decimal_str(value)}))
+                              "j": args.j, "engine": args.engine, "value": text}))
     elif args.format == "csv":
         _print_csv([["sum", "k", "s", "j", "engine", "value"],
-                    [args.sum, args.k, args.s, args.j, args.engine, decimal_str(value)]])
+                    [args.sum, args.k, args.s, args.j, args.engine, text]])
     else:
-        print(decimal_str(value))
+        print(text)
     return EXIT_OK
 
 

@@ -14,7 +14,8 @@ and the F_n - 1 factorizations, each from one run of a ``FibonacciWalk``,
 one walk per index stream, so a sweep in the index pays additions, not a
 doubling per value; the engine registry ``moment_sums.ENGINES`` names it
 next to the other two.  The exported lemma functions read a fresh engine,
-at most one fast doubling each.  The module is a leaf: it reads
+at most one fast doubling each.  An engine built on another ring's one
+evaluates the same evaluators in that ring.  The module is a leaf: it reads
 ``fib_lucas`` and no other part of nicom.
 """
 
@@ -103,7 +104,19 @@ def _fib_minus_one_factors(n: int, f: list[int]) -> tuple[int, int]:
     return g2, g0 + g2
 
 
-def _moment_run(walk: FibonacciWalk, k: int) -> list[int]:
+def moment_bits(k: int, s: int) -> int:
+    """An upper bound on the bit length of A(k, s) and A'(k, s), for k >= 1 and s >= 0.
+
+    Both sums have F_k - 1 terms, each at most F_{k+3}^s: n < F_k, and
+    floor(phi n) <= floor(phi^2 n) < phi^2 F_k = F_{k+2} - psi^k < F_{k+2} + 1
+    <= F_{k+3}, with psi = -1/phi.  So both are below F_{k+3}^(s+1).  And
+    F_n <= phi^(n-1) < 2^(0.6943 n), as log2(phi) = 0.69424..., so F_n has at
+    most floor(0.6943 n) + 1 bits.
+    """
+    return (s + 1) * ((k + 3) * 6943 // 10000 + 1)
+
+
+def _moment_run(walk: FibonacciWalk, k: int) -> list:
     """[F_{k-1}, ..., F_{k+4}]: every Fibonacci number a moment at k reads."""
     if k < 1:
         raise ValueError(f"index must be >= 1, got {k}")
@@ -121,12 +134,19 @@ class ClosedEngine:
     which read near K/2, at k beside ``at(2k)`` or at 2l beside ``at(n)``.
     So a sweep that reads the engine at rising indices slides each stream's
     run, one addition per new value.  Confine an instance to one thread.
+
+    ``one`` is the ring's one, passed to both walks: the default gives ints,
+    and an integral ``Decimal`` one, with every call made in an exact
+    ``Decimal`` context, gives the same values as ``Decimal``s, whose decimal
+    text ``str`` copies out in linear time.  The evaluators are the same in
+    both rings; ``_exact_div``'s ``divmod`` is exact on integral ``Decimal``s.
+    ``moment_bits(k, s)`` bounds a moment's size before it is evaluated.
     """
 
-    def __init__(self) -> None:
-        self._walk, self._half = FibonacciWalk(), FibonacciWalk()
+    def __init__(self, one=1) -> None:
+        self._walk, self._half = FibonacciWalk(one), FibonacciWalk(one)
 
-    def at(self, k: int, moments: Iterable[tuple[int, int, bool]]) -> list[int]:
+    def at(self, k: int, moments: Iterable[tuple[int, int, bool]]) -> list:
         """A(k, s, j), or A'(k, s, j) for a primed moment, for each of ``moments``."""
         moments = list(moments)
         for s, j, prime in moments:

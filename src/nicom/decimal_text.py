@@ -22,6 +22,10 @@ raises ValueError.  ``decimal_str`` never hands ``str`` more than
 Both power caches, ``_POWERS`` and ``_JOINS``, hold one entry per width:
 O(log) entries in the largest value converted.
 
+``exact_context`` is the one exact ``Decimal`` context, shared by the
+second regime and the CLI's large closed forms, whose ``Decimal`` values
+``str`` copies out with no binary-to-decimal conversion at all.
+
 ``decimal_digest`` gives the digit count and the leading and trailing
 ``DIGEST_WIDTH`` digits of a value without its decimal text, by one power
 of 5 and one division.
@@ -78,6 +82,22 @@ def _decimal(n: int) -> Decimal:
     return _decimal(n - (hi << w)) + _decimal(hi) * _join(i)
 
 
+def exact_context():
+    """A context manager whose block runs in an exact ``Decimal`` context.
+
+    There, precision and exponent range are the largest libmpdec allows,
+    and ``Inexact`` is trapped, so arithmetic on integral ``Decimal``s is
+    exact or raises.  It is the module's one exact context: ``decimal_str``
+    joins its halves in it, and the CLI evaluates large closed forms in it.
+    """
+    from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Inexact, getcontext, localcontext
+
+    ctx = getcontext().copy()
+    ctx.prec, ctx.Emax, ctx.Emin = MAX_PREC, MAX_EMAX, MIN_EMIN
+    ctx.traps[Inexact] = True
+    return localcontext(ctx)
+
+
 def decimal_str(value: int) -> str:
     """str(value) for an int of any size, without the interpreter's digit limit."""
     if value < 0:
@@ -85,11 +105,7 @@ def decimal_str(value: int) -> str:
     if value < _POWERS[0]:
         return str(value)
     if value.bit_length() > _JOIN_BITS:
-        from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Inexact, localcontext
-
-        with localcontext() as ctx:
-            ctx.prec, ctx.Emax, ctx.Emin = MAX_PREC, MAX_EMAX, MIN_EMIN
-            ctx.traps[Inexact] = True
+        with exact_context():
             return str(_decimal(value))
     i = 0
     while _power(i + 1) <= value:

@@ -1,6 +1,7 @@
 """Arbitrary-precision Fibonacci and Lucas numbers.
 
-Everything here is exact integer arithmetic on Python ints.  ``fib`` and
+Everything here is exact integer arithmetic, on Python ints unless a
+caller passes another ring's one (an integral ``Decimal``).  ``fib`` and
 ``lucas`` cost one fast doubling, a loop over the bits of the index, so
 closed-form evaluation stays cheap even at indices in the tens of
 thousands.  A ``FibonacciWalk`` returns runs of consecutive Fibonacci
@@ -13,11 +14,12 @@ not a doubling per index.
 from __future__ import annotations
 
 
-def _fib_pair(n: int) -> tuple[int, int]:
+def _fib_pair(n: int, one=1):
     """Return (F_n, F_{n+1}) by fast doubling, from the top bit of n down.
 
     The loop holds (F_{m-1}, F_m), m the number the bits of n read so far
-    spell, from (F_{-1}, F_0) = (1, 0), and doubles m by two squarings:
+    spell, from (F_{-1}, F_0) = (one, one - one), and doubles m by two
+    squarings:
 
         F_{2m-1} = F_{m-1}^2 + F_m^2,
         F_{2m+1} = 4 F_m^2 - F_{m-1}^2 + 2(-1)^m,
@@ -32,8 +34,12 @@ def _fib_pair(n: int) -> tuple[int, int]:
     F_m F_{m-1} = F_m^2 - F_{m-1}^2 + (-1)^m, so
     F_{m+1}^2 = F_m^2 + 2 F_m F_{m-1} + F_{m-1}^2 = 3 F_m^2 - F_{m-1}^2 + 2(-1)^m,
     and F_{2m+1} = 4 F_m^2 - F_{m-1}^2 + 2(-1)^m.
+
+    The loop uses only +, - and * (with int operands), so ``one`` picks the
+    ring: the int 1 gives ints, and an integral ``Decimal`` one, in an exact
+    context, gives the same numbers as ``Decimal`` values.
     """
-    a, b, sign = 1, 0, 2  # F_{m-1}, F_m, 2(-1)^m at m = 0
+    a, b, sign = one, one - one, 2  # F_{m-1}, F_m, 2(-1)^m at m = 0
     for bit in bin(n)[2:]:
         a, b = a * a, b * b
         lo, hi = a + b, 4 * b - a + sign  # F_{2m-1}, F_{2m+1}
@@ -61,20 +67,22 @@ class FibonacciWalk:
     keeps it from F_n on; it makes one fast doubling instead when n < i or
     n - i exceeds ``n.bit_length()``.  So a stream that moves up by small
     steps pays additions only, and a caller that reads two streams, such as
-    K - 1 and one near K/2, keeps one walk for each.  Confine an instance
+    K - 1 and one near K/2, keeps one walk for each.  ``one`` is the ring's
+    one, as in ``_fib_pair``: the default gives ints.  Confine an instance
     to one thread.
     """
 
-    def __init__(self) -> None:
-        self._i, self._kept = 0, [0, 1]  # (i, run from F_i)
+    def __init__(self, one=1) -> None:
+        self._one = one
+        self._i, self._kept = 0, [one - one, one]  # (i, run from F_i)
 
-    def run(self, n: int, count: int) -> list[int]:
+    def run(self, n: int, count: int) -> list:
         """[F_n, F_{n+1}, ..., F_{n+count-1}]."""
         if n < 0:
             raise ValueError(f"FibonacciWalk.run: index must be nonnegative, got {n}")
         i, kept = self._i, self._kept
         if n < i or n - i > n.bit_length():
-            i, kept = n, list(_fib_pair(n))
+            i, kept = n, list(_fib_pair(n, self._one))
         a, b = kept[-2], kept[-1]
         for _ in range(n - i + max(count, 2) - len(kept)):  # on to F_{n+count-1}, at least F_{n+1}
             a, b = b, a + b

@@ -11,7 +11,7 @@ def doublings(monkeypatch):
     """The index of every fast doubling made, ``fib_lucas._fib_pair``'s argument."""
     made = []
     pair = fib_lucas._fib_pair
-    monkeypatch.setattr(fib_lucas, "_fib_pair", lambda n: made.append(n) or pair(n))
+    monkeypatch.setattr(fib_lucas, "_fib_pair", lambda n, *one: made.append(n) or pair(n, *one))
     return made
 
 

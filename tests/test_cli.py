@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from nicom import closed_forms as cf
-from nicom import decimal_text, moment_sums, qratio, verify_suite
+from nicom import cli, decimal_text, moment_sums, qratio, verify_suite
 from nicom.cli import EXIT_FAIL, EXIT_GUARD, EXIT_OK, EXIT_USAGE, canonical_json, main
 from nicom.closed_forms import ClosedEngine
 from nicom.decimal_text import decimal_digest, decimal_str
@@ -340,6 +340,51 @@ def test_compute_beyond_the_digit_limit(capsys):
         assert len(str(value)) > 4300
         assert int(out) == value
         assert int(json.loads(json_out)["value"]) == value
+
+
+def selection_ks(s):
+    """Two k of each parity around the largest k whose moment_bits bound is at most _JOIN_BITS."""
+    k = 1
+    while cf.moment_bits(k + 1, s) <= decimal_text._JOIN_BITS:
+        k += 1
+    return [k - 1, k, k + 1, k + 2]
+
+
+@pytest.mark.parametrize("s, prime", sorted(cf._EVALUATORS))
+def test_compute_closed_text_on_both_sides_of_the_selection(capsys, monkeypatch, s, prime):
+    converted = []  # the values the CLI handed to decimal_str
+    monkeypatch.setattr(cli, "decimal_str", lambda v: converted.append(v) or decimal_str(v))
+    moment = Moment(s, 0, prime)
+    sum_kind = "Aprime" if prime else "A"
+    ks = selection_ks(s)
+    for k in ks:
+        above = cf.moment_bits(k, s) > decimal_text._JOIN_BITS
+        assert above == (k in ks[2:])
+        with int_digit_limit(4300):
+            text = decimal_str(ClosedEngine().at(k, [moment])[0])
+            outs = {}
+            for fmt in ("text", "json", "csv"):
+                converted.clear()
+                code, outs[fmt], err = run(capsys, "compute", "--sum", sum_kind, "--k", str(k),
+                                           "--s", str(s), "--engine", "closed", "--format", fmt)
+                assert code == EXIT_OK, err
+                # only the values at or below the selection are converted from an int
+                assert len(converted) == (0 if above else 1), (k, fmt)
+        assert outs["text"] == text + "\n", k
+        assert json.loads(outs["json"])["value"] == text, k
+        assert list(csv.reader(io.StringIO(outs["csv"])))[1] == [
+            sum_kind, str(k), str(s), "0", "closed", text], k
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--sum", "A", "--s", "2"], "closed engine supports j = 0 and s in {0, 1, 3}, got s = 2, j = 0"),
+    (["--sum", "A", "--s", "1", "--j", "1"],
+     "closed engine supports j = 0 and s in {0, 1, 3}, got s = 1, j = 1"),
+    (["--sum", "Aprime", "--s", "3", "--j", "1"], "--j applies to --sum A only"),
+])
+def test_compute_closed_rejects_moments_beyond_the_selection(capsys, argv, message):
+    code, out, err = run(capsys, "compute", "--k", "100000", "--engine", "closed", *argv)
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
 
 
 def digest_by_slicing(value):

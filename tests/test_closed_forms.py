@@ -61,6 +61,30 @@ def test_moment_matches_the_recurrence_engine():
                 assert cf.ClosedEngine().at(k, mo) == table.at(k, mo), (k, s, prime)
 
 
+def test_moment_bits_bounds_every_moment():
+    engine = cf.ClosedEngine()
+    for k in [*range(1, 301), 4095, 4096, 20000, 20001]:
+        for s, prime in cf._EVALUATORS:
+            value = engine.at(k, [Moment(s, 0, prime)])[0]
+            assert value.bit_length() <= cf.moment_bits(k, s), (k, s, prime)
+
+
+def test_decimal_engine_matches_the_int_engine():
+    from decimal import Decimal
+
+    from nicom.decimal_text import exact_context
+
+    moments = [Moment(s, 0, prime) for s, prime in sorted(cf._EVALUATORS)]
+    ints = cf.ClosedEngine()
+    with exact_context():
+        decimals = cf.ClosedEngine(Decimal(1))
+        # a sweep that slides the run, then jumps past its bit length both ways
+        for k in [*range(1, 101), 5000, 5001, 3000]:
+            values = decimals.at(k, moments)
+            assert all(type(v) is Decimal for v in values)
+            assert [int(v) for v in values] == ints.at(k, moments), k
+
+
 @pytest.mark.parametrize("prime", [False, True])
 def test_moment_rejects_what_it_does_not_cover(prime):
     for s, j in ((2, 0), (1, 1), (4, 0)):

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from itertools import count
 from math import gcd
 
@@ -93,6 +94,20 @@ def test_walk_runs_match_iteration(requests):
     walk = FibonacciWalk()
     for n, count in requests:
         assert walk.run(n, count) == FS[n:n + count], (n, count)
+
+
+@given(two_streams())
+@example([(0, 2), (11, 6), (5000, 6), (5003, 6)])  # a step, a jump past the bit length, a slide
+def test_walk_in_the_decimal_ring_matches_the_int_walk(requests):
+    from nicom.decimal_text import exact_context
+
+    ints = FibonacciWalk()
+    with exact_context():
+        walk = FibonacciWalk(Decimal(1))
+        for n, count in requests:
+            run = walk.run(n, count)
+            assert all(type(f) is Decimal and f == f.to_integral_value() for f in run)
+            assert [int(f) for f in run] == ints.run(n, count), (n, count)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 9, 1000, 1023, 1024])

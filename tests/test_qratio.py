@@ -194,7 +194,7 @@ def test_fib_index_of_agrees_with_a_walk_over_the_fibonacci_numbers():
 def test_q_value_far_past_the_guard_makes_one_doubling(monkeypatch):
     doublings = []
     pair = fib_lucas._fib_pair
-    monkeypatch.setattr(fib_lucas, "_fib_pair", lambda n: doublings.append(n) or pair(n))
+    monkeypatch.setattr(fib_lucas, "_fib_pair", lambda n, *one: doublings.append(n) or pair(n, *one))
     m = 10**200000  # 200,001 digits, not of the form F_K - 1
     with pytest.raises(BruteForceGuardError, match="over 10\\^30 terms"):
         q_value("phi", m)
