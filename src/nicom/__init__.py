@@ -1,6 +1,5 @@
 """Exact golden-ratio Beatty moment sums and mechanical identity verification."""
 
-from .beatty_floor import floor_phi
 from .closed_forms import (
     ClosedEngine,
     lemma2_a,

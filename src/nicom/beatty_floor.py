@@ -15,7 +15,6 @@ and f = floor(phi * n), using only phi^2 = phi + 1:
     0 < n*phi - n*p/2^b < n/2^b < 1/(4n) < {n*phi},
     so n*p/2^b lies strictly between f and n*phi.
 
-``floor_phi`` reads through ``phi_floors``, so a single n gets its own b.
 For floor(phi^2 * n), ``phi_floors(ns, prime=True)`` multiplies by p + 2^b:
 (n * (p + 2^b)) >> b = n + ((n * p) >> b) = n + floor(phi * n), exactly, as
 n * 2^b is a multiple of 2^b, and n + floor(phi * n) = floor(phi^2 * n) by
@@ -38,11 +37,3 @@ def phi_floors(ns: range, prime: bool = False) -> list[int]:
     if prime:
         p += 1 << b
     return list(map(rshift, range(ns.start * p, ns.stop * p, ns.step * p), repeat(b)))
-
-
-def floor_phi(n: int) -> int:
-    """floor(phi * n) for n >= 1, where phi = (1 + sqrt(5)) / 2."""
-    if n < 1:
-        raise ValueError(f"floor_phi: index must be positive, got {n}")
-    return phi_floors(range(n, n + 1))[0]
-

@@ -12,7 +12,7 @@ unprovable claim exits 2.
 
 ``compute --engine closed`` evaluates in one of two rings, chosen by
 ``closed_forms.moment_bits(k, s)``, an upper bound on the value's size:
-up to ``decimal_text._JOIN_BITS`` bits on ints, printed by ``decimal_str``;
+up to ``DECIMAL_RING_BITS`` bits on ints, printed by ``decimal_str``;
 above it in an exact ``Decimal`` context, whose ``str`` is a linear copy
 where ``decimal_str`` would convert binary to decimal.  ``bench`` always
 evaluates on ints and prints ``decimal_digest``.
@@ -27,13 +27,16 @@ from time import perf_counter
 
 from . import verify_suite
 from .closed_forms import ClosedEngine, moment_bits
-from .decimal_text import _JOIN_BITS, decimal_digest, decimal_str, exact_context
+from .decimal_text import decimal_digest, decimal_str, exact_context
 from .moment_sums import ENGINES, BruteForceGuardError, Moment, make_engine
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
+
+# a closed compute whose moment_bits bound is above this evaluates in exact Decimal
+DECIMAL_RING_BITS = 3 * 2**14
 
 
 def canonical_json(obj) -> str:
@@ -60,7 +63,7 @@ def _compute_value(sum_kind: str, k: int, s: int, j: int, engine: str) -> int:
 
 def _compute_text(sum_kind: str, k: int, s: int, j: int, engine: str) -> str:
     """The decimal text of the moment; see the module docstring for the closed engine's two rings."""
-    if engine == "closed" and moment_bits(k, s) > _JOIN_BITS:
+    if engine == "closed" and moment_bits(k, s) > DECIMAL_RING_BITS:
         from decimal import Decimal
 
         moment = _moment(sum_kind, k, s, j)

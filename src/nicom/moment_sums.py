@@ -66,18 +66,19 @@ class MomentTable:
     both sums evaluated by Horner's rule, in F_{k-1} and in step.  The primed
     sums A'(k, s, j) = sum n^j * floor(phi^2*n)^s follow the same step with A'
     in place of A and step = F_{k+1}, since floor(phi^2*n) = n + floor(phi*n).
-    A fill plan (s_max, j_max, prime) steps the moments (s, j, prime), s <= s_max
-    and j <= j_max, together, and the table keeps only its rows at k - 1 and k.
-    A read is served by a covering plan that holds its k, else advances a
-    covering plan behind k; a read behind every covering plan refills the
-    moment's own from k = 3.  ``len(table)`` counts the cells computed, a
-    refilled cell again.  Not internally synchronized: confine to one thread.
+    Each kind, A or A', keeps one frontier: the rows at k - 1 and k of a fill
+    plan (s_max, j_max) that steps the moments (s, j), s <= s_max and j <= j_max,
+    together, and covers every moment of that kind read so far.  A read at the
+    frontier's k - 1 or k is served, a read past k advances it, and a read
+    behind it or outside it restarts it from k = 2, widened to cover the read,
+    as ``BruteEngine``'s pass does.  ``len(table)`` counts the cells computed, a
+    recomputed cell again.  Not internally synchronized: confine to one thread.
     """
 
     def __init__(self) -> None:
         self._cells = 0
-        # (s_max, j_max, prime) -> frontier [k, row at k - 1, row at k, F_{k-1}, F_k, reads]
-        self._plans: dict[tuple[int, int, bool], list] = {}
+        # prime -> frontier [k, row at k - 1, row at k, F_{k-1}, F_k, (s_max, j_max), steps]
+        self._fronts: dict[bool, list] = {}
 
     def __len__(self) -> int:
         return self._cells
@@ -90,46 +91,28 @@ class MomentTable:
             raise ValueError(f"moment powers must be nonnegative, got s={s}, j={j}")
         if k <= 2:
             return 0  # empty sums: F_1 - 1 = F_2 - 1 = 0
-        behind = s, j, prime  # a covering plan that has not passed k, else the moment's own
-        for plan, front in self._plans.items():
-            if plan[2] == prime and s <= plan[0] and j <= plan[1]:
-                if front[0] - 1 <= k <= front[0]:
-                    return front[k - front[0] + 2][s * (plan[1] + 1) + j]
-                if front[0] < k:
-                    behind = plan
-        return self._fill(behind, k)[s * (behind[1] + 1) + j]
+        front = self._fronts.get(prime)
+        s_max, j_max = front[5] if front else (s, j)
+        if not front or k < front[0] - 1 or s > s_max or j > j_max:
+            s_max, j_max = max(s, s_max), max(j, j_max)
+            front = self._fronts[prime] = _start(s_max, j_max)
+        if k > front[0]:
+            self._advance(front, k, prime)
+        return front[k - front[0] + 2][s * (j_max + 1) + j]
 
     def at(self, k: int, moments: Iterable[Moment]) -> list[int]:
         """A(k, s, j), or A'(k, s, j) for a primed moment, for each of ``moments``."""
         moments = list(moments)
         sums = [0] * len(moments)
-        # a covering moment is read first, so the plans filled do not depend on the order
+        # the widest moment is read first, so nested moments fill one plan per kind
         for i in sorted(range(len(moments)), key=moments.__getitem__, reverse=True):
             s, j, prime = moments[i]
             sums[i] = self.a(k, s, j, prime)
         return sums
 
-    def _fill(self, plan: tuple[int, int, bool], k_max: int) -> list[int]:
-        """Step the frontier of ``plan`` to k_max; a new plan, or one past k_max, starts at k = 2.
-
-        A row holds cell (s, j) at s * (j_max + 1) + j.
-        """
-        s_max, j_max, prime = plan
-        front = self._plans.get(plan)
-        if front is None or front[0] > k_max:
-            w = j_max + 1
-            # (position, (-eps)^s) of the cells j = 0, indexed by eps
-            bounds = [(0, 1)], [(s * w, (-1) ** s) for s in range(s_max + 1)]
-            # Horner sums: a leading position, then (coefficient, position) pairs. n' ->
-            # F_{k-1} + n' makes (s, j) sum_l C(j,l) F_{k-1}^l (s, j-l), in place, j descending
-            shifts = [(s * w + j, s * w, [(comb(j, t), s * w + t) for t in range(1, j + 1)])
-                      for j in range(j_max, 0, -1) for s in range(s_max + 1)]
-            # cell (s, j) adds sum_i C(s,i) step^i (s-i, j) of the block, in place, s descending
-            reads = [(s * w + j, j, [(comb(s, t), t * w + j) for t in range(1, s + 1)])
-                     for s in range(s_max, -1, -1) for j in range(w)]
-            zeros = [0] * (s_max + 1) * w  # the rows at k = 1, 2 hold empty sums
-            front = self._plans[plan] = [2, zeros, zeros, 1, 1, (bounds, shifts, reads)]
-        k0, older, old, f_prev, f_cur, (bounds, shifts, reads) = front
+    def _advance(self, front: list, k_max: int, prime: bool) -> None:
+        """Step ``front`` from its k to k_max; a row holds cell (s, j) at s * (j_max + 1) + j."""
+        k0, older, old, f_prev, f_cur, _, (bounds, shifts, reads) = front
         older, old = older[:], old[:]  # so an interrupted fill leaves the frontier as it was
         for k in range(k0 + 1, k_max + 1):
             f_prev, f_cur = f_cur, f_prev + f_cur  # F_{k-1}, F_k
@@ -150,7 +133,22 @@ class MomentTable:
             older, old = old, block
         front[:5] = k_max, older, old, f_prev, f_cur
         self._cells += len(old) * (k_max - k0)
-        return old
+
+
+def _start(s_max: int, j_max: int) -> list:
+    """A frontier of the plan (s_max, j_max) at k = 2, with its step's positions."""
+    w = j_max + 1
+    # (position, (-eps)^s) of the cells j = 0, indexed by eps
+    bounds = [(0, 1)], [(s * w, (-1) ** s) for s in range(s_max + 1)]
+    # Horner sums: a leading position, then (coefficient, position) pairs. n' ->
+    # F_{k-1} + n' makes (s, j) sum_l C(j,l) F_{k-1}^l (s, j-l), in place, j descending
+    shifts = [(s * w + j, s * w, [(comb(j, t), s * w + t) for t in range(1, j + 1)])
+              for j in range(j_max, 0, -1) for s in range(s_max + 1)]
+    # cell (s, j) adds sum_i C(s,i) step^i (s-i, j) of the block, in place, s descending
+    reads = [(s * w + j, j, [(comb(s, t), t * w + j) for t in range(1, s + 1)])
+             for s in range(s_max, -1, -1) for j in range(w)]
+    zeros = [0] * (s_max + 1) * w  # the rows at k = 1, 2 hold empty sums
+    return [2, zeros, zeros, 1, 1, (s_max, j_max), (bounds, shifts, reads)]
 
 
 class Moment(NamedTuple):

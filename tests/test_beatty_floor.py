@@ -1,34 +1,27 @@
-from math import isqrt
-
-import pytest
 from hypothesis import given, strategies as st
 
-from nicom.beatty_floor import floor_phi, phi_floors
+from nicom.beatty_floor import phi_floors
 from nicom.fib_lucas import fib
 from nicom.moment_sums import BruteEngine, Moment
 
-
-def reference(n, prime=False):
-    """floor(alpha*n), alpha = phi^2 if ``prime`` else phi, by the integer square root:
-    phi*n = (n + sqrt(5*n^2)) / 2 and phi^2*n = (3n + sqrt(5*n^2)) / 2."""
-    return ((3 * n if prime else n) + isqrt(5 * n * n)) >> 1
+from conftest import beatty
 
 
-def floor_phi2(n):
-    """floor(phi^2*n) for one n, read through a one-element block."""
-    return phi_floors(range(n, n + 1), prime=True)[0]
+def floor_one(n, prime=False):
+    """floor(alpha*n), alpha = phi^2 if ``prime`` else phi, through a one-element block."""
+    return phi_floors(range(n, n + 1), prime)[0]
 
 
 def assert_block(ns):
     for prime in (False, True):
-        assert phi_floors(ns, prime) == [reference(n, prime) for n in ns], prime
+        assert phi_floors(ns, prime) == [beatty(n, prime) for n in ns], prime
 
 
 @given(st.integers(1, 10**30))
 def test_floor_phi_defining_property(n):
     # k = floor(phi*n) iff 2k - n <= n*sqrt(5) < 2(k+1) - n, checked by
     # squaring (phi*n is irrational, so no boundary case exists).
-    k = floor_phi(n)
+    k = floor_one(n)
     lo, hi = 2 * k - n, 2 * (k + 1) - n
     assert lo >= 0 and lo * lo < 5 * n * n  # equality impossible
     assert hi * hi > 5 * n * n
@@ -37,7 +30,7 @@ def test_floor_phi_defining_property(n):
 @given(st.integers(1, 10**30))
 def test_floor_phi2_defining_property(n):
     # k = floor(phi^2*n) iff 2k - 3n <= n*sqrt(5) < 2(k+1) - 3n, as phi^2 = (3 + sqrt(5)) / 2
-    k = floor_phi2(n)
+    k = floor_one(n, prime=True)
     lo, hi = 2 * k - 3 * n, 2 * (k + 1) - 3 * n
     assert lo >= 0 and lo * lo < 5 * n * n
     assert hi * hi > 5 * n * n
@@ -48,19 +41,18 @@ def test_phi_floors_blocks():
     assert phi_floors(range(1, 9), prime=True) == [2, 5, 7, 10, 13, 15, 18, 20]
     assert phi_floors(range(5, 5)) == phi_floors(range(5, 5), prime=True) == []
     n = 10**40
-    assert phi_floors(range(n, n + 3)) == [floor_phi(n), floor_phi(n + 1), floor_phi(n + 2)]
-    assert phi_floors(range(n, n + 3), prime=True) == [
-        floor_phi2(n), floor_phi2(n + 1), floor_phi2(n + 2)]
+    for prime in (False, True):
+        assert phi_floors(range(n, n + 3), prime) == [floor_one(n + i, prime) for i in range(3)]
 
 
 def test_phi_floors_exhaustive_below_2_17():
     ns = range(1, 2**17)
-    for prime, floor in ((False, floor_phi), (True, floor_phi2)):
-        expected = [reference(n, prime) for n in ns]
+    for prime in (False, True):
+        expected = [beatty(n, prime) for n in ns]
         assert phi_floors(ns, prime) == expected
         assert [f for lo in range(1, 2**17, 4096)
                 for f in phi_floors(range(lo, min(lo + 4096, 2**17)), prime)] == expected
-        assert list(map(floor, ns)) == expected
+        assert [floor_one(n, prime) for n in ns] == expected
 
 
 def test_phi_floors_next_to_fibonacci_numbers():
@@ -90,38 +82,26 @@ def test_phi_floors_random_ranges(start, length, step, descending):
 def test_brute_prime_floors_are_n_plus_floor_phi():
     m = 3 * 4096 + 5  # over several of the brute engine's blocks
     s1, s2 = BruteEngine().sums(m, [Moment(1, prime=True), Moment(2, prime=True)])
-    assert s1 == sum(n + reference(n) for n in range(1, m + 1))
-    assert s2 == sum((n + reference(n)) ** 2 for n in range(1, m + 1))
+    assert s1 == sum(n + beatty(n) for n in range(1, m + 1))
+    assert s2 == sum((n + beatty(n)) ** 2 for n in range(1, m + 1))
 
 
 def test_floor_phi_examples():
-    assert floor_phi(1) == 1
-    assert floor_phi(4) == 6
-    assert floor_phi(8) == 12  # = F_7 - 1 at n = F_6, 6 even
+    assert floor_one(1) == 1
+    assert floor_one(4) == 6
+    assert floor_one(8) == 12  # = F_7 - 1 at n = F_6, 6 even
 
 
 def test_floor_phi2_examples():
-    assert floor_phi2(1) == 2
-    assert floor_phi2(2) == 5
-    assert floor_phi2(7) == 18
-
-
-def test_positivity_guards():
-    for bad in (0, -5):
-        with pytest.raises(ValueError):
-            floor_phi(bad)
-
-
-def test_floor_phi2_radical_oracle():
-    # phi^2 = (3 + sqrt(5)) / 2, so floor(phi^2*n) = (3n + isqrt(5n^2)) // 2
-    ns = range(1, 100_001)
-    assert phi_floors(ns, prime=True) == [(3 * n + isqrt(5 * n * n)) // 2 for n in ns]
+    assert floor_one(1, prime=True) == 2
+    assert floor_one(2, prime=True) == 5
+    assert floor_one(7, prime=True) == 18
 
 
 def test_floor_phi_at_fibonacci_indices():
     # floor(phi*F_k) = F_{k+1} - 1 for even k, F_{k+1} for odd k
     for k in range(1, 91):
-        assert floor_phi(fib(k)) == fib(k + 1) - (1 - (k & 1))
+        assert floor_one(fib(k)) == fib(k + 1) - (1 - (k & 1))
 
 
 def test_shift_identity():
@@ -129,7 +109,7 @@ def test_shift_identity():
     for k in range(3, 26):
         fk, fk1 = fib(k), fib(k + 1)
         for n in range(1, fib(k - 1)):
-            assert floor_phi(fk + n) == fk1 + floor_phi(n)
+            assert floor_one(fk + n) == fk1 + floor_one(n)
 
 
 def test_beatty_complementarity():
@@ -138,4 +118,4 @@ def test_beatty_complementarity():
     fast = set(phi_floors(range(1, n_max + 1), prime=True))
     assert not slow & fast
     union = slow | fast
-    assert set(range(1, floor_phi(n_max) + 1)) <= union
+    assert set(range(1, beatty(n_max) + 1)) <= union

@@ -343,9 +343,10 @@ def test_compute_beyond_the_digit_limit(capsys):
 
 
 def selection_ks(s):
-    """Two k of each parity around the largest k whose moment_bits bound is at most _JOIN_BITS."""
+    """Two k of each parity around the largest k whose moment_bits bound is at most
+    ``cli.DECIMAL_RING_BITS``."""
     k = 1
-    while cf.moment_bits(k + 1, s) <= decimal_text._JOIN_BITS:
+    while cf.moment_bits(k + 1, s) <= cli.DECIMAL_RING_BITS:
         k += 1
     return [k - 1, k, k + 1, k + 2]
 
@@ -358,7 +359,7 @@ def test_compute_closed_text_on_both_sides_of_the_selection(capsys, monkeypatch,
     sum_kind = "Aprime" if prime else "A"
     ks = selection_ks(s)
     for k in ks:
-        above = cf.moment_bits(k, s) > decimal_text._JOIN_BITS
+        above = cf.moment_bits(k, s) > cli.DECIMAL_RING_BITS
         assert above == (k in ks[2:])
         with int_digit_limit(4300):
             text = decimal_str(ClosedEngine().at(k, [moment])[0])

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 import nicom
 from nicom import closed_forms as cf
-from nicom.beatty_floor import floor_phi
 from nicom.fib_lucas import fib
 from nicom.moment_sums import BruteEngine, BruteForceGuardError, Moment, MomentTable
 from nicom.recurrence_prover import (
@@ -19,7 +18,7 @@ from nicom.recurrence_prover import (
     certify_identity,
 )
 
-from conftest import brute_sum, floor_phi2, literal
+from conftest import beatty, brute_sum, literal
 
 
 def test_brute_examples():
@@ -123,8 +122,8 @@ def test_columns_match_literal_sums():
     table = MomentTable()
     for k in range(1, 19):
         ns = range(1, fib(k))
-        for prime, floor in ((False, floor_phi), (True, floor_phi2)):
-            floors = [floor(n) for n in ns]
+        for prime in (False, True):
+            floors = [beatty(n, prime) for n in ns]
             for s in range(5):
                 for j in range(5 - s):
                     want = sum(n**j * f**s for n, f in zip(ns, floors))
@@ -132,22 +131,24 @@ def test_columns_match_literal_sums():
 
 
 def test_cold_fill_creates_only_the_downset():
-    # a cold read makes one plan, the moment's own, whose rows hold its downset
+    # a cold read starts its kind's frontier on the moment's own plan, whose rows hold its downset
     K = 40
     table = MomentTable()
     table.a(K, 3, 0)
-    assert set(table._plans) == {(3, 0, False)}
-    assert [len(row) for row in table._plans[3, 0, False][1:3]] == [4, 4]
+    assert set(table._fronts) == {False}
+    assert frontier(table, False)[5] == (3, 0)
+    assert [len(row) for row in frontier(table, False)[1:3]] == [4, 4]
     assert len(table) == 4 * (K - 2)
     table = MomentTable()
     table.a(K, 3, 0, True)
-    assert set(table._plans) == {(3, 0, True)}
-    table.a(K, 1, 0, True)  # covered by (3, 0, True) at K: a hit
+    assert set(table._fronts) == {True}
+    table.a(K, 1, 0, True)  # covered by (3, 0) at K: a hit
     table.a(K - 1, 2, 0, True)
     assert len(table) == 4 * (K - 2)
-    table.a(K, 1, 2, True)
-    assert set(table._plans) == {(3, 0, True), (1, 2, True)}
-    assert len(table) == 4 * (K - 2) + 6 * (K - 2)
+    table.a(K, 1, 2, True)  # outside (3, 0): the frontier restarts, widened to (3, 2)
+    assert set(table._fronts) == {True}
+    assert frontier(table, True)[5] == (3, 2)
+    assert len(table) == 4 * (K - 2) + 12 * (K - 2)
 
 
 def test_sweep_fills_each_cell_once():
@@ -161,24 +162,44 @@ def test_sweep_fills_each_cell_once():
         assert len(swept) == len(cold)
 
 
-def frontier(table, plan):
-    """A plan's k, its rows at k - 1 and k, and F_{k-1}, F_k."""
-    return table._plans[plan][:5]
+def frontier(table, prime):
+    """A kind's frontier: k, the rows at k - 1 and k, F_{k-1}, F_k and the plan (s_max, j_max)."""
+    return table._fronts[prime][:6]
 
 
 def test_fill_order_does_not_matter():
-    # a read is served by, or advances, whichever covering plan it finds
+    # a read is served by, advances or restarts its kind's one frontier
     rng = random.Random(7)
     shared = MomentTable()
     for _ in range(300):
         k, s, j = rng.randrange(1, 150), rng.randrange(4), rng.randrange(4)
         prime = rng.random() < 0.5
         assert shared.a(k, s, j, prime) == MomentTable().a(k, s, j, prime), (k, s, j, prime)
-    # and every plan's frontier is a cold fill's, so a wrong cell no request read shows too
-    for plan in shared._plans:
+    # and every frontier is a cold fill's, so a wrong cell no request read shows too
+    for prime, front in shared._fronts.items():
         cold = MomentTable()
-        cold.a(shared._plans[plan][0], *plan)
-        assert frontier(cold, plan) == frontier(shared, plan), plan
+        cold.a(front[0], *front[5], prime)
+        assert frontier(cold, prime) == frontier(shared, prime), prime
+
+
+def test_non_nested_reads_restart_once_per_widening():
+    # moments whose downsets do not nest, read in turn at k = 21 and then 22
+    moments = [(3, 0), (0, 4), (1, 3), (2, 2)]
+    for prime in (False, True):
+        want = {k: BruteEngine().at(k, [Moment(s, j, prime) for s, j in moments])
+                for k in (21, 22)}
+        for order in permutations(range(len(moments))):
+            table = MomentTable()
+            plans = []  # each plan the frontier took, in turn
+            for k in (21, 22):
+                for i in order:
+                    assert table.a(k, *moments[i], prime) == want[k][i], (k, moments[i], prime)
+                    if not plans or frontier(table, prime)[5] != plans[-1]:
+                        plans.append(frontier(table, prime)[5])
+            # each restart widens the plan, all of them at k = 21, and k = 22 is one step
+            assert all(p[0] <= q[0] and p[1] <= q[1] for p, q in zip(plans, plans[1:]))
+            assert plans[-1] == (3, 4)
+            assert len(table) == 19 * sum((s + 1) * (j + 1) for s, j in plans) + 20, order
 
 
 MOMENTS = st.tuples(st.integers(0, 4), st.integers(0, 4), st.booleans()).filter(
@@ -233,7 +254,6 @@ def unfolded_columns(k_max, n_max, prime):
     step = F_{k+1} if prime else F_k, with every power formed explicitly;
     the columns (s, j), s + j <= n_max, as lists indexed by k.
     """
-    floor = floor_phi2 if prime else floor_phi
     cols = {(s, j): [0, 0, 0] for s in range(n_max + 1) for j in range(n_max + 1 - s)}
     for k in range(3, k_max + 1):
         f = fib(k - 1)
@@ -241,7 +261,7 @@ def unfolded_columns(k_max, n_max, prime):
         for (s, j), col in cols.items():
             block = sum(comb(j, l) * comb(s, i) * f**l * step**i * cols[s - i, j - l][k - 2]
                         for l in range(j + 1) for i in range(s + 1))
-            col.append(col[k - 1] + f**j * floor(f) ** s + block)
+            col.append(col[k - 1] + f**j * beatty(f, prime) ** s + block)
     return cols
 
 
@@ -259,12 +279,12 @@ def test_resumed_fill_matches_cold_fill(k0, prime):
     K = 120
     resumed = MomentTable()
     resumed.a(k0 - 1, 3, 2, prime)
-    assert frontier(resumed, (3, 2, prime))[0] == k0 - 1  # the next fill starts at k0
+    assert frontier(resumed, prime)[0] == k0 - 1  # the next fill starts at k0
     assert len(resumed) == 12 * (k0 - 3)
     resumed.a(K, 3, 2, prime)
     cold = MomentTable()
     cold.a(K, 3, 2, prime)
-    assert frontier(resumed, (3, 2, prime)) == frontier(cold, (3, 2, prime))
+    assert frontier(resumed, prime) == frontier(cold, prime)
     assert len(resumed) == len(cold)
 
 

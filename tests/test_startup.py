@@ -5,8 +5,9 @@ does first, loads none of ``dataclasses``, ``inspect``, ``json``, ``csv``,
 ``fractions`` or ``decimal``; each of the last four loads when its first
 user runs: ``decimal`` when ``decimal_str`` converts a value above
 ``decimal_text._JOIN_BITS`` bits, or a closed ``compute`` bounds its value
-above that size.  Each case runs in a fresh interpreter and compares
-``sys.modules`` before and after, so what ``site`` preloads does not count.
+above ``cli.DECIMAL_RING_BITS``, the same 49,152 bits.  Each case runs in a
+fresh interpreter and compares ``sys.modules`` before and after, so what
+``site`` preloads does not count.
 """
 
 import subprocess
@@ -66,8 +67,9 @@ COMPUTE = "main(['compute', '--sum', 'A', '--k', '10', '--s', '1', '--engine', '
     # decimal_str joins Decimal halves only above 3 * 2**14 = 49,152 bits
     ("decimal_str((1 << 49152) - 1)", ""),
     ("decimal_str(1 << 49152)", "decimal"),
-    # a closed compute evaluates in exact Decimal once moment_bits(k, s), an upper
-    # bound on the value's size, passes 3 * 2**14 bits; at s = 1 that is above k = 35393
+    # a closed compute evaluates in exact Decimal once moment_bits(k, s), an upper bound
+    # on the value's size, passes cli.DECIMAL_RING_BITS = 3 * 2**14 bits; at s = 1 that is
+    # above k = 35393
     ("main(['compute', '--sum', 'A', '--k', '35393', '--s', '1', '--engine', 'closed'])", ""),
     ("main(['compute', '--sum', 'A', '--k', '35394', '--s', '1', '--engine', 'closed'])",
      "decimal"),

@@ -63,14 +63,11 @@ def test_rows_through_one_closed_engine_equal_fresh_ones(data):
     entry = CLAIMS[claim]
     name = data.draw(st.sampled_from([e for e in entry.supported if e != "brute"]))
     indices = data.draw(st.lists(st.integers(entry.first, entry.first + 150), max_size=12))
-    # one closed engine for the whole sweep, the sweep's own engine when it runs closed
-    closed = cf.ClosedEngine()
-    engine = closed if name == "closed" else make_engine(name)
+    # one closed engine for the whole sweep, apart from the swept engine even when it runs closed
+    engine, closed = make_engine(name), cf.ClosedEngine()
     for index in indices:
-        fresh = make_engine(name)
-        fresh_closed = fresh if name == "closed" else cf.ClosedEngine()
         assert list(entry.rows(index, engine, closed)) == list(
-            entry.rows(index, fresh, fresh_closed)), (claim, name, index)
+            entry.rows(index, make_engine(name), cf.ClosedEngine())), (claim, name, index)
 
 
 @pytest.mark.parametrize("claim", list(CLAIMS))
