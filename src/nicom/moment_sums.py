@@ -10,7 +10,8 @@ where a name comes in; every function below that point takes engines.
 * ``MomentTable`` reduces A(k, s, j) to values at k-1 and k-2, one step per
   k, which makes indices like k = 1000 (~10^208 terms) computable in
   milliseconds, in memory linear in k; its ``a(k, s, j, prime)`` reads one
-  moment.
+  moment.  Each fill plan's step is straight-line code, generated as source
+  and compiled at the plan's first fill, once per process.
 
 A primed ``Moment`` gives A'(k, s, j) = sum n^j * floor(phi^2*n)^s, which
 follows the same reduction with F_{k+1} in place of F_k.
@@ -19,6 +20,7 @@ follows the same reduction with F_{k+1} in place of F_k.
 from __future__ import annotations
 
 import os
+from functools import cache
 from itertools import repeat
 from math import comb
 from operator import add, mul
@@ -71,13 +73,20 @@ class MomentTable:
     together, and covers every moment of that kind read so far.  A read at the
     frontier's k - 1 or k is served, a read past k advances it, and a read
     behind it or outside it restarts it from k = 2, widened to cover the read,
-    as ``BruteEngine``'s pass does.  ``len(table)`` counts the cells computed, a
-    recomputed cell again.  Not internally synchronized: confine to one thread.
+    as ``BruteEngine``'s pass does.  A plan's step is one function whose loop
+    is straight-line code over local variables.  ``_compiled_step`` generates
+    and compiles it at the plan's first fill: a ``functools.cache`` keyed by
+    plan and kind that holds code and no values, so importing the module
+    compiles nothing and every table on the plan shares the code.  A fill
+    writes the frontier only after its step returns, so an interrupted fill
+    leaves the frontier and ``len(table)`` as they were.  ``len(table)``
+    counts the cells computed, a recomputed cell again.  Not internally
+    synchronized: confine to one thread.
     """
 
     def __init__(self) -> None:
         self._cells = 0
-        # prime -> frontier [k, row at k - 1, row at k, F_{k-1}, F_k, (s_max, j_max), steps]
+        # prime -> frontier [k, row at k - 1, row at k, F_{k-1}, F_k, (s_max, j_max), step]
         self._fronts: dict[bool, list] = {}
 
     def __len__(self) -> int:
@@ -95,9 +104,11 @@ class MomentTable:
         s_max, j_max = front[5] if front else (s, j)
         if not front or k < front[0] - 1 or s > s_max or j > j_max:
             s_max, j_max = max(s, s_max), max(j, j_max)
-            front = self._fronts[prime] = _start(s_max, j_max)
+            zeros = [0] * (s_max + 1) * (j_max + 1)  # the rows at k = 1, 2 hold empty sums
+            front = self._fronts[prime] = [2, zeros, zeros, 1, 1, (s_max, j_max),
+                                           _compiled_step(s_max, j_max, prime)]
         if k > front[0]:
-            self._advance(front, k, prime)
+            self._advance(front, k)
         return front[k - front[0] + 2][s * (j_max + 1) + j]
 
     def at(self, k: int, moments: Iterable[Moment]) -> list[int]:
@@ -110,45 +121,75 @@ class MomentTable:
             sums[i] = self.a(k, s, j, prime)
         return sums
 
-    def _advance(self, front: list, k_max: int, prime: bool) -> None:
-        """Step ``front`` from its k to k_max; a row holds cell (s, j) at s * (j_max + 1) + j."""
-        k0, older, old, f_prev, f_cur, _, (bounds, shifts, reads) = front
-        older, old = older[:], old[:]  # so an interrupted fill leaves the frontier as it was
-        for k in range(k0 + 1, k_max + 1):
-            f_prev, f_cur = f_cur, f_prev + f_cur  # F_{k-1}, F_k
-            step = f_prev + f_cur if prime else f_cur
-            block = older  # the row at k - 2 becomes B(k-2), then the row at k
-            for p, term in bounds[k & 1]:  # eps_{k-1} = k & 1
-                block[p] += term
-            for p, first, terms in shifts:
-                u = block[first]
-                for c, q in terms:
-                    u = u * f_prev + c * block[q]
-                block[p] = u
-            for p, first, terms in reads:
-                u = block[first]
-                for c, q in terms:
-                    u = u * step + c * block[q]
-                block[p] = old[p] + u
-            older, old = old, block
-        front[:5] = k_max, older, old, f_prev, f_cur
+    def _advance(self, front: list, k_max: int) -> None:
+        """Step ``front`` from its k to k_max by its plan's compiled step."""
+        k0, older, old, f_prev, f_cur, _, step = front
+        front[:5] = k_max, *step(k0, k_max, older, old, f_prev, f_cur)
         self._cells += len(old) * (k_max - k0)
 
 
-def _start(s_max: int, j_max: int) -> list:
-    """A frontier of the plan (s_max, j_max) at k = 2, with its step's positions."""
+@cache
+def _compiled_step(s_max: int, j_max: int, prime: bool):
+    """The step of the plan (s_max, j_max) of one kind, compiled from generated source.
+
+    ``step(k0, k_max, older, old, f_prev, f_cur)`` takes the rows at k0 - 1 and
+    k0, which hold cell (s, j) at s * (j_max + 1) + j, with F_{k0-1} and F_{k0},
+    and returns them at k_max as new lists; it writes nothing it was passed.
+    Its loop keeps the rows at k - 2 and k - 1 in locals b<s>_<j> and a<s>_<j>,
+    and each k
+      * adds the boundary term (-eps_{k-1})^s, eps_{k-1} = k & 1, to b<s>_0;
+      * shifts n' -> F_{k-1} + n' in place, j descending: b<s>_<j> becomes
+        sum_l C(j,l) F_{k-1}^(j-l) b<s>_<l>, by Horner's rule from h<s> = b<s>_0 * F_{k-1};
+      * reads in place, s descending: b<s>_<j> becomes a<s>_<j> plus
+        sum_i C(s,i) step^(s-i) b<i>_<j>, by Horner's rule from p<j> = b0_<j> * step,
+        so each column forms b0_<j> * step once;
+      * swaps the a and b names, the new row becoming the row at k - 1.
+    A Horner sum past its first product is a chain of statements on ``u``,
+    as nested parentheses would meet the parser's limit at s or j >= 200.
+    """
     w = j_max + 1
-    # (position, (-eps)^s) of the cells j = 0, indexed by eps
-    bounds = [(0, 1)], [(s * w, (-1) ** s) for s in range(s_max + 1)]
-    # Horner sums: a leading position, then (coefficient, position) pairs. n' ->
-    # F_{k-1} + n' makes (s, j) sum_l C(j,l) F_{k-1}^l (s, j-l), in place, j descending
-    shifts = [(s * w + j, s * w, [(comb(j, t), s * w + t) for t in range(1, j + 1)])
-              for j in range(j_max, 0, -1) for s in range(s_max + 1)]
-    # cell (s, j) adds sum_i C(s,i) step^i (s-i, j) of the block, in place, s descending
-    reads = [(s * w + j, j, [(comb(s, t), t * w + j) for t in range(1, s + 1)])
-             for s in range(s_max, -1, -1) for j in range(w)]
-    zeros = [0] * (s_max + 1) * w  # the rows at k = 1, 2 hold empty sums
-    return [2, zeros, zeros, 1, 1, (s_max, j_max), (bounds, shifts, reads)]
+    cells = [f"{s}_{j}" for s in range(s_max + 1) for j in range(w)]
+    row_a = ", ".join(f"a{c}" for c in cells)
+    row_b = ", ".join(f"b{c}" for c in cells)
+    body = ["f_prev, f_cur = f_cur, f_prev + f_cur",
+            f"step = {'f_prev + f_cur' if prime else 'f_cur'}",
+            "b0_0 += 1"]
+    if s_max:
+        body += ["if k & 1:"] + [f"    b{s}_0 {'+-'[s & 1]}= 1" for s in range(1, s_max + 1)]
+
+    def horner(cell, head, x, terms, base=""):
+        """Lines setting ``cell`` to base + ((head + t_1) * x + t_2) * x ... + t_n."""
+        lines, u = [], head
+        for i, (c, name) in enumerate(terms):
+            if i:
+                lines.append(f"u = {u}")
+                u = f"u * {x}"
+            u += f" + {c} * {name}" if c != 1 else f" + {name}"
+        return lines + [f"{cell} = {base}{u}"]
+
+    if j_max:
+        body += [f"h{s} = b{s}_0 * f_prev" for s in range(s_max + 1)]
+    for j in range(j_max, 0, -1):
+        for s in range(s_max + 1):
+            terms = [(comb(j, l), f"b{s}_{l}") for l in range(1, j + 1)]
+            body += horner(f"b{s}_{j}", f"h{s}", "f_prev", terms)
+    if s_max:
+        body += [f"p{j} = b0_{j} * step" for j in range(w)]
+    for s in range(s_max, -1, -1):
+        for j in range(w):
+            terms = [(comb(s, i), f"b{i}_{j}") for i in range(1, s + 1)]
+            body += horner(f"b{s}_{j}", f"p{j}" if s else f"b0_{j}", "step", terms, f"a{s}_{j} + ")
+    body.append(f"{row_a}, {row_b} = {row_b}, {row_a}")
+    source = "\n".join([
+        "def step(k0, k_max, older, old, f_prev, f_cur):",
+        f"    {row_b}, = older",
+        f"    {row_a}, = old",
+        "    for k in range(k0 + 1, k_max + 1):",
+        *(f"        {line}" for line in body),
+        f"    return [{row_b}], [{row_a}], f_prev, f_cur"])
+    namespace: dict = {}
+    exec(compile(source, f"<MomentTable step {s_max, j_max, prime}>", "exec"), namespace)
+    return namespace["step"]
 
 
 class Moment(NamedTuple):

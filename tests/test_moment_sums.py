@@ -1,3 +1,4 @@
+import copy
 import importlib
 import pkgutil
 import random
@@ -221,6 +222,49 @@ def test_random_reads_match_fresh_tables(data):
         k, s, j, prime = reads.pop(0)
         assert table.a(k, s, j, prime) == MomentTable().a(k, s, j, prime), (k, s, j, prime)
         series = [left for left in series if left]
+
+
+WIDE_MOMENTS = st.builds(Moment, st.integers(0, 6), st.integers(0, 6), st.booleans()).filter(
+    lambda mo: mo.s + mo.j <= 6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 22), st.lists(WIDE_MOMENTS, min_size=1, max_size=6))
+def test_at_matches_literal_sums_to_degree_6(k, moments):
+    assert MomentTable().at(k, moments) == BruteEngine().at(k, moments), (k, moments)
+
+
+class Interrupt(Exception):
+    pass
+
+
+class FuseInt(int):
+    """An int whose sums stay FuseInts; the ``fuse``-th sum raises ``Interrupt``."""
+    fuse = 0
+
+    def __add__(self, other):
+        FuseInt.fuse -= 1
+        if not FuseInt.fuse:
+            raise Interrupt
+        return FuseInt(int(self) + other)
+
+    __radd__ = __add__
+
+
+@pytest.mark.parametrize("prime", [False, True])
+def test_interrupted_fill_leaves_the_frontier(prime):
+    table = MomentTable()
+    table.a(30, 3, 1, prime)
+    front = table._fronts[prime]
+    front[4] = FuseInt(front[4])  # F_k, which each k's step adds to once or twice
+    before, cells = copy.deepcopy(front[:6]), len(table)
+    FuseInt.fuse = 20
+    with pytest.raises(Interrupt):  # some k past 30 and before 60
+        table.a(60, 3, 1, prime)
+    assert table._fronts[prime] is front and front[:6] == before
+    assert len(table) == cells
+    front[4] = int(front[4])
+    assert table.a(60, 3, 1, prime) == MomentTable().a(60, 3, 1, prime)
 
 
 def test_at_costs_the_same_in_any_moment_order():

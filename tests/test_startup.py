@@ -7,7 +7,8 @@ user runs: ``decimal`` when ``decimal_str`` converts a value above
 ``decimal_text._JOIN_BITS`` bits, or a closed ``compute`` bounds its value
 above ``cli.DECIMAL_RING_BITS``, the same 49,152 bits.  Each case runs in a
 fresh interpreter and compares ``sys.modules`` before and after, so what
-``site`` preloads does not count.
+``site`` preloads does not count.  Nor does the import compile a
+``MomentTable`` step: a plan's step compiles at its first fill.
 """
 
 import subprocess
@@ -78,3 +79,27 @@ COMPUTE = "main(['compute', '--sum', 'A', '--k', '10', '--s', '1', '--engine', '
 ])
 def test_each_module_loads_at_its_first_use(use, first_loaded):
     assert loads(use) == ("", first_loaded)
+
+
+STEP_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import nicom.cli
+nicom.cli.build_parser()
+from nicom.moment_sums import MomentTable, _compiled_step
+first, second = MomentTable(), MomentTable()
+compiled = [_compiled_step.cache_info().misses]
+first.a(40, 3)
+compiled.append(_compiled_step.cache_info().misses)
+second.a(50, 3)
+compiled.append(_compiled_step.cache_info().misses)
+print(*compiled, first._fronts[False][6] is second._fronts[False][6])
+"""
+
+
+def test_a_plans_step_compiles_at_its_first_fill():
+    # none at import, so start-up pays for no step; a second table on the plan reuses it
+    proc = subprocess.run([sys.executable, "-c", STEP_PROBE, SRC],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "1", "1", "True"]
