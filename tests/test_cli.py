@@ -206,6 +206,13 @@ def test_prove_json_with_a_window_is_byte_identical_to_its_golden_file(capsys, c
     assert (code, out, err) == (EXIT_OK, golden.read_text(), "")
 
 
+@pytest.mark.parametrize("claim", list(CERTIFICATES))
+def test_prove_csv_is_byte_identical_to_its_golden_file(capsys, claim):
+    code, out, err = run(capsys, "prove", "--claim", claim, "--format", "csv")
+    golden = Path(__file__).parent / "golden" / f"prove-{claim}.csv"
+    assert (code, out, err) == (EXIT_OK, golden.read_text(), "")
+
+
 def prove_with_rhs_raised(capsys, monkeypatch, claim, index):
     """Each certificate's (claim, verdict, agreed terms), the first rhs at ``index`` + 1."""
     entry = verify_suite.CLAIMS[claim]
