@@ -5,10 +5,12 @@ Exit codes: 0 success/pass, 1 verification failure or refutation,
 because it compared only empty sums.  JSON output renders big integers
 as decimal strings.
 
-``main`` parses with one parser, built on first use and kept for the
-process.  It holds no copy of the claim registry: ``verify_suite`` checks
-``--claim`` against ``CLAIMS`` as it stands at each call, and an unknown or
-unprovable claim exits 2.
+``build_parser`` is cached, so ``main`` parses with one parser, built on
+first use and kept for the process.  It holds no copy of the claim
+registry: ``verify_suite`` checks ``--claim`` against ``CLAIMS`` as it
+stands at each call, and an unknown or unprovable claim exits 2.  The
+``--format`` choices are ``FORMATS``, and ``ENGINE_NAMES`` maps each
+``compute``/``bench`` ``--engine`` name to its ``moment_sums.ENGINES`` name.
 
 ``compute --engine closed`` evaluates in one of two rings, chosen by
 ``closed_forms.moment_bits(k, s)``, an upper bound on the value's size:
@@ -29,6 +31,7 @@ from . import verify_suite
 from .closed_forms import ClosedEngine, moment_bits
 from .decimal_text import decimal_digest, decimal_str, exact_context
 from .moment_sums import ENGINES, BruteForceGuardError, Moment, make_engine
+from .recurrence_prover import Certificate
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -37,6 +40,10 @@ EXIT_GUARD = 3
 
 # a closed compute whose moment_bits bound is above this evaluates in exact Decimal
 DECIMAL_RING_BITS = 3 * 2**14
+
+FORMATS = ("text", "json", "csv")
+# compute's and bench's --engine name -> its moment_sums.ENGINES name
+ENGINE_NAMES = {"brute": "brute", "rec": "recursive", "closed": "closed"}
 
 
 def canonical_json(obj) -> str:
@@ -57,8 +64,7 @@ def _moment(sum_kind: str, k: int, s: int, j: int) -> Moment:
 
 def _compute_value(sum_kind: str, k: int, s: int, j: int, engine: str) -> int:
     moment = _moment(sum_kind, k, s, j)
-    engine = make_engine("recursive" if engine == "rec" else engine)
-    return engine.at(k, [moment])[0]
+    return make_engine(ENGINE_NAMES[engine]).at(k, [moment])[0]
 
 
 def _compute_text(sum_kind: str, k: int, s: int, j: int, engine: str) -> str:
@@ -73,15 +79,15 @@ def _compute_text(sum_kind: str, k: int, s: int, j: int, engine: str) -> str:
 
 
 def _cmd_compute(args) -> int:
-    text = _compute_text(args.sum, args.k, args.s, args.j, args.engine)
+    # the request's fields, in _compute_text's argument order, then its value
+    reply = {field: getattr(args, field) for field in ("sum", "k", "s", "j", "engine")}
+    reply["value"] = _compute_text(*reply.values())
     if args.format == "json":
-        print(canonical_json({"sum": args.sum, "k": args.k, "s": args.s,
-                              "j": args.j, "engine": args.engine, "value": text}))
+        print(canonical_json(reply))
     elif args.format == "csv":
-        _print_csv([["sum", "k", "s", "j", "engine", "value"],
-                    [args.sum, args.k, args.s, args.j, args.engine, text]])
+        _print_csv([reply.keys(), reply.values()])
     else:
-        print(text)
+        print(reply["value"])
     return EXIT_OK
 
 
@@ -118,10 +124,8 @@ def _cmd_prove(args) -> int:
     if args.format == "json":
         print(canonical_json([c.to_dict() for c in certs]))
     elif args.format == "csv":
-        rows = [["claim", "shape", "bound", "degree", "agreed_terms", "window", "verdict"]]
-        rows += [[c.claim, c.shape, c.bound, c.degree, c.agreed_terms, c.window, c.verdict]
-                 for c in certs]
-        _print_csv(rows)
+        columns = [f for f in Certificate._fields if f != "root_containment"]
+        _print_csv([columns] + [[getattr(c, f) for f in columns] for c in certs])
     else:
         for c in certs:
             print(f"{c.claim}: {c.verdict} "
@@ -129,18 +133,14 @@ def _cmd_prove(args) -> int:
     return EXIT_OK if all(c.certified for c in certs) else EXIT_FAIL
 
 
-def _digest(value: int) -> dict:
-    digits, head, tail = decimal_digest(value)
-    return {"digits": digits, "head": head, "tail": tail, "negative": value < 0}
-
-
 def _cmd_bench(args) -> int:
     start = perf_counter()
     value = _compute_value("A", args.k, args.s, 0, args.engine)
     elapsed = perf_counter() - start
-    out = {"k": args.k, "s": args.s, "engine": args.engine,
-           "seconds": round(elapsed, 6), **_digest(value)}
-    print(canonical_json(out))
+    digits, head, tail = decimal_digest(value)
+    print(canonical_json({"k": args.k, "s": args.s, "engine": args.engine,
+                          "seconds": round(elapsed, 6), "digits": digits, "head": head,
+                          "tail": tail, "negative": value < 0}))
     return EXIT_OK
 
 
@@ -150,6 +150,7 @@ def _print_csv(rows) -> None:
     csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nicom",
@@ -162,8 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--j", type=int, default=0)
-    p.add_argument("--engine", choices=["brute", "rec", "closed"], default="rec")
-    p.add_argument("--format", choices=["text", "json", "csv"], default="text")
+    p.add_argument("--engine", choices=ENGINE_NAMES, default="rec")
+    p.add_argument("--format", choices=FORMATS, default="text")
     p.set_defaults(func=_cmd_compute)
 
     p = sub.add_parser("verify", help="check a claim index by index")
@@ -175,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
                         f"({','.join(ENGINES)}); another engine is a usage error")
     p.add_argument("--deep", action="store_true",
                    help="extend default ranges (theorem1/case4l to 100)")
-    p.add_argument("--format", choices=["text", "json", "csv"], default="text")
+    p.add_argument("--format", choices=FORMATS, default="text")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("prove", help="finite recurrence certification of a claim")
@@ -183,26 +184,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="a claim with a registered root-set spec; another is a usage error")
     p.add_argument("--window", type=int, default=None,
                    help="corroboration window (default 2x the annihilator degree)")
-    p.add_argument("--format", choices=["text", "json", "csv"], default="text")
+    p.add_argument("--format", choices=FORMATS, default="text")
     p.set_defaults(func=_cmd_prove)
 
     p = sub.add_parser("bench", help="time an engine at a given index")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--engine", choices=["brute", "rec", "closed"], default="closed")
+    p.add_argument("--engine", choices=ENGINE_NAMES, default="closed")
     p.set_defaults(func=_cmd_bench)
 
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

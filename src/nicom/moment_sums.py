@@ -241,6 +241,8 @@ class BruteEngine:
 
     def at(self, k: int, moments: Iterable[Moment]) -> list[int]:
         """The sums over n = 1..F_k - 1: ``sums(F_k - 1, moments)``."""
+        if k < 1:
+            raise ValueError(f"moment index k must be >= 1, got {k}")
         return self.sums(fib(k) - 1, moments)
 
     def _advance(self, m: int) -> None:

@@ -52,6 +52,12 @@ def test_index_guards():
             fn(0)
 
 
+def test_exact_div_raises_on_a_remainder():
+    assert cf._exact_div(42, 6) == 7
+    with pytest.raises(ArithmeticError, match="expected 43 to be divisible by 6"):
+        cf._exact_div(43, 6)
+
+
 def test_moment_matches_the_recurrence_engine():
     table = MomentTable()
     for k in range(1, 301):

@@ -23,6 +23,13 @@ def test_every_engine_agrees_with_the_literal_sums(name):
         assert engine.at(k, moments) == literal.at(k, moments), (name, k)
 
 
+@pytest.mark.parametrize("name", list(ENGINES))
+@pytest.mark.parametrize("k", [0, -1])
+def test_every_engine_rejects_an_index_below_one_by_name(name, k):
+    with pytest.raises(ValueError, match=rf"index (k )?must be >= 1, got {k}$"):
+        make_engine(name).at(k, [Moment(1)])
+
+
 @pytest.mark.parametrize("K", [50, 51, 52, 53])
 def test_one_fibonacci_run_per_closed_call(doublings, K):
     q_diff(K, "closed")

@@ -244,3 +244,10 @@ def test_lemma_certificates_cover_each_index_once(monkeypatch, claim, names, clo
 def test_prove_custom_window():
     certs = prove_claim("lemma4", extra_window=30)
     assert all(c.certified and c.window == 30 for c in certs)
+
+
+@pytest.mark.parametrize("window", [0, -3])
+def test_prove_rejects_a_window_below_one(window):
+    # the CLI checks --window first, so only a direct call reaches term_count's check
+    with pytest.raises(ValueError, match="extra_window must be at least 1"):
+        prove_claim("lemma2", extra_window=window)
