@@ -18,6 +18,10 @@ up to ``DECIMAL_RING_BITS`` bits on ints, printed by ``decimal_str``;
 above it in an exact ``Decimal`` context, whose ``str`` is a linear copy
 where ``decimal_str`` would convert binary to decimal.  ``bench`` always
 evaluates on ints and prints ``decimal_digest``.
+
+``verify`` and ``prove`` import ``verify_suite``, and with it
+``recurrence_prover`` and ``qratio``, at their first use; ``compute`` and
+``bench`` load none of the three.
 """
 
 from __future__ import annotations
@@ -27,11 +31,9 @@ import functools
 import sys
 from time import perf_counter
 
-from . import verify_suite
 from .closed_forms import ClosedEngine, moment_bits
 from .decimal_text import decimal_digest, decimal_str, exact_context
 from .moment_sums import ENGINES, BruteForceGuardError, Moment, make_engine
-from .recurrence_prover import Certificate
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -92,6 +94,8 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify_suite
+
     engines = tuple(args.engines.split(",")) if args.engines is not None else None
     report = verify_suite.verify_claim(
         args.claim, k_max=args.kmax, engines=engines, deep=args.deep
@@ -120,6 +124,9 @@ def _cmd_verify(args) -> int:
 def _cmd_prove(args) -> int:
     if args.window is not None and args.window < 1:
         raise ValueError(f"--window must be >= 1, got {args.window}")
+    from . import verify_suite
+    from .recurrence_prover import Certificate
+
     certs = verify_suite.prove_claim(args.claim, extra_window=args.window)
     if args.format == "json":
         print(canonical_json([c.to_dict() for c in certs]))

@@ -13,7 +13,7 @@ moments as ``at(k, moments)``, Theorem 1's num/den, Theorem 6's right side
 and the F_n - 1 factorizations, each from one run of a ``FibonacciWalk``,
 one walk per index stream, so a sweep in the index pays additions, not a
 doubling per value; the engine registry ``moment_sums.ENGINES`` names it
-next to the other two.  The exported lemma functions read a fresh engine,
+next to the other two.  The public lemma functions read a fresh engine,
 at most one fast doubling each.  An engine built on another ring's one
 evaluates the same evaluators in that ring.  The module is a leaf: it reads
 ``fib_lucas`` and no other part of nicom.

@@ -3,8 +3,8 @@ holds a float literal, a true division ``/``, a ``float(...)`` call, or a
 ``math.log*`` or ``math.sqrt`` (by attribute or by ``from math import``).
 Timing (``perf_counter``) is not evaluation and is not flagged.
 
-A second scan finds imported names that are never read, in src/nicom (but
-``__init__``, whose imports are its exports) and in tests/."""
+A second scan finds imported names that are never read, in src/nicom and in
+tests/."""
 
 import ast
 from pathlib import Path
@@ -75,8 +75,7 @@ def unused_imports(tree):
 
 
 def test_every_imported_name_is_read():
-    modules = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
-    modules += sorted(Path(__file__).parent.glob("*.py"))
+    modules = sorted(SRC.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
     assert len(modules) > 10
     hits = [f"{path.parent.name}/{path.name}:{line}: {name}" for path in modules
             for line, name in unused_imports(ast.parse(path.read_text(), str(path)))]

@@ -1,14 +1,18 @@
 """What a fresh ``nicom`` process loads.
 
 Importing ``nicom.cli`` and building its parser, which every CLI command
-does first, loads none of ``dataclasses``, ``inspect``, ``json``, ``csv``,
-``fractions`` or ``decimal``; each of the last four loads when its first
-user runs: ``decimal`` when ``decimal_str`` converts a value above
-``decimal_text._JOIN_BITS`` bits, or a closed ``compute`` bounds its value
-above ``cli.DECIMAL_RING_BITS``, the same 49,152 bits.  Each case runs in a
-fresh interpreter and compares ``sys.modules`` before and after, so what
-``site`` preloads does not count.  Nor does the import compile a
-``MomentTable`` step: a plan's step compiles at its first fill.
+does first, loads ``nicom.cli`` and the five modules ``compute`` and
+``bench`` run (``fib_lucas``, ``beatty_floor``, ``closed_forms``,
+``moment_sums`` and ``decimal_text``), and none of ``verify_suite``,
+``recurrence_prover`` and ``qratio``, which ``verify`` and ``prove`` load
+at their first use.  Nor does it load ``dataclasses``, ``inspect``,
+``json``, ``csv``, ``fractions`` or ``decimal``; each of the last four
+loads when its first user runs: ``decimal`` when ``decimal_str`` converts
+a value above ``decimal_text._JOIN_BITS`` bits, or a closed ``compute``
+bounds its value above ``cli.DECIMAL_RING_BITS``, the same 49,152 bits.
+Each case runs in a fresh interpreter and compares ``sys.modules`` before
+and after, so what ``site`` preloads does not count.  Nor does the import
+compile a ``MomentTable`` step: a plan's step compiles at its first fill.
 """
 
 import subprocess
@@ -21,31 +25,35 @@ import nicom
 
 SRC = str(Path(nicom.__file__).parent.parent)
 WATCHED = ("dataclasses", "inspect", "json", "csv", "fractions", "decimal")
+# the nicom modules importing nicom.cli loads, and those verify and prove add
+CLI_MODULES = ",".join(f"nicom.{m}" for m in (
+    "beatty_floor", "cli", "closed_forms", "decimal_text", "fib_lucas", "moment_sums"))
+VERIFY_STACK = "nicom.qratio,nicom.recurrence_prover,nicom.verify_suite"
 
 # argv[1] is the directory holding nicom, argv[2] the first use to run;
-# prints the watched modules the import added, then those the use added
+# prints the watched and nicom.* modules the import added, then those the use added
 PROBE = f"""
 import sys
-watched = set({WATCHED!r})
+def shown(added):
+    return sorted(m for m in added if m in {WATCHED!r} or m.startswith("nicom."))
 before = set(sys.modules)
 sys.path.insert(0, sys.argv[1])
 import nicom.cli
 nicom.cli.build_parser()
 imported = set(sys.modules)
-print(*sorted(watched & (imported - before)), sep=",")
+print(*shown(imported - before), sep=",")
 
 import contextlib, io
 from nicom.cli import main
 from nicom.decimal_text import decimal_str
-from nicom.qratio import q_value
 with contextlib.redirect_stdout(io.StringIO()):
     exec(sys.argv[2])
-print(*sorted(watched & (set(sys.modules) - imported)), sep=",")
+print(*shown(set(sys.modules) - imported), sep=",")
 """
 
 
 def loads(use):
-    """(the watched modules importing nicom.cli adds, those ``use`` then adds)."""
+    """(the watched and nicom.* modules importing nicom.cli adds, those ``use`` then adds)."""
     proc = subprocess.run([sys.executable, "-c", PROBE, SRC, use],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -59,12 +67,13 @@ COMPUTE = "main(['compute', '--sum', 'A', '--k', '10', '--s', '1', '--engine', '
 @pytest.mark.parametrize("use, first_loaded", [
     ("pass", ""),
     (COMPUTE + "])", ""),
-    ("main(['verify', '--claim', 'theorem1'])", ""),
-    ("main(['prove', '--claim', 'lemma2'])", ""),
+    ("main(['bench', '--k', '10', '--s', '1'])", "json"),
+    ("main(['verify', '--claim', 'theorem1'])", VERIFY_STACK),
+    ("main(['prove', '--claim', 'lemma2'])", VERIFY_STACK),
     (COMPUTE + ", '--format', 'json'])", "json"),
-    ("main(['prove', '--claim', 'lemma2', '--format', 'json'])", "json"),
+    ("main(['prove', '--claim', 'lemma2', '--format', 'json'])", "json," + VERIFY_STACK),
     (COMPUTE + ", '--format', 'csv'])", "csv"),
-    ("main(['verify', '--claim', 'lemma2', '--format', 'csv'])", "csv"),
+    ("main(['verify', '--claim', 'lemma2', '--format', 'csv'])", "csv," + VERIFY_STACK),
     # decimal_str joins Decimal halves only above 3 * 2**14 = 49,152 bits
     ("decimal_str((1 << 49152) - 1)", ""),
     ("decimal_str(1 << 49152)", "decimal"),
@@ -75,10 +84,10 @@ COMPUTE = "main(['compute', '--sum', 'A', '--k', '10', '--s', '1', '--engine', '
     ("main(['compute', '--sum', 'A', '--k', '35394', '--s', '1', '--engine', 'closed'])",
      "decimal"),
     # fractions itself imports decimal
-    ("q_value('phi', 4)", "decimal,fractions"),
+    ("from nicom.qratio import q_value; q_value('phi', 4)", "decimal,fractions,nicom.qratio"),
 ])
 def test_each_module_loads_at_its_first_use(use, first_loaded):
-    assert loads(use) == ("", first_loaded)
+    assert loads(use) == (CLI_MODULES, first_loaded)
 
 
 STEP_PROBE = """
