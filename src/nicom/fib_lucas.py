@@ -67,9 +67,9 @@ class FibonacciWalk:
     keeps it from F_n on; it makes one fast doubling instead when n < i or
     n - i exceeds ``n.bit_length()``.  So a stream that moves up by small
     steps pays additions only, and a caller that reads two streams, such as
-    K - 1 and one near K/2, keeps one walk for each.  ``one`` is the ring's
-    one, as in ``_fib_pair``: the default gives ints.  Confine an instance
-    to one thread.
+    K - 1 and one near K/2, keeps one walk, or one ``ClosedEngine``, for
+    each.  ``one`` is the ring's one, as in ``_fib_pair``: the default
+    gives ints.  Confine an instance to one thread.
     """
 
     def __init__(self, one=1) -> None:

@@ -227,8 +227,11 @@ class BruteEngine:
         BruteForceGuardError before any term is summed.
         """
         moments = list(moments)
-        if m < 0 or any(mo.s < 0 or mo.j < 0 for mo in moments):
-            raise ValueError(f"need m >= 0 and nonnegative powers, got m={m}, {moments}")
+        if m < 0:
+            raise ValueError(f"need m >= 0, got m={m}")
+        for s, j, _ in moments:
+            if s < 0 or j < 0:
+                raise ValueError(f"moment powers must be nonnegative, got s={s}, j={j}")
         limit = brute_guard()
         if m > limit:
             terms = m if m < 10**30 else "over 10^30"  # no decimal text of a huge m
@@ -273,8 +276,10 @@ ENGINES = {"brute": BruteEngine, "recursive": MomentTable, "closed": ClosedEngin
 def make_engine(name: str, supported: Iterable[str] = ENGINES, context: str = ""):
     """A new engine named ``name``, one of ``supported``.
 
-    ``context``, such as " for lemma2", follows the name in the error.
+    ``context``, such as " for lemma2", follows the name in the error, which
+    calls a name outside ``ENGINES`` unknown and a registered one unsupported.
     """
     if name in supported:
         return ENGINES[name]()
-    raise ValueError(f"unknown engine {name!r}{context}; supported: {', '.join(supported)}")
+    problem = "unsupported" if name in ENGINES else "unknown"
+    raise ValueError(f"{problem} engine {name!r}{context}; supported: {', '.join(supported)}")

@@ -94,8 +94,7 @@ def theorem1_identity_sides(K: int, engine, closed) -> tuple[int, int]:
     num/den is ``closed.theorem1_num_den(K)`` and N/D the Q-difference of
     ``_q_diff_parts``; the sides are equal iff N/D = 1 - num/den, the closed
     value, at K.  The moments come from one ``at`` call of ``engine``, num/den
-    from one run near K/2 of ``closed``, a ``ClosedEngine``, which a sweep
-    keeps, so that its walk for that stream steps from K to K + 1.
+    from one run near K/2 of ``closed``, a ``ClosedEngine`` a sweep keeps for it.
     """
     num, den = closed.theorem1_num_den(K)
     n, d = _q_diff_parts(K, engine)

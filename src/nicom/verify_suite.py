@@ -7,9 +7,9 @@ any of them and, for lemma2/3/4 and theorem1, its certification sections,
 sequences of pairs read from the same rows.  ``verify_claim`` evaluates a
 claim index by index with the requested engines and reports exact
 equality; ``prove_claim`` certifies each section by a finite check.  Each
-call builds its own closed engine, apart from the engines it sweeps, which
-every row reads its closed side from, so a sweep's closed values step along
-that engine's Fibonacci walks, one per index stream.
+call builds its own closed engine, apart from the engines it sweeps; a row
+reads its engine side from a swept engine and its closed side from the
+call's, so each engine walks one index stream, by additions in a sweep.
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ def _fact_rows(l, engine, closed):
     for n in range(4 * l, 4 * l + 4):
         f, lu = closed.fib_minus_one_factors(n)
         lucas.append(lu)
-        yield f * lu, closed.at(n, [Moment(0)])[0]
+        yield f * lu, engine.at(n, [Moment(0)])[0]
     yield gcd(lucas[1], lucas[2]), 1
 
 
@@ -237,14 +237,7 @@ def verify_claim(
         verdict = "inconclusive"  # only empty sums were compared
     else:
         verdict = "pass"
-    return ClaimReport(
-        claim=claim,
-        range=(lo, k_max),
-        engines=engines,
-        verdict=verdict,
-        skipped=skipped,
-        rows=rows,
-    )
+    return ClaimReport(claim, (lo, k_max), engines, verdict, skipped, rows)
 
 
 def prove_claim(claim: str, extra_window: int | None = None) -> list[Certificate]:

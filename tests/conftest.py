@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import isqrt
 
 import pytest
@@ -14,6 +15,20 @@ def doublings(monkeypatch):
     pair = fib_lucas._fib_pair
     monkeypatch.setattr(fib_lucas, "_fib_pair", lambda n, *one: made.append(n) or pair(n, *one))
     return made
+
+
+# Independent oracle: F_0..F_2500 and L_0..L_2500, by iterated addition
+FS, LS = [0, 1], [2, 1]
+while len(FS) <= 2500:
+    FS.append(FS[-1] + FS[-2])
+    LS.append(LS[-1] + LS[-2])
+
+
+def phi_interval(digits):
+    """Independent oracle: a rational bracket lo < phi < hi, accurate to ~``digits`` decimals."""
+    scale = 10**digits
+    r = isqrt(5 * scale * scale)
+    return Fraction(scale + r, 2 * scale), Fraction(scale + r + 1, 2 * scale)
 
 
 def beatty(n, prime=False):

@@ -7,7 +7,7 @@ lines on stdout.
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -24,14 +24,7 @@ from nicom.recurrence_prover import (
 )
 from nicom.verify_suite import prove_claim, verify_claim
 
-from conftest import beatty, brute_sum
-
-
-def phi_interval(digits):
-    """Rational bracket lo < phi < hi, accurate to ~``digits`` decimals."""
-    scale = 10**digits
-    r = isqrt(5 * scale * scale)
-    return Fraction(scale + r, 2 * scale), Fraction(scale + r + 1, 2 * scale)
+from conftest import beatty, brute_sum, phi_interval
 
 
 @contextmanager

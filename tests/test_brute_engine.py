@@ -120,6 +120,23 @@ def test_guard_raises_before_any_term_is_summed(monkeypatch):
         BruteEngine().sums(1, [Moment(1)])
 
 
+def test_a_negative_m_is_named_in_its_error():
+    engine = BruteEngine()
+    with pytest.raises(ValueError, match=r"^need m >= 0, got m=-1$"):
+        engine.sums(-1, [Moment(1)])
+    assert engine.terms == 0
+
+
+@pytest.mark.parametrize("s, j", [(1, -1), (-2, 0), (-1, -3)])
+def test_a_negative_power_is_named_as_the_table_names_it(s, j):
+    engine, message = BruteEngine(), rf"^moment powers must be nonnegative, got s={s}, j={j}$"
+    with pytest.raises(ValueError, match=message):
+        engine.sums(4, [Moment(0), Moment(s, j, prime=True)])
+    assert engine.terms == 0
+    with pytest.raises(ValueError, match=message):
+        MomentTable().a(5, s, j)
+
+
 def test_verify_lists_guarded_indices_as_skipped(monkeypatch):
     monkeypatch.setenv("NICOM_BRUTE_GUARD", str(fib(7) - 1))
     report = verify_suite.verify_claim("lemma3", k_max=9, engines=("brute",))

@@ -543,21 +543,23 @@ def test_verify_theorem1_checks_every_default_engine(capsys, monkeypatch):
     assert code == EXIT_OK
 
 
-@pytest.mark.parametrize("argv, supported", [
-    (("theorem6", "--engines", "recursive"), "brute, closed"),
-    (("case4l", "--engines", "brute"), "recursive, closed"),
-    (("nicomachus", "--engines", "closed", "--kmax", "10"), "brute"),
-    (("fact-identities", "--engines", "brute"), "closed"),
-    (("theorem1", "--engines", "brute,magic"), "brute, recursive, closed"),
-    (("theorem1", "--engines", ""), "brute, recursive, closed"),
+@pytest.mark.parametrize("argv, problem, supported", [
+    (("theorem6", "--engines", "recursive"), "unsupported engine 'recursive'", "brute, closed"),
+    (("case4l", "--engines", "brute"), "unsupported engine 'brute'", "recursive, closed"),
+    (("nicomachus", "--engines", "closed", "--kmax", "10"), "unsupported engine 'closed'",
+     "brute"),
+    (("fact-identities", "--engines", "brute"), "unsupported engine 'brute'", "closed"),
+    # a name outside the registry is unknown, not unsupported
+    (("theorem1", "--engines", "brute,magic"), "unknown engine 'magic'",
+     "brute, recursive, closed"),
+    (("theorem1", "--engines", ""), "unknown engine ''", "brute, recursive, closed"),
     # a lemma's closed forms are its right-hand side, not an engine it compares
-    (("lemma4", "--engines", "closed"), "brute, recursive"),
+    (("lemma4", "--engines", "closed"), "unsupported engine 'closed'", "brute, recursive"),
 ])
-def test_verify_with_an_unsupported_engine_is_a_usage_error(capsys, argv, supported):
+def test_verify_with_an_unsupported_engine_is_a_usage_error(capsys, argv, problem, supported):
     code, out, err = run(capsys, "verify", "--claim", *argv)
     assert (code, out) == (EXIT_USAGE, "")
-    assert "unknown engine" in err
-    assert err.strip().endswith(f"supported: {supported}")
+    assert f"error: {problem} for {argv[0]}; supported: {supported}\n" == err
 
 
 def test_verify_with_a_repeated_engine_is_a_usage_error(capsys):

@@ -9,7 +9,7 @@ from nicom import closed_forms as cf
 from nicom.moment_sums import Moment, MomentTable
 from nicom.qratio import q_diff, theorem1_identity_sides
 
-from conftest import brute_sum
+from conftest import FS, LS, brute_sum
 
 
 def test_lemma2_examples():
@@ -155,13 +155,9 @@ def test_large_index_evaluation_is_cheap():
     assert theorem1_rhs(2000) < 1
 
 
-# The paper's formulas, read off plain iterated lists: oracles for the
-# evaluators, which read every F and L from one run of one of the engine's walks.
-ORACLE_MAX = 1200
-FS, LS = [0, 1], [2, 1]
-while len(FS) <= 2 * ORACLE_MAX + 5:
-    FS.append(FS[-1] + FS[-2])
-    LS.append(LS[-1] + LS[-2])
+# The paper's formulas, read off the iterated lists FS and LS: oracles for the
+# evaluators, which read every F and L from one run of the engine's walk.
+ORACLE_MAX = 1200  # the oracles read up to L_{2K+4}, in FS and LS's range
 
 
 def oracle_div(n, d):
@@ -246,26 +242,28 @@ def test_edge_indices_where_the_run_starts_at_f0():
     assert theorem1_identity_sides(4, engine, engine) == oracle_sides(4) == (21168, 21168)
 
 
-def test_closed_engine_serves_two_streams_from_two_walks(doublings):
-    engine = cf.ClosedEngine()
-    for K in range(600, 700):  # Theorem 1's streams: the moments' run at K - 1, num/den's near K/2
-        assert engine.at(K, [Moment(0)]) == [FS[K] - 1]
+def test_two_streams_on_two_closed_engines_double_once_each(doublings):
+    # Theorem 1's streams: the moments' run at K - 1, num/den's near K/2, one engine each
+    moments, halves = cf.ClosedEngine(), cf.ClosedEngine()
+    for K in range(600, 700):
+        assert moments.at(K, [Moment(0)]) == [FS[K] - 1]
         # twice, as a recursive,closed sweep reads num/den once per engine
-        assert engine.theorem1_num_den(K) == engine.theorem1_num_den(K) == oracle_num_den(K)
+        assert halves.theorem1_num_den(K) == halves.theorem1_num_den(K) == oracle_num_den(K)
     assert doublings == [599, 298]
 
 
 def test_factor_and_moment_reads_agree_in_either_order(doublings):
     seen = []
     for factors_first in (True, False):
-        engine, rows = cf.ClosedEngine(), []
-        for n in range(300, 400):  # the factors' run at 2l, with n = 4l + r, and A(n, 0)'s at n - 1
+        # the factors' run at 2l, with n = 4l + r, and A(n, 0)'s at n - 1, one engine each
+        factors, moments, rows = cf.ClosedEngine(), cf.ClosedEngine(), []
+        for n in range(300, 400):
             if factors_first:
-                f, lu = engine.fib_minus_one_factors(n)
-                a0, = engine.at(n, [Moment(0)])
+                f, lu = factors.fib_minus_one_factors(n)
+                a0, = moments.at(n, [Moment(0)])
             else:
-                a0, = engine.at(n, [Moment(0)])
-                f, lu = engine.fib_minus_one_factors(n)
+                a0, = moments.at(n, [Moment(0)])
+                f, lu = factors.fib_minus_one_factors(n)
             assert f * lu == a0 == FS[n] - 1, n
             rows.append((f, lu, a0))
         seen.append((rows, sorted(doublings)))

@@ -70,6 +70,48 @@ def test_prove_theorem1_doubles_once_per_stream_and_section(doublings):
     assert len(doublings) <= 42 + 2
 
 
+def _runs(claim):
+    """verify of ``claim`` by default, --deep and on each supported engine, then prove if it can."""
+    entry = CLAIMS[claim]
+    yield lambda: verify_claim(claim).passed
+    yield lambda: verify_claim(claim, deep=True).passed
+    for name in entry.supported:
+        yield lambda name=name: verify_claim(claim, engines=(name,)).passed
+    if entry.sections:
+        yield lambda: all(c.certified for c in prove_claim(claim))
+
+
+@pytest.mark.parametrize("claim", list(CLAIMS))
+def test_every_closed_engine_of_a_claim_reads_one_index_stream(monkeypatch, claim):
+    logs = []  # per ClosedEngine built, the start index of each run its walks return
+
+    class Walk(cf.FibonacciWalk):
+        """A walk that logs each run's start in the log of the engine that builds it."""
+
+        def __init__(self, *one):
+            super().__init__(*one)
+            self.log = logs[-1]
+
+        def run(self, n, count):
+            self.log.append(n)
+            return super().run(n, count)
+
+    init = cf.ClosedEngine.__init__
+
+    def logged(engine, *one):
+        logs.append([])
+        init(engine, *one)
+
+    monkeypatch.setattr(cf, "FibonacciWalk", Walk)
+    monkeypatch.setattr(cf.ClosedEngine, "__init__", logged)
+    for run in _runs(claim):
+        logs.clear()
+        assert run(), claim
+        assert logs, claim  # each call builds its own closed engine, at least
+        # one stream moves up: each run starts at or past the one before it
+        assert all(log == sorted(log) for log in logs), (claim, logs)
+
+
 def test_an_uncovered_moment_raises_before_any_run(doublings):
     for moments in ([Moment(2)], [Moment(1), Moment(1, 1)], [Moment(3, prime=True), Moment(4)]):
         with pytest.raises(ValueError, match="closed engine supports"):

@@ -9,17 +9,7 @@ from nicom import fib_lucas
 from nicom.closed_forms import ClosedEngine
 from nicom.fib_lucas import FibonacciWalk, fib, lucas
 
-
-def naive_fib_lucas(n_max):
-    """Slow iterative oracle: lists of F_0..F_n and L_0..L_n."""
-    fs, ls = [0, 1], [2, 1]
-    for _ in range(n_max - 1):
-        fs.append(fs[-1] + fs[-2])
-        ls.append(ls[-1] + ls[-2])
-    return fs, ls
-
-
-FS, LS = naive_fib_lucas(2500)  # past the largest index two_streams draws, 2486
+from conftest import FS, LS  # to index 2500, past the largest two_streams draws, 2486
 
 
 def test_fib_base_cases():

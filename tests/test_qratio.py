@@ -18,18 +18,14 @@ from nicom.qratio import (
 )
 from nicom.verify_suite import CLAIMS
 
+from conftest import phi_interval
+
 
 def sqrt5_interval(digits):
     """Rational bracket lo < sqrt(5) < hi, accurate to ~``digits`` decimals."""
     scale = 10**digits
     r = isqrt(5 * scale * scale)
     return Fraction(r, scale), Fraction(r + 1, scale)
-
-
-def phi_interval(digits):
-    """Rational bracket lo < phi < hi, accurate to ~``digits`` decimals."""
-    lo, hi = sqrt5_interval(digits)
-    return (1 + lo) / 2, (1 + hi) / 2
 
 
 def test_q_value_examples():
@@ -126,6 +122,13 @@ def test_q_value_and_q_diff_reject_an_unknown_engine(engine):
         q_diff(10, engine=engine)
     with pytest.raises(ValueError, match=f"unknown engine {engine!r}"):
         q_value("phi", fib(10) - 1, engine=engine)
+
+
+@pytest.mark.parametrize("engine", ["recursive", "closed"])
+def test_q_value_off_fib_calls_a_registered_engine_unsupported(engine):
+    with pytest.raises(ValueError, match=f"^unsupported engine {engine!r} at m not of the form "
+                                         "F_K - 1; supported: brute$"):
+        q_value("phi", 5, engine=engine)
 
 
 def test_nicomachus():

@@ -78,8 +78,8 @@ def test_supported_engines_keep_the_registry_order(claim):
 
 
 def test_unsupported_engine_names_the_supported_ones():
-    with pytest.raises(ValueError, match="unknown engine 'recursive' for theorem6; "
-                                         "supported: brute, closed"):
+    with pytest.raises(ValueError, match="^unsupported engine 'recursive' for theorem6; "
+                                         "supported: brute, closed$"):
         verify_claim("theorem6", engines=("recursive",))
 
 
