@@ -5,12 +5,24 @@ Exit codes: 0 success/pass, 1 verification failure or refutation,
 because it compared only empty sums.  JSON output renders big integers
 as decimal strings.
 
-``build_parser`` is cached, so ``main`` parses with one parser, built on
-first use and kept for the process.  It holds no copy of the claim
-registry: ``verify_suite`` checks ``--claim`` against ``CLAIMS`` as it
-stands at each call, and an unknown or unprovable claim exits 2.  The
-``--format`` choices are ``FORMATS``, and ``ENGINE_NAMES`` maps each
-``compute``/``bench`` ``--engine`` name to its ``moment_sums.ENGINES`` name.
+``build_parser`` returns the command table, built once per process: each
+command's handler, help line and options, and each option's name, kind
+(int, string or flag), choices and default or ``REQUIRED``.  It is the one
+place an option is spelled, and ``parse_args`` and the help read it.
+``parse_args`` reads argv left to right by the rules argparse applied to
+this command line: ``--name value`` or ``--name=value``, a long option cut
+to a unique prefix, a value starting with ``-`` only if it is a negative
+number or holds a space, ``int()`` for int options, the last of a repeated
+option; no command takes a positional, so ``--`` and what follows it are an
+error.  It returns a namespace the ``_cmd_*`` handlers read as
+``args.<name>``.
+``-h``/``--help`` prints help and exits 0; any other input it cannot read
+prints a ``usage:`` and an ``error:`` line naming the token and exits 2.
+The table holds no copy of the claim registry: ``verify_suite`` checks
+``--claim`` against ``CLAIMS`` as it stands at each call, and an unknown or
+unprovable claim exits 2.  The ``--format`` choices are ``FORMATS``, and
+``ENGINE_NAMES`` maps each ``compute``/``bench`` ``--engine`` name to its
+``moment_sums.ENGINES`` name.
 
 ``compute --engine closed`` evaluates in one of two rings, chosen by
 ``closed_forms.moment_bits(k, s)``, an upper bound on the value's size:
@@ -26,10 +38,11 @@ evaluates on ints and prints ``decimal_digest``.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
 from time import perf_counter
+from types import SimpleNamespace
+from typing import Callable, Collection, NamedTuple, NoReturn
 
 from .closed_forms import ClosedEngine, moment_bits
 from .decimal_text import decimal_digest, decimal_str, exact_context
@@ -157,59 +170,226 @@ def _print_csv(rows) -> None:
     csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
 
 
+class Option(NamedTuple):
+    """One option of a command, spelled ``--name`` on the command line.
+
+    ``kind`` is ``int``, ``str`` or ``bool``; a ``bool`` option is a flag,
+    which takes no value and is True when given.  ``default`` is REQUIRED
+    for an option every call must give.
+    """
+
+    name: str
+    kind: type
+    choices: Collection[str] | None = None
+    default: object = None
+    help: str = ""
+
+
+class Command(NamedTuple):
+    handler: Callable
+    help: str
+    options: tuple[Option, ...]
+
+
+REQUIRED = object()  # the default of an option that has none
+HELP = ("-h", "--help")
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nicom",
-        description="Exact golden-ratio Beatty moment sums and identity verification",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("compute", help="evaluate a moment sum")
-    p.add_argument("--sum", choices=["A", "Aprime"], required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--j", type=int, default=0)
-    p.add_argument("--engine", choices=ENGINE_NAMES, default="rec")
-    p.add_argument("--format", choices=FORMATS, default="text")
-    p.set_defaults(func=_cmd_compute)
-
-    p = sub.add_parser("verify", help="check a claim index by index")
-    p.add_argument("--claim", required=True,
-                   help="a registered claim; another name is a usage error")
-    p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--engines", default=None,
+def build_parser() -> dict[str, Command]:
+    """The command table: each command's handler, help line and options."""
+    return {
+        "compute": Command(_cmd_compute, "evaluate a moment sum", (
+            Option("sum", str, ("A", "Aprime"), REQUIRED),
+            Option("k", int, default=REQUIRED),
+            Option("s", int, default=REQUIRED),
+            Option("j", int, default=0),
+            Option("engine", str, ENGINE_NAMES, "rec"),
+            Option("format", str, FORMATS, "text"),
+        )),
+        "verify": Command(_cmd_verify, "check a claim index by index", (
+            Option("claim", str, default=REQUIRED,
+                   help="a registered claim; another name is a usage error"),
+            Option("kmax", int),
+            Option("engines", str,
                    help="comma-separated subset of the engines the claim supports "
-                        f"({','.join(ENGINES)}); another engine is a usage error")
-    p.add_argument("--deep", action="store_true",
-                   help="extend default ranges (theorem1/case4l to 100)")
-    p.add_argument("--format", choices=FORMATS, default="text")
-    p.set_defaults(func=_cmd_verify)
+                        f"({','.join(ENGINES)}); another engine is a usage error"),
+            Option("deep", bool, default=False,
+                   help="extend default ranges (theorem1/case4l to 100)"),
+            Option("format", str, FORMATS, "text"),
+        )),
+        "prove": Command(_cmd_prove, "finite recurrence certification of a claim", (
+            Option("claim", str, default=REQUIRED,
+                   help="a claim with a registered root-set spec; another is a usage error"),
+            Option("window", int,
+                   help="corroboration window (default 2x the annihilator degree)"),
+            Option("format", str, FORMATS, "text"),
+        )),
+        "bench": Command(_cmd_bench, "time an engine at a given index", (
+            Option("k", int, default=REQUIRED),
+            Option("s", int, default=REQUIRED),
+            Option("engine", str, ENGINE_NAMES, "closed"),
+        )),
+    }
 
-    p = sub.add_parser("prove", help="finite recurrence certification of a claim")
-    p.add_argument("--claim", required=True,
-                   help="a claim with a registered root-set spec; another is a usage error")
-    p.add_argument("--window", type=int, default=None,
-                   help="corroboration window (default 2x the annihilator degree)")
-    p.add_argument("--format", choices=FORMATS, default="text")
-    p.set_defaults(func=_cmd_prove)
 
-    p = sub.add_parser("bench", help="time an engine at a given index")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--engine", choices=ENGINE_NAMES, default="closed")
-    p.set_defaults(func=_cmd_bench)
+def parse_args(argv: list[str] | None = None) -> SimpleNamespace:
+    """argv's command and its option values, read left to right as argparse read them.
 
-    return parser
+    Returns a namespace of ``command`` and every option of that command.
+    On ``-h``/``--help`` it prints help to stdout and raises SystemExit(0);
+    on any other input it cannot read it prints a usage line and an
+    ``error:`` line naming the token to stderr and raises SystemExit(2).
+    """
+    commands = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    unknown = []  # tokens nothing asks for, an error once the command has parsed
+    command = None
+    for at, token in enumerate(argv):
+        spelled = None if token == "--" else _spelled(token, HELP, None)
+        if spelled is None:  # the command, which a "--" with nothing after it is not
+            command = token if token != "--" or at + 1 < len(argv) else None
+            break
+        if spelled[0] is None:
+            unknown.append(token)
+        else:
+            _help(None, spelled[1])
+    if command is None:
+        _fail(None, "the following arguments are required: command")
+    if command not in commands:
+        _fail(None, f"argument command: invalid choice: {command!r} "
+                    f"(choose from {', '.join(map(repr, commands))})")
+
+    options = {f"--{o.name}": o for o in commands[command].options}
+    names = (*HELP, *options)
+    values = {o.name: o.default for o in options.values()}
+    tokens = iter(argv[at + 1:])
+    for token in tokens:
+        if token == "--":  # what follows it is all values, and no option takes them
+            unknown += [token, *tokens]
+            break
+        name, explicit = _spelled(token, names, command) or (None, None)
+        if name is None:
+            unknown.append(token)
+            continue
+        if name in HELP:
+            _help(command, explicit)
+        option = options[name]
+        if option.kind is bool:
+            if explicit is not None:
+                _fail(command, f"argument {name}: ignored explicit argument {explicit!r}")
+            values[option.name] = True
+            continue
+        if explicit is None:
+            explicit = next(tokens, "--")
+            if explicit == "--" or _spelled(explicit, names, command) is not None:
+                _fail(command, f"argument {name}: expected one argument")
+        values[option.name] = _value(command, option, explicit)
+    missing = [f"--{name}" for name, value in values.items() if value is REQUIRED]
+    if missing:
+        _fail(command, f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        _fail(None, f"unrecognized arguments: {' '.join(unknown)}")
+    return SimpleNamespace(command=command, **values)
+
+
+def _spelled(token: str, names: tuple[str, ...],
+             command: str | None) -> tuple[str | None, str | None] | None:
+    """What token is among the option names of command: None for a value, else
+    (its name or None for an unknown option, its ``=value`` or None).
+
+    A long option may be cut to a unique prefix.  A token starting with ``-`` is
+    a value if it is ``-`` alone, a negative number or holds a space.
+    """
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in names:
+        return token, None
+    name, eq, explicit = token.partition("=")
+    if not eq:
+        explicit = None
+    elif name in names:
+        return name, explicit
+    if token[1] == "-":
+        matches = [n for n in names if n.startswith(name)]
+        if len(matches) > 1:
+            _fail(command, f"ambiguous option: {token} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], explicit
+    whole, dot, fraction = token[1:].partition(".")  # -D, -D.D or -.D
+    negative_number = (whole.isdecimal() and not dot
+                       or fraction.isdecimal() and (not whole or whole.isdecimal()))
+    if negative_number or " " in token:
+        return None
+    return None, None
+
+
+def _value(command: str, option: Option, text: str):
+    try:
+        value = option.kind(text)
+    except ValueError:
+        _fail(command, f"argument --{option.name}: invalid {option.kind.__name__} value: {text!r}")
+    if option.choices is not None and value not in option.choices:
+        _fail(command, f"argument --{option.name}: invalid choice: {value!r} "
+                       f"(choose from {', '.join(map(repr, option.choices))})")
+    return value
+
+
+def _option_text(option: Option) -> str:
+    if option.kind is bool:
+        return f"--{option.name}"
+    if option.choices is not None:
+        return f"--{option.name} {{{','.join(option.choices)}}}"
+    return f"--{option.name} {option.name.upper()}"
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: nicom [-h] {{{','.join(build_parser())}}} ..."
+    words = [f"usage: nicom {command} [-h]"]
+    for option in build_parser()[command].options:
+        text = _option_text(option)
+        words.append(text if option.default is REQUIRED else f"[{text}]")
+    return " ".join(words)
+
+
+def _help(command: str | None, explicit: str | None) -> NoReturn:
+    """Print the top-level help (command None) or a command's, and exit 0."""
+    if explicit is not None:
+        _fail(command, f"argument -h/--help: ignored explicit argument {explicit!r}")
+    commands = build_parser()
+    flags = [("-h, --help", "show this help message and exit")]
+    if command is None:
+        about = "Exact golden-ratio Beatty moment sums and identity verification"
+        sections = {"commands": [(name, c.help) for name, c in commands.items()],
+                    "options": flags}
+    else:
+        about = commands[command].help
+        options = commands[command].options
+        sections = {"options": flags + [(_option_text(o), o.help) for o in options]}
+    lines = [_usage(command), "", about]
+    for title, rows in sections.items():
+        lines += ["", f"{title}:"]
+        # each help text from column 24, as argparse set it
+        lines += [((f"  {left:<22}" if len(left) < 22 else f"  {left}\n{'':24}") + right).rstrip()
+                  for left, right in rows]
+    print("\n".join(lines))
+    raise SystemExit(EXIT_OK)
+
+
+def _fail(command: str | None, message: str) -> NoReturn:
+    prog = "nicom" if command is None else f"nicom {command}"
+    print(f"{_usage(command)}\n{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+        return exc.code
     try:
-        return args.func(args)
+        return build_parser()[args.command].handler(args)
     except BruteForceGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD

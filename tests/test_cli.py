@@ -268,8 +268,60 @@ def test_bench_brute_beyond_guard(capsys):
     assert code == EXIT_GUARD
 
 
-def test_unknown_subcommand(capsys):
-    assert run(capsys, "frobnicate")[0] == EXIT_USAGE
+BENCH = ("bench", "--k", "3", "--s", "1")
+
+
+@pytest.mark.parametrize("argv, token", [
+    ((), "command"),  # no command
+    (("frobnicate",), "'frobnicate'"),
+    ((*BENCH, "--bogus"), "--bogus"),
+    (("bench", "--k", "3", "--s"), "--s"),  # no value
+    (("bench", "--k", "x", "--s", "1"), "'x'"),
+    ((*BENCH, "--engine", "fast"), "'fast'"),
+    (("bench", "--k", "3"), "--s"),  # a required option left out
+])
+def test_each_usage_error_names_its_token(capsys, argv, token):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: nicom")
+    assert error.startswith("nicom") and ": error: " in error and token in error, error
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (("--help",), "usage: nicom [-h] {compute,verify,prove,bench} ...\n"),
+    (("compute", "-h"), "usage: nicom compute [-h] --sum {A,Aprime} --k K --s S [--j J] "),
+])
+def test_help_prints_usage_to_stdout(capsys, argv, usage):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    assert out.startswith(usage)
+
+
+@pytest.mark.parametrize("argv, parsed", [
+    # an option cut to a unique prefix, with its value after "="
+    ((*BENCH, "--eng=closed"), {"engine": "closed"}),
+    # a negative number is a value, so --k -1 reaches compute's own check
+    (("compute", "--sum", "A", "--k", "-1", "--s", "0"), {"k": -1}),
+    # the last of a repeated option wins
+    ((*BENCH, "--s", "3", "--s", "2"), {"s": 2}),
+])
+def test_options_parse_as_argparse_parsed_them(argv, parsed):
+    args = vars(cli.parse_args(list(argv)))
+    assert {name: args[name] for name in parsed} == parsed
+
+
+@pytest.mark.parametrize("argv", [
+    ("--", *BENCH),
+    (*BENCH, "--"),
+    ("bench", "--k", "3", "--", "--s", "1"),
+    ("bench", "--k", "--", "--s", "1"),
+])
+def test_a_double_dash_is_a_usage_error(capsys, argv):
+    # no command takes a positional argument, so nothing may follow "--"
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert ": error: " in err
 
 
 @contextlib.contextmanager
@@ -585,6 +637,8 @@ def test_claim_choices_come_from_the_registry(capsys, monkeypatch):
     (("verify", "--claim", "nope"), "known: lemma2, lemma3, lemma4, theorem1, theorem6, case4l, "
                                     "nicomachus, fact-identities"),
     (("prove", "--claim", "nicomachus"), "provable claims: lemma2, lemma3, lemma4, theorem1"),
+    # "--" as an explicit value is the claim's name (argparse read it as an empty list)
+    (("verify", "--claim=--"), "unknown claim '--'"),
 ])
 def test_unknown_or_unprovable_claim_is_a_usage_error(capsys, argv, registry_text):
     code, out, err = run(capsys, *argv)

@@ -1,12 +1,14 @@
 """What a fresh ``nicom`` process loads.
 
-Importing ``nicom.cli`` and building its parser, which every CLI command
-does first, loads ``nicom.cli`` and the five modules ``compute`` and
+Importing ``nicom.cli`` and building its command table, which every CLI
+command does first, loads ``nicom.cli`` and the five modules ``compute`` and
 ``bench`` run (``fib_lucas``, ``beatty_floor``, ``closed_forms``,
 ``moment_sums`` and ``decimal_text``), and none of ``verify_suite``,
 ``recurrence_prover`` and ``qratio``, which ``verify`` and ``prove`` load
-at their first use.  Nor does it load ``dataclasses``, ``inspect``,
-``json``, ``csv``, ``fractions`` or ``decimal``; each of the last four
+at their first use.  Nor does it load ``argparse``, or ``gettext`` and
+``locale``, which argparse loads: ``cli`` parses argv from its own
+command table.  Nor does it load ``dataclasses``, ``inspect``, ``json``,
+``csv``, ``fractions`` or ``decimal``; each of the last four
 loads when its first user runs: ``decimal`` when ``decimal_str`` converts
 a value above ``decimal_text._JOIN_BITS`` bits, or a closed ``compute``
 bounds its value above ``cli.DECIMAL_RING_BITS``, the same 49,152 bits.
@@ -24,7 +26,8 @@ import pytest
 import nicom
 
 SRC = str(Path(nicom.__file__).parent.parent)
-WATCHED = ("dataclasses", "inspect", "json", "csv", "fractions", "decimal")
+WATCHED = ("argparse", "gettext", "locale", "dataclasses", "inspect", "json", "csv",
+           "fractions", "decimal")
 # the nicom modules importing nicom.cli loads, and those verify and prove add
 CLI_MODULES = ",".join(f"nicom.{m}" for m in (
     "beatty_floor", "cli", "closed_forms", "decimal_text", "fib_lucas", "moment_sums"))
