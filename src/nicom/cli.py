@@ -142,7 +142,7 @@ def _cmd_prove(args) -> int:
 
     certs = verify_suite.prove_claim(args.claim, extra_window=args.window)
     if args.format == "json":
-        print(canonical_json([c.to_dict() for c in certs]))
+        print(canonical_json([c._asdict() for c in certs]))
     elif args.format == "csv":
         columns = [f for f in Certificate._fields if f != "root_containment"]
         _print_csv([columns] + [[getattr(c, f) for f in columns] for c in certs])

@@ -5,12 +5,12 @@ simple and lie in a known finite set of golden-ratio powers are identical
 as soon as they agree on d consecutive terms, where d is the size of the
 root set.  This module supplies
 
-* root sets of signed golden-ratio powers, each root sign*phi^l held as
-  the pair (sign, l),
-* their characteristic polynomials as lists of integer factors: a root
-  sign*phi^l and its conjugate sign*(-1)^l*phi^(-l) are the two roots of
-  the quadratic x^2 - sign*L_l*x + (-1)^l, and a root sign*phi^0 gives
-  x - sign,
+* root sets of signed golden-ratio powers, closed under conjugation and
+  each given by one root per conjugate pair: the pair (sign, l) with
+  l >= 0 stands for sign*phi^l and its conjugate sign*(-1)^l*phi^(-l),
+* their characteristic polynomials as lists of integer factors: the pair
+  (sign, l) gives the quadratic x^2 - sign*L_l*x + (-1)^l, whose two roots
+  those are, and (sign, 0) gives x - sign,
 * ``term_count``, the number of terms a certification reads, and
 * ``certify_identity``, which reads the two sequences as one sequence of
   (lhs, rhs) pairs, checks the d initial agreements and that the
@@ -35,67 +35,40 @@ EVEN_PHI_POWERS = "even-phi-powers"
 QUARTIC_PHI_POWERS = "quartic-phi-powers"
 TWICE_ODD_PHI_POWERS = "twice-odd-phi-powers"
 
-# Root-set shapes: each maps its bound B to its roots as (sign, l) pairs.
+# Root-set shapes: each maps its bound B to one (sign, l) pair, l >= 0, per conjugate
+# pair of roots; at l = 0 the pair is the one root sign.
 _SHAPES = {
     # {+phi^l, -phi^l : |l| <= B}, 2(2B+1) roots
-    SIGNED_PHI_POWERS: lambda b: [(sign, l) for l in range(-b, b + 1) for sign in (1, -1)],
+    SIGNED_PHI_POWERS: lambda b: [(sign, l) for l in range(b + 1) for sign in (1, -1)],
     # {phi^(2l) : |l| <= B}, 2B+1 roots
-    EVEN_PHI_POWERS: lambda b: [(1, 2 * l) for l in range(-b, b + 1)],
+    EVEN_PHI_POWERS: lambda b: [(1, 2 * l) for l in range(b + 1)],
     # {phi^(4l) : |l| <= B}, 2B+1 roots
-    QUARTIC_PHI_POWERS: lambda b: [(1, 4 * l) for l in range(-b, b + 1)],
-    # {phi^(2l) : l odd, |l| <= B}, B+1 roots, B odd
-    TWICE_ODD_PHI_POWERS: lambda b: [(1, 2 * l) for l in range(-b, b + 1) if l % 2],
+    QUARTIC_PHI_POWERS: lambda b: [(1, 4 * l) for l in range(b + 1)],
+    # {phi^(2l) : l odd, |l| <= B}, B+1 roots for an odd B
+    TWICE_ODD_PHI_POWERS: lambda b: [(1, 2 * l) for l in range(1, b + 1, 2)],
 }
 
 
-class _RootSet(NamedTuple):
+class RootSetSpec(NamedTuple):
+    """Symbolic description of a finite set of golden-ratio-power roots: a shape and its bound."""
+
     shape: str
     bound: int
 
 
-class RootSetSpec(_RootSet):
-    """Symbolic description of a finite set of golden-ratio-power roots."""
-
-    __slots__ = ()
-
-    def __new__(cls, shape: str, bound: int) -> RootSetSpec:
-        if shape not in _SHAPES:
-            raise ValueError(f"unknown root-set shape {shape!r}")
-        if bound < 0:
-            raise ValueError(f"bound must be nonnegative, got {bound}")
-        if shape == TWICE_ODD_PHI_POWERS and bound % 2 == 0:
-            raise ValueError("twice-odd-phi-powers needs an odd bound")
-        return super().__new__(cls, shape, bound)
-
-    def roots(self) -> list[tuple[int, int]]:
-        """The roots as (sign, l) pairs, each standing for sign * phi^l."""
-        return _SHAPES[self.shape](self.bound)
+def _degree(spec: RootSetSpec) -> int:
+    """d, the size of the spec's root set: 2 per conjugate pair, 1 at l = 0."""
+    return sum(2 if l else 1 for _, l in _SHAPES[spec.shape](spec.bound))
 
 
 def _factors(spec: RootSetSpec) -> list[tuple[int, ...]]:
     """The integer factors of prod (x - alpha) over the spec's root set, constant term first.
 
-    A root sign*phi^l with l > 0 gives the factor x^2 - sign*L_l*x + (-1)^l,
-    whose other root is its conjugate (sign*(-1)^l, -l), skipped when met;
-    a root sign*phi^0 gives x - sign.  A root whose conjugate is not in the
-    set would leave a factor outside Z[x]; that means an internal bug and
-    raises.
+    The pair (sign, l) with l > 0 gives x^2 - sign*L_l*x + (-1)^l, whose
+    roots are sign*phi^l and its conjugate; (sign, 0) gives x - sign.
     """
-    roots = spec.roots()
-    present = set(roots)
-    factors = []
-    for sign, l in roots:
-        odd = l % 2
-        if (-sign if odd else sign, -l) not in present:
-            raise ArithmeticError(
-                f"root set {spec} is not Galois-stable: the conjugate of "
-                f"{sign}*phi^{l} is missing"
-            )
-        if l > 0:
-            factors.append((-1 if odd else 1, -sign * lucas(l), 1))
-        elif l == 0:
-            factors.append((-sign, 1))
-    return factors
+    return [(-1 if l % 2 else 1, -sign * lucas(l), 1) if l else (-sign, 1)
+            for sign, l in _SHAPES[spec.shape](spec.bound)]
 
 
 def _filter(terms: Sequence[int], factor: tuple[int, ...]) -> list[int]:
@@ -108,7 +81,7 @@ def _filter(terms: Sequence[int], factor: tuple[int, ...]) -> list[int]:
 
 def term_count(spec: RootSetSpec, extra_window: int | None = None) -> int:
     """d + window, the terms ``certify_identity`` reads: d the root count, window 2d by default."""
-    d = len(spec.roots())
+    d = _degree(spec)
     window = 2 * d if extra_window is None else extra_window
     if window < 1:
         raise ValueError("extra_window must be at least 1")
@@ -136,9 +109,6 @@ class Certificate(NamedTuple):
     def certified(self) -> bool:
         return self.verdict == "certified"
 
-    def to_dict(self) -> dict:
-        return self._asdict()
-
 
 def certify_identity(
     claim: str,
@@ -160,7 +130,7 @@ def certify_identity(
     Equal term lists are filtered once.
     """
     factors = _factors(spec)
-    d = len(spec.roots())
+    d = _degree(spec)
     total = term_count(spec, extra_window)
 
     lhs_terms, rhs_terms = zip(*(sides(i) for i in range(1, total + 1)))

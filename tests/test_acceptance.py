@@ -125,8 +125,8 @@ def test_criterion_6_proof_certificates():
             "theorem1/mod4=2": 21,
             "theorem1/mod4=3": 22,
         }
-        # every characteristic polynomial is a product of integer factors
-        # whose degrees sum to its documented degree (_factors raises otherwise)
+        # every characteristic polynomial is a product of integer factors,
+        # one per conjugate pair of roots, whose degrees sum to its documented degree
         for certs in (lemma2, theorem1):
             for c in certs:
                 factors = _factors(RootSetSpec(c.shape, c.bound))

@@ -10,8 +10,10 @@ from nicom.recurrence_prover import (
     SIGNED_PHI_POWERS,
     TWICE_ODD_PHI_POWERS,
     RootSetSpec,
+    _SHAPES,
     _factors,
     certify_identity,
+    term_count,
 )
 
 
@@ -36,34 +38,6 @@ def annihilated(spec, term):
     return certify_identity("self", lambda k: (term(k),) * 2, spec).certified
 
 
-class TestRootSetSpec:
-    def test_cardinalities(self):
-        assert len(RootSetSpec(SIGNED_PHI_POWERS, 2).roots()) == 10
-        assert len(RootSetSpec(EVEN_PHI_POWERS, 4).roots()) == 9
-        assert len(RootSetSpec(QUARTIC_PHI_POWERS, 10).roots()) == 21
-        assert len(RootSetSpec(TWICE_ODD_PHI_POWERS, 21).roots()) == 22
-
-    def test_roots_match_cardinality(self):
-        # 2(2B+1), 2B+1, 2B+1 and B+1 roots
-        for spec, size in (
-            (RootSetSpec(SIGNED_PHI_POWERS, 3), 14),
-            (RootSetSpec(EVEN_PHI_POWERS, 5), 11),
-            (RootSetSpec(QUARTIC_PHI_POWERS, 4), 9),
-            (RootSetSpec(TWICE_ODD_PHI_POWERS, 7), 8),
-        ):
-            roots = spec.roots()
-            assert len(roots) == size
-            assert len(set(roots)) == len(roots)
-
-    def test_invalid_specs(self):
-        with pytest.raises(ValueError):
-            RootSetSpec("cubic-phi-powers", 2)
-        with pytest.raises(ValueError):
-            RootSetSpec(SIGNED_PHI_POWERS, -1)
-        with pytest.raises(ValueError):
-            RootSetSpec(TWICE_ODD_PHI_POWERS, 4)  # bound must be odd
-
-
 class TestCharPoly:
     def test_examples(self):
         assert char_poly(RootSetSpec(EVEN_PHI_POWERS, 1)) == (-1, 4, -4, 1)
@@ -71,14 +45,20 @@ class TestCharPoly:
         assert char_poly(RootSetSpec(SIGNED_PHI_POWERS, 0)) == (-1, 0, 1)
 
     def test_degree_matches_cardinality(self):
-        for shape, bound in [
-            (SIGNED_PHI_POWERS, 2),
-            (EVEN_PHI_POWERS, 4),
-            (QUARTIC_PHI_POWERS, 10),
-            (TWICE_ODD_PHI_POWERS, 21),
-        ]:
-            spec = RootSetSpec(shape, bound)
-            assert len(char_poly(spec)) - 1 == len(spec.roots())
+        # 2(2B+1), 2B+1, 2B+1 and B+1 roots; the twice-odd set takes odd bounds only
+        for shape, size, bounds in (
+            (SIGNED_PHI_POWERS, lambda b: 2 * (2 * b + 1), range(6)),
+            (EVEN_PHI_POWERS, lambda b: 2 * b + 1, range(6)),
+            (QUARTIC_PHI_POWERS, lambda b: 2 * b + 1, range(6)),
+            (TWICE_ODD_PHI_POWERS, lambda b: b + 1, range(1, 6, 2)),
+        ):
+            for bound in bounds:
+                spec = RootSetSpec(shape, bound)
+                pairs = _SHAPES[shape](bound)
+                assert len(set(pairs)) == len(pairs)
+                cert = certify_identity("zero", lambda k: (0, 0), spec, extra_window=1)
+                assert cert.degree == size(bound) == len(char_poly(spec)) - 1, (shape, bound)
+                assert term_count(spec, extra_window=1) == cert.degree + 1
 
     def test_reciprocal_root_sets_give_palindromes(self):
         # roots come in reciprocal pairs with product 1, so the coefficient
@@ -109,10 +89,10 @@ class TestCharPolyRoots:
         (TWICE_ODD_PHI_POWERS, 3),
     ])
     def test_every_root_is_a_root(self, shape, bound):
+        # trace(sign, l) is the power sums of a conjugate pair, so this reads both roots
         spec = RootSetSpec(shape, bound)
-        for sign, l in spec.roots():
-            if l >= 0:
-                assert annihilated(spec, trace(sign, l)), (sign, l)
+        for sign, l in _SHAPES[shape](bound):
+            assert annihilated(spec, trace(sign, l)), (sign, l)
 
     @pytest.mark.parametrize("shape, bound, sign, l", [
         (SIGNED_PHI_POWERS, 2, 1, 3),
@@ -128,14 +108,6 @@ class TestCharPolyRoots:
     ])
     def test_a_root_just_outside_is_not(self, shape, bound, sign, l):
         assert not annihilated(RootSetSpec(shape, bound), trace(sign, l))
-
-    def test_a_root_without_its_conjugate_raises(self, monkeypatch):
-        monkeypatch.setattr(RootSetSpec, "roots", lambda self: [(1, 1)])
-        read = []
-        with pytest.raises(ArithmeticError):
-            certify_identity("x", lambda k: read.append(k) or (0, 0),
-                             RootSetSpec(SIGNED_PHI_POWERS, 0))
-        assert read == []  # before any term is read
 
 
 class TestAnnihilates:
@@ -230,7 +202,7 @@ class TestCertify:
             lambda k: (table.a(k, 1, 0), cf.lemma2_a(k)),
             RootSetSpec(SIGNED_PHI_POWERS, 2),
         )
-        d = cert.to_dict()
+        d = cert._asdict()
         assert d["claim"] == "first-moment"
         assert d["shape"] == SIGNED_PHI_POWERS
         assert d["bound"] == 2
@@ -242,7 +214,7 @@ class TestCertify:
     def test_certificate_dict_lists_every_field_in_order(self, rhs, verdict, agreed):
         cert = certify_identity("fib", lambda k: (fib(k), rhs(k)),
                                 RootSetSpec(SIGNED_PHI_POWERS, 2), extra_window=5)
-        assert list(cert.to_dict().items()) == [
+        assert list(cert._asdict().items()) == [
             ("claim", "fib"), ("shape", SIGNED_PHI_POWERS), ("bound", 2), ("degree", 10),
             ("agreed_terms", agreed), ("window", 5), ("verdict", verdict),
             ("root_containment", "structural (trusted input)")]
