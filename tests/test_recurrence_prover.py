@@ -11,6 +11,7 @@ from nicom.recurrence_prover import (
     TWICE_ODD_PHI_POWERS,
     RootSetSpec,
     _SHAPES,
+    _degree,
     _factors,
     certify_identity,
     term_count,
@@ -36,6 +37,40 @@ def annihilated(spec, term):
     over 3d terms.
     """
     return certify_identity("self", lambda k: (term(k),) * 2, spec).certified
+
+
+def roots(spec):
+    """The spec's roots as (sign, e) for sign*phi^e: each listed pair and its conjugate."""
+    out = []
+    for sign, l in _SHAPES[spec.shape](spec.bound):
+        out.append((sign, l))
+        if l:
+            # the conjugate of sign*phi^l is sign*(-1/phi)^l = sign*(-1)^l*phi^(-l)
+            out.append((sign * (-1) ** l, -l))
+    return out
+
+
+class TestRootSetSpec:
+    def test_cardinalities(self):
+        for spec, size in (
+            (RootSetSpec(SIGNED_PHI_POWERS, 2), 10),
+            (RootSetSpec(EVEN_PHI_POWERS, 4), 9),
+            (RootSetSpec(QUARTIC_PHI_POWERS, 10), 21),
+            (RootSetSpec(TWICE_ODD_PHI_POWERS, 21), 22),
+        ):
+            assert _degree(spec) == len(roots(spec)) == size, spec
+
+    def test_roots_match_cardinality(self):
+        # 2(2B+1), 2B+1, 2B+1 and B+1 roots
+        for spec, size in (
+            (RootSetSpec(SIGNED_PHI_POWERS, 3), 14),
+            (RootSetSpec(EVEN_PHI_POWERS, 5), 11),
+            (RootSetSpec(QUARTIC_PHI_POWERS, 4), 9),
+            (RootSetSpec(TWICE_ODD_PHI_POWERS, 7), 8),
+        ):
+            listed = roots(spec)
+            assert len(listed) == size == _degree(spec)
+            assert len(set(listed)) == len(listed)
 
 
 class TestCharPoly:
