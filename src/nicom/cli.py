@@ -1,23 +1,24 @@
 """Command-line front end: compute, verify, prove, bench.
 
-Exit codes: 0 success/pass, 1 verification failure or refutation,
-2 usage error, 3 resource guard exceeded, or a verify left inconclusive
-because it compared only empty sums.  JSON output renders big integers
+Exit codes: 0 success/pass, 1 verification failure or refutation, or a
+reader that closed stdout before the output was all written, 2 usage
+error, 3 resource guard exceeded, or a verify left inconclusive because it
+compared only empty sums.  JSON output renders big integers
 as decimal strings.
 
 ``build_parser`` returns the command table, built once per process: each
 command's handler, help line and options, and each option's name, kind
 (int, string or flag), choices and default or ``REQUIRED``.  It is the one
-place an option is spelled, and ``parse_args`` and the help read it.
-``parse_args`` reads argv left to right by the rules argparse applied to
-this command line: ``--name value`` or ``--name=value``, a long option cut
-to a unique prefix, a value starting with ``-`` only if it is a negative
-number or holds a space, ``int()`` for int options, the last of a repeated
-option; no command takes a positional, so ``--`` and what follows it are an
-error.  It returns a namespace the ``_cmd_*`` handlers read as
-``args.<name>``.
-``-h``/``--help`` prints help and exits 0; any other input it cannot read
-prints a ``usage:`` and an ``error:`` line naming the token and exits 2.
+place an option is spelled.  ``parse_args`` reads argv on one of two paths.
+The table path reads a known command followed only by exact option names,
+each flag bare and each other option followed by one value.  Every value
+must not start with ``-``, must pass ``int()`` for an int option and must
+be among the option's choices, and every required option must be given.
+Any other argv goes to an ``argparse`` parser built from the same table,
+and ``argparse`` is imported only then.  It reads unique prefixes, ``--name=value``, negative numbers and ``--``;
+``-h``/``--help`` prints help and exits 0, and any other input it cannot
+read prints a ``usage:`` and an ``error:`` line and exits 2.  Either path
+returns a namespace the ``_cmd_*`` handlers read as ``args.<name>``.
 The table holds no copy of the claim registry: ``verify_suite`` checks
 ``--claim`` against ``CLAIMS`` as it stands at each call, and an unknown or
 unprovable claim exits 2.  The ``--format`` choices are ``FORMATS``, and
@@ -39,10 +40,11 @@ evaluates on ints and prints ``decimal_digest``.
 from __future__ import annotations
 
 import functools
+import os
 import sys
 from time import perf_counter
 from types import SimpleNamespace
-from typing import Callable, Collection, NamedTuple, NoReturn
+from typing import Callable, Collection, NamedTuple
 
 from .closed_forms import ClosedEngine, moment_bits
 from .decimal_text import decimal_digest, decimal_str, exact_context
@@ -192,7 +194,6 @@ class Command(NamedTuple):
 
 
 REQUIRED = object()  # the default of an option that has none
-HELP = ("-h", "--help")
 
 
 @functools.cache
@@ -233,154 +234,64 @@ def build_parser() -> dict[str, Command]:
     }
 
 
-def parse_args(argv: list[str] | None = None) -> SimpleNamespace:
-    """argv's command and its option values, read left to right as argparse read them.
-
-    Returns a namespace of ``command`` and every option of that command.
-    On ``-h``/``--help`` it prints help to stdout and raises SystemExit(0);
-    on any other input it cannot read it prints a usage line and an
-    ``error:`` line naming the token to stderr and raises SystemExit(2).
-    """
-    commands = build_parser()
+def parse_args(argv: list[str] | None = None):
+    """argv's command and its option values, as a namespace of ``command`` and
+    every option of that command: from the table when argv is spelled exactly,
+    else from ``_argparse`` (see the module docstring)."""
     argv = sys.argv[1:] if argv is None else argv
-    unknown = []  # tokens nothing asks for, an error once the command has parsed
-    command = None
-    for at, token in enumerate(argv):
-        spelled = None if token == "--" else _spelled(token, HELP, None)
-        if spelled is None:  # the command, which a "--" with nothing after it is not
-            command = token if token != "--" or at + 1 < len(argv) else None
-            break
-        if spelled[0] is None:
-            unknown.append(token)
+    command = build_parser().get(argv[0]) if argv else None
+    if command is not None:
+        options = {f"--{o.name}": o for o in command.options}
+        values = {o.name: o.default for o in command.options}
+        tokens = iter(argv[1:])
+        for token in tokens:
+            option = options.get(token)
+            if option is None:
+                break
+            if option.kind is bool:
+                values[option.name] = True
+                continue
+            text = next(tokens, "-")  # a missing value is argparse's to report
+            if text[:1] == "-":
+                break
+            try:
+                value = option.kind(text)
+            except ValueError:
+                break
+            if option.choices is not None and value not in option.choices:
+                break
+            values[option.name] = value
         else:
-            _help(None, spelled[1])
-    if command is None:
-        _fail(None, "the following arguments are required: command")
-    if command not in commands:
-        _fail(None, f"argument command: invalid choice: {command!r} "
-                    f"(choose from {', '.join(map(repr, commands))})")
-
-    options = {f"--{o.name}": o for o in commands[command].options}
-    names = (*HELP, *options)
-    values = {o.name: o.default for o in options.values()}
-    tokens = iter(argv[at + 1:])
-    for token in tokens:
-        if token == "--":  # what follows it is all values, and no option takes them
-            unknown += [token, *tokens]
-            break
-        name, explicit = _spelled(token, names, command) or (None, None)
-        if name is None:
-            unknown.append(token)
-            continue
-        if name in HELP:
-            _help(command, explicit)
-        option = options[name]
-        if option.kind is bool:
-            if explicit is not None:
-                _fail(command, f"argument {name}: ignored explicit argument {explicit!r}")
-            values[option.name] = True
-            continue
-        if explicit is None:
-            explicit = next(tokens, "--")
-            if explicit == "--" or _spelled(explicit, names, command) is not None:
-                _fail(command, f"argument {name}: expected one argument")
-        values[option.name] = _value(command, option, explicit)
-    missing = [f"--{name}" for name, value in values.items() if value is REQUIRED]
-    if missing:
-        _fail(command, f"the following arguments are required: {', '.join(missing)}")
-    if unknown:
-        _fail(None, f"unrecognized arguments: {' '.join(unknown)}")
-    return SimpleNamespace(command=command, **values)
+            if REQUIRED not in values.values():
+                return SimpleNamespace(command=argv[0], **values)
+    return _argparse(argv)
 
 
-def _spelled(token: str, names: tuple[str, ...],
-             command: str | None) -> tuple[str | None, str | None] | None:
-    """What token is among the option names of command: None for a value, else
-    (its name or None for an unknown option, its ``=value`` or None).
+def _argparse(argv: list[str]):
+    """argv read by an argparse parser built from the command table: help and usage errors."""
+    import argparse
 
-    A long option may be cut to a unique prefix.  A token starting with ``-`` is
-    a value if it is ``-`` alone, a negative number or holds a space.
-    """
-    if token[:1] != "-" or token == "-":
-        return None
-    if token in names:
-        return token, None
-    name, eq, explicit = token.partition("=")
-    if not eq:
-        explicit = None
-    elif name in names:
-        return name, explicit
-    if token[1] == "-":
-        matches = [n for n in names if n.startswith(name)]
-        if len(matches) > 1:
-            _fail(command, f"ambiguous option: {token} could match {', '.join(matches)}")
-        if matches:
-            return matches[0], explicit
-    whole, dot, fraction = token[1:].partition(".")  # -D, -D.D or -.D
-    negative_number = (whole.isdecimal() and not dot
-                       or fraction.isdecimal() and (not whole or whole.isdecimal()))
-    if negative_number or " " in token:
-        return None
-    return None, None
-
-
-def _value(command: str, option: Option, text: str):
-    try:
-        value = option.kind(text)
-    except ValueError:
-        _fail(command, f"argument --{option.name}: invalid {option.kind.__name__} value: {text!r}")
-    if option.choices is not None and value not in option.choices:
-        _fail(command, f"argument --{option.name}: invalid choice: {value!r} "
-                       f"(choose from {', '.join(map(repr, option.choices))})")
-    return value
-
-
-def _option_text(option: Option) -> str:
-    if option.kind is bool:
-        return f"--{option.name}"
-    if option.choices is not None:
-        return f"--{option.name} {{{','.join(option.choices)}}}"
-    return f"--{option.name} {option.name.upper()}"
-
-
-def _usage(command: str | None) -> str:
-    if command is None:
-        return f"usage: nicom [-h] {{{','.join(build_parser())}}} ..."
-    words = [f"usage: nicom {command} [-h]"]
-    for option in build_parser()[command].options:
-        text = _option_text(option)
-        words.append(text if option.default is REQUIRED else f"[{text}]")
-    return " ".join(words)
-
-
-def _help(command: str | None, explicit: str | None) -> NoReturn:
-    """Print the top-level help (command None) or a command's, and exit 0."""
-    if explicit is not None:
-        _fail(command, f"argument -h/--help: ignored explicit argument {explicit!r}")
+    # wider than any usage line, so each stays on one line; help text starts at column 24
+    formatter = functools.partial(argparse.HelpFormatter, width=1 << 20)
+    parser = argparse.ArgumentParser(
+        prog="nicom", formatter_class=formatter,
+        description="Exact golden-ratio Beatty moment sums and identity verification")
+    sub = parser.add_subparsers(dest="command", required=True)
     commands = build_parser()
-    flags = [("-h, --help", "show this help message and exit")]
-    if command is None:
-        about = "Exact golden-ratio Beatty moment sums and identity verification"
-        sections = {"commands": [(name, c.help) for name, c in commands.items()],
-                    "options": flags}
-    else:
-        about = commands[command].help
-        options = commands[command].options
-        sections = {"options": flags + [(_option_text(o), o.help) for o in options]}
-    lines = [_usage(command), "", about]
-    for title, rows in sections.items():
-        lines += ["", f"{title}:"]
-        # each help text from column 24, as argparse set it
-        lines += [((f"  {left:<22}" if len(left) < 22 else f"  {left}\n{'':24}") + right).rstrip()
-                  for left, right in rows]
-    print("\n".join(lines))
-    raise SystemExit(EXIT_OK)
-
-
-def _fail(command: str | None, message: str) -> NoReturn:
-    prog = "nicom" if command is None else f"nicom {command}"
-    print(f"{_usage(command)}\n{prog}: error: {message}", file=sys.stderr)
-    raise SystemExit(EXIT_USAGE)
+    for name, command in commands.items():
+        p = sub.add_parser(name, help=command.help, description=command.help,
+                           formatter_class=formatter)
+        for o in command.options:
+            kind = ({"action": "store_true"} if o.kind is bool
+                    else {"type": o.kind, "choices": o.choices})
+            p.add_argument(f"--{o.name}", **kind, required=o.default is REQUIRED,
+                           default=o.default, help=o.help)
+    args = parser.parse_args(argv)
+    for o in commands[args.command].options:
+        # some argparse releases read --name=-- as an empty list
+        if not isinstance(getattr(args, o.name), (o.kind, type(None))):
+            sub.choices[args.command].error(f"argument --{o.name}: expected one argument")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -399,7 +310,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: send what is left to devnull, so that the
+        # interpreter's own flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_FAIL
+    sys.exit(code)
 
 
 if __name__ == "__main__":

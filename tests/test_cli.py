@@ -3,7 +3,10 @@ import csv
 import decimal
 import io
 import json
+import os
 import random
+import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -324,6 +327,20 @@ def test_a_double_dash_is_a_usage_error(capsys, argv):
     assert ": error: " in err
 
 
+def test_a_reader_that_closes_the_pipe_early_gets_exit_1_and_no_traceback():
+    # 3000 indices make about 140 KB of CSV, more than a pipe holds, so the CLI is
+    # still writing when the reader closes after the header
+    argv = ["verify", "--claim", "nicomachus", "--kmax", "3000", "--format", "csv"]
+    src = str(Path(cli.__file__).parent.parent)
+    proc = subprocess.Popen([sys.executable, "-m", "nicom.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.readline() == b"claim,k,lhs,rhs,equal\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (EXIT_FAIL, b"")
+
+
 @contextlib.contextmanager
 def int_digit_limit(digits):
     """Set the interpreter's int/str digit limit (0 lifts it), restoring it afterwards."""
@@ -637,13 +654,16 @@ def test_claim_choices_come_from_the_registry(capsys, monkeypatch):
     (("verify", "--claim", "nope"), "known: lemma2, lemma3, lemma4, theorem1, theorem6, case4l, "
                                     "nicomachus, fact-identities"),
     (("prove", "--claim", "nicomachus"), "provable claims: lemma2, lemma3, lemma4, theorem1"),
-    # "--" as an explicit value is the claim's name (argparse read it as an empty list)
-    (("verify", "--claim=--"), "unknown claim '--'"),
+    # "--" as an explicit value: argparse reads it as the claim's name or, in some
+    # releases, as no value at all
+    pytest.param(("verify", "--claim=--"),
+                 "unknown claim '--'|argument --claim: expected one argument",
+                 id="argv2-unknown claim '--'"),
 ])
 def test_unknown_or_unprovable_claim_is_a_usage_error(capsys, argv, registry_text):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (EXIT_USAGE, "")
-    assert registry_text in err
+    assert re.search(registry_text, err), err
 
 
 def test_reusing_the_parser_leaks_no_state(capsys):

@@ -1,19 +1,26 @@
 """``cli.parse_args`` against the argparse parser the CLI used before it.
 
-``reference_parser`` is that parser's definition, less the handlers it
-bound to each command, kept here and nowhere in ``src``.  Hypothesis draws token lists from a fixed alphabet: the
-commands, every option name and its prefixes, ``name=value`` forms,
-``-h``, ``--help``, ``--``, a bogus option and a few values.  Both parsers
-must give the same outcome for each list: the same values, the help of
-the same parser, or a usage error from the same parser.  The error text
-is not compared, since argparse words it differently across Python
-versions.
+``parse_args`` reads an exactly spelled argv from its command table and
+gives every other argv to an argparse parser built from the same table;
+both paths must read argv as the old parser did.  ``reference_parser`` is
+that parser's definition, less the handlers it bound to each command, kept
+here and nowhere in ``src``.  Hypothesis draws token lists from a fixed
+alphabet: the commands, every option name and its prefixes, ``name=value``
+forms, ``-h``, ``--help``, ``--``, a bogus option and a few values.  It also
+draws exactly spelled argvs, each a command with some of its options as
+``--name value``, so that the table path's own ``int()`` and choices rules
+meet the reference.  Both parsers must give the same outcome for each list:
+the same values, the help of the same parser, or a usage error from the
+same parser.  The error text is not compared, since argparse words it
+differently across Python versions.
 """
 
 import argparse
 import contextlib
+import importlib.util
 import io
 import itertools
+from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -134,6 +141,60 @@ ARGVS = st.builds(lambda base, cut, units: base[:cut] + list(itertools.chain(*un
 @example([])
 def test_the_table_parser_reads_argv_as_argparse_did(argv):
     assert outcome(cli.parse_args, argv) == outcome(REFERENCE.parse_args, argv)
+
+
+# values for an exactly spelled option: valid and wrong choices, and ints as int() reads them
+EXACT_VALUES = ["A", "Aprime", "json", "closed", "fast", "lemma2", "7", "007", " 3", "1_000",
+                "x", ""]
+
+
+def exactly_spelled(command):
+    """command followed by a random subset of its options, in a random order, each
+    spelled ``--name value`` and a flag bare."""
+    def spelled(option):
+        if option.kind is bool:
+            return st.just([f"--{option.name}"])
+        values = st.sampled_from([*(option.choices or ()), *EXACT_VALUES])
+        return values.map(lambda value: [f"--{option.name}", value])
+
+    options = cli.build_parser()[command].options
+    return st.lists(st.sampled_from(options), unique_by=lambda option: option.name).flatmap(
+        lambda chosen: st.tuples(*map(spelled, chosen))).map(
+        lambda pairs: [command, *itertools.chain(*pairs)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(COMMANDS).flatmap(exactly_spelled))
+@example(["compute", "--sum", "Aprime", "--k", "007", "--s", " 3", "--j", "1_000"])
+@example(["compute", "--format", "csv", "--engine", "brute", "--s", "0", "--k", "1", "--sum", "A"])
+@example(["verify", "--deep", "--claim", "x", "--kmax", " 3", "--engines", "", "--deep"])
+@example(["prove", "--window", "7", "--claim", "lemma2", "--format", "fast"])
+@example(["bench", "--k", "x", "--s", "3"])
+def test_exactly_spelled_argvs_read_as_argparse_did(argv):
+    assert outcome(cli.parse_args, argv) == outcome(REFERENCE.parse_args, argv)
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_benchmarks_requests_never_reach_argparse(monkeypatch):
+    def no_argparse(argv):
+        raise AssertionError(f"argparse read {argv}")
+
+    monkeypatch.setattr(cli, "_argparse", no_argparse)
+    workloads = load_workloads()
+    for workload in workloads.WORKLOADS:
+        for seed in (1, 2, 3):
+            requests = workloads.generate(workload, seed)
+            assert requests
+            for request in requests:
+                args = cli.parse_args(list(request["argv"]))
+                assert args.command == request["argv"][0]
 
 
 def test_the_alphabet_reaches_every_outcome():

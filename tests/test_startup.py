@@ -6,8 +6,9 @@ command does first, loads ``nicom.cli`` and the five modules ``compute`` and
 ``moment_sums`` and ``decimal_text``), and none of ``verify_suite``,
 ``recurrence_prover`` and ``qratio``, which ``verify`` and ``prove`` load
 at their first use.  Nor does it load ``argparse``, or ``gettext`` and
-``locale``, which argparse loads: ``cli`` parses argv from its own
-command table.  Nor does it load ``dataclasses``, ``inspect``, ``json``,
+``locale``, which argparse loads: ``cli`` reads an exactly spelled argv
+from its own command table, and loads argparse only for any other argv,
+such as a ``--help``.  Nor does it load ``dataclasses``, ``inspect``, ``json``,
 ``csv``, ``fractions`` or ``decimal``; each of the last four
 loads when its first user runs: ``decimal`` when ``decimal_str`` converts
 a value above ``decimal_text._JOIN_BITS`` bits, or a closed ``compute``
@@ -73,6 +74,7 @@ COMPUTE = "main(['compute', '--sum', 'A', '--k', '10', '--s', '1', '--engine', '
     ("main(['bench', '--k', '10', '--s', '1'])", "json"),
     ("main(['verify', '--claim', 'theorem1'])", VERIFY_STACK),
     ("main(['prove', '--claim', 'lemma2'])", VERIFY_STACK),
+    ("main(['compute', '--help'])", "argparse,gettext,locale"),
     (COMPUTE + ", '--format', 'json'])", "json"),
     ("main(['prove', '--claim', 'lemma2', '--format', 'json'])", "json," + VERIFY_STACK),
     (COMPUTE + ", '--format', 'csv'])", "csv"),
