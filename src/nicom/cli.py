@@ -15,10 +15,11 @@ each flag bare and each other option followed by one value.  Every value
 must not start with ``-``, must pass ``int()`` for an int option and must
 be among the option's choices, and every required option must be given.
 Any other argv goes to an ``argparse`` parser built from the same table,
-and ``argparse`` is imported only then.  It reads unique prefixes, ``--name=value``, negative numbers and ``--``;
-``-h``/``--help`` prints help and exits 0, and any other input it cannot
-read prints a ``usage:`` and an ``error:`` line and exits 2.  Either path
-returns a namespace the ``_cmd_*`` handlers read as ``args.<name>``.
+and ``argparse`` is imported only then.  It reads unique prefixes,
+``--name=value``, negative numbers and ``--``; ``-h``/``--help`` prints
+help and exits 0, and any other input it cannot read prints a ``usage:``
+and an ``error:`` line and exits 2.  Either path returns a namespace the
+``_cmd_*`` handlers read as ``args.<name>``.
 The table holds no copy of the claim registry: ``verify_suite`` checks
 ``--claim`` against ``CLAIMS`` as it stands at each call, and an unknown or
 unprovable claim exits 2.  The ``--format`` choices are ``FORMATS``, and
