@@ -28,10 +28,13 @@ unprovable claim exits 2.  The ``--format`` choices are ``FORMATS``, and
 
 ``compute --engine closed`` evaluates in one of two rings, chosen by
 ``closed_forms.moment_bits(k, s)``, an upper bound on the value's size:
-up to ``DECIMAL_RING_BITS`` bits on ints, printed by ``decimal_str``;
+up to ``DECIMAL_RING_BITS[s]`` bits on ints, printed by ``decimal_str``;
 above it in an exact ``Decimal`` context, whose ``str`` is a linear copy
-where ``decimal_str`` would convert binary to decimal.  ``bench`` always
-evaluates on ints and prints ``decimal_digest``.
+where ``decimal_str`` would convert binary to decimal.  Each s has its own
+cut, at the measured crossover of the two rings (the table beside
+``DECIMAL_RING_BITS``): 6,144 bits for s = 1 and 3, 32,768 for s = 0.
+``bench`` always evaluates on ints and prints ``decimal_digest``, which
+reads no full decimal text.
 
 ``verify`` and ``prove`` import ``verify_suite``, and with it
 ``recurrence_prover`` and ``qratio``, at their first use; ``compute`` and
@@ -56,8 +59,21 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
 
-# a closed compute whose moment_bits bound is above this evaluates in exact Decimal
-DECIMAL_RING_BITS = 3 * 2**14
+# s -> the moment_bits(k, s) bound above which a closed compute evaluates in exact
+# Decimal.  Decimal time over int time, text included, at the largest k of each bound
+# (the worse of two k of each parity; in process, best of 9, CPython 3.11, x86-64):
+#
+#   bits     3k    4k    5k    6k    8k    16k   24k   30k   33k   40k   48k
+#   s = 0    1.25  1.11  1.10  1.12  1.13  1.20  1.25  1.29  0.63  0.64  0.64
+#   s = 1    1.12  0.97  0.91  0.88  0.83  0.85  0.90  0.91  0.52  0.53  0.54
+#   s = 1'   1.15  1.03  0.94  0.88  0.83  0.85  0.90  0.91  0.52  0.53  0.54
+#   s = 3    1.10  0.93  0.91  0.89  0.81  0.83  0.88  0.89  0.88  0.91  0.91
+#   s = 3'   1.08  0.96  0.90  0.87  0.82  0.84  0.89  0.91  0.51  0.53  0.53
+#
+# A product of F's (s = 1, 3) gains from 4-5k bits; F_k - 1 (s = 0) only past a step
+# near 32,400 bits, where its Decimal time halves at once.  An s outside the table
+# evaluates on ints.
+DECIMAL_RING_BITS = {0: 2**15, 1: 3 * 2**11, 3: 3 * 2**11}
 
 FORMATS = ("text", "json", "csv")
 # compute's and bench's --engine name -> its moment_sums.ENGINES name
@@ -87,7 +103,8 @@ def _compute_value(sum_kind: str, k: int, s: int, j: int, engine: str) -> int:
 
 def _compute_text(sum_kind: str, k: int, s: int, j: int, engine: str) -> str:
     """The decimal text of the moment; see the module docstring for the closed engine's two rings."""
-    if engine == "closed" and moment_bits(k, s) > DECIMAL_RING_BITS:
+    cut = DECIMAL_RING_BITS.get(s)  # None for an s the closed engine rejects
+    if engine == "closed" and cut is not None and moment_bits(k, s) > cut:
         from decimal import Decimal
 
         moment = _moment(sum_kind, k, s, j)

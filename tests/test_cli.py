@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nicom import closed_forms as cf
 from nicom import cli, decimal_text, moment_sums, qratio, verify_suite
@@ -420,9 +421,9 @@ def test_compute_beyond_the_digit_limit(capsys):
 
 def selection_ks(s):
     """Two k of each parity around the largest k whose moment_bits bound is at most
-    ``cli.DECIMAL_RING_BITS``."""
+    ``cli.DECIMAL_RING_BITS[s]``."""
     k = 1
-    while cf.moment_bits(k + 1, s) <= cli.DECIMAL_RING_BITS:
+    while cf.moment_bits(k + 1, s) <= cli.DECIMAL_RING_BITS[s]:
         k += 1
     return [k - 1, k, k + 1, k + 2]
 
@@ -435,7 +436,7 @@ def test_compute_closed_text_on_both_sides_of_the_selection(capsys, monkeypatch,
     sum_kind = "Aprime" if prime else "A"
     ks = selection_ks(s)
     for k in ks:
-        above = cf.moment_bits(k, s) > cli.DECIMAL_RING_BITS
+        above = cf.moment_bits(k, s) > cli.DECIMAL_RING_BITS[s]
         assert above == (k in ks[2:])
         with int_digit_limit(4300):
             text = decimal_str(ClosedEngine().at(k, [moment])[0])
@@ -481,6 +482,48 @@ def test_decimal_digest_matches_decimal_str_slices():
     with int_digit_limit(640):  # the smallest limit the interpreter accepts
         for v in values + [-v for v in values]:
             assert decimal_digest(v) == digest_by_slicing(v), v.bit_length()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1700, 300_000), st.integers(0, 2**64), st.booleans())
+def test_decimal_digest_of_random_values_matches_decimal_str_slices(bits, seed, negative):
+    # both sides of _BOUNDED_HEAD_BITS: 5^e in whole below it, bounded above it
+    value = random.Random(seed).getrandbits(bits) | 1 << (bits - 1)
+    value = -value if negative else value
+    with int_digit_limit(640):
+        assert decimal_digest(value) == digest_by_slicing(value)
+
+
+def test_decimal_digest_next_to_a_power_of_ten_takes_the_whole_power(monkeypatch):
+    # n / 10^e is an integer at n = h * 10^e, or within 10^-e of one next to it, so the
+    # bounds on 5^e straddle it and the head comes from the whole power
+    bounded = []
+    head = decimal_text._bounded_head
+    monkeypatch.setattr(decimal_text, "_bounded_head",
+                        lambda n, e: bounded.append(head(n, e)) or bounded[-1])
+    values = [h * 10**e + c for h in (1, 10**7, 12345678, 99999999)
+              for e in (1600, 2001, 5000, 30000) for c in (-1, 0, 1)]
+    assert min(v.bit_length() for v in values) > decimal_text._BOUNDED_HEAD_BITS
+    with int_digit_limit(640):
+        for v in values:
+            assert decimal_digest(v) == digest_by_slicing(v), v
+    assert bounded == [None] * len(values)
+    # away from an integer the bounds agree, and 5^e is never formed
+    bounded.clear()
+    rng = random.Random(7)
+    values = [rng.getrandbits(b) | 1 << (b - 1) for b in (5121, 20000, 100000)]
+    with int_digit_limit(640):
+        for v in values:
+            assert decimal_digest(v) == digest_by_slicing(v)
+    assert None not in bounded and len(bounded) == len(values)
+
+
+def test_power5_bounds_straddle_the_power():
+    for e in (*range(300), 1000, 4097, 80001):
+        lo, hi, t = decimal_text._power5_bounds(e)
+        assert lo << t <= 5**e <= hi << t, e
+        # each of about 96 bits, and at most e apart: about e * 2^-95 of their size
+        assert hi.bit_length() <= 97 and hi - lo <= e, e
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 40, 1000, 20000])

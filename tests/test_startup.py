@@ -11,8 +11,10 @@ from its own command table, and loads argparse only for any other argv,
 such as a ``--help``.  Nor does it load ``dataclasses``, ``inspect``, ``json``,
 ``csv``, ``fractions`` or ``decimal``; each of the last four
 loads when its first user runs: ``decimal`` when ``decimal_str`` converts
-a value above ``decimal_text._JOIN_BITS`` bits, or a closed ``compute``
-bounds its value above ``cli.DECIMAL_RING_BITS``, the same 49,152 bits.
+a value above ``decimal_text._JOIN_BITS`` = 49,152 bits, or a closed
+``compute`` bounds its value above ``cli.DECIMAL_RING_BITS[s]``, which is
+6,144 bits at s = 1.  ``bench`` evaluates on ints at every size and loads
+``json`` only.
 Each case runs in a fresh interpreter and compares ``sys.modules`` before
 and after, so what ``site`` preloads does not count.  Nor does the import
 compile a ``MomentTable`` step: a plan's step compiles at its first fill.
@@ -25,6 +27,8 @@ from pathlib import Path
 import pytest
 
 import nicom
+from nicom.cli import DECIMAL_RING_BITS
+from nicom.closed_forms import moment_bits
 
 SRC = str(Path(nicom.__file__).parent.parent)
 WATCHED = ("argparse", "gettext", "locale", "dataclasses", "inspect", "json", "csv",
@@ -66,6 +70,8 @@ def loads(use):
 
 
 COMPUTE = "main(['compute', '--sum', 'A', '--k', '10', '--s', '1', '--engine', 'closed'"
+# the largest k at which a closed compute at s = 1 evaluates on ints
+RING_K = max(k for k in range(1, 10**5) if moment_bits(k, 1) <= DECIMAL_RING_BITS[1])
 
 
 @pytest.mark.parametrize("use, first_loaded", [
@@ -83,11 +89,13 @@ COMPUTE = "main(['compute', '--sum', 'A', '--k', '10', '--s', '1', '--engine', '
     ("decimal_str((1 << 49152) - 1)", ""),
     ("decimal_str(1 << 49152)", "decimal"),
     # a closed compute evaluates in exact Decimal once moment_bits(k, s), an upper bound
-    # on the value's size, passes cli.DECIMAL_RING_BITS = 3 * 2**14 bits; at s = 1 that is
-    # above k = 35393
-    ("main(['compute', '--sum', 'A', '--k', '35393', '--s', '1', '--engine', 'closed'])", ""),
-    ("main(['compute', '--sum', 'A', '--k', '35394', '--s', '1', '--engine', 'closed'])",
+    # on the value's size, passes cli.DECIMAL_RING_BITS[s]
+    (f"main(['compute', '--sum', 'A', '--k', '{RING_K}', '--s', '1', '--engine', 'closed'])",
+     ""),
+    (f"main(['compute', '--sum', 'A', '--k', '{RING_K + 1}', '--s', '1', '--engine', 'closed'])",
      "decimal"),
+    # bench stays on ints, and its digest of a 277,693-bit value needs no decimal
+    ("main(['bench', '--k', '100000', '--s', '3', '--engine', 'closed'])", "json"),
     # fractions itself imports decimal
     ("from nicom.qratio import q_value; q_value('phi', 4)", "decimal,fractions,nicom.qratio"),
 ])
